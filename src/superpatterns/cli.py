@@ -113,9 +113,10 @@ def _add_cap_flags(sp, enum: bool = False):
 
 
 def _effective_caps(args, caps) -> dict:
+    # a flag set to 0 still overrides the default
     return {
-        "max_k": getattr(args, "max_k", None) or caps["max_k"],
-        "max_enum": getattr(args, "max_enum", None) or caps["max_enum"],
+        name: caps[name] if getattr(args, name, None) is None else getattr(args, name)
+        for name in caps
     }
 
 
@@ -432,8 +433,20 @@ def _log_f_arg(args) -> float:
     raise ValueError("need --f or --log-f")
 
 
+# the flags each bound reads; --f/--log-f are checked by _log_f_arg
+_BOUND_ARGS = {
+    "forL": "k L epsilon", "birthday": "k L", "theorem-constants": "epsilon_star",
+    "hoeffding-x": "k epsilon", "infeasibility": "k r n", "gupta": "k n",
+    "loworder": "k epsilon", "con": "epsilon_star M",
+}
+
+
 def _cmd_bounds(args, caps):
     which = args.bound
+    needs = _BOUND_ARGS[which].split()
+    missing = [f"--{a.replace('_', '-')}" for a in needs if getattr(args, a) is None]
+    if missing:
+        raise ValueError(f"bounds {which} needs {' '.join(missing)}")
     if which == "forL":
         lv = B.forL_bound(args.k, args.L, args.epsilon)
         payload = {"bound": "forL", "k": args.k, "L": args.L,

@@ -18,6 +18,7 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -361,56 +362,80 @@ def build_two_track_dfa(k: int) -> WeightedDfa:
     return WeightedDfa(k, 0, delta, cost)
 
 
+def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
+    """dists[l] = Counter {total cost: number of injective length-l words
+    paying it from start}, l = 0..max_len. With a budget, a prefix costing
+    more is dropped with its extensions (costs are non-negative).
+
+    Layered subset DP (Bellman 1962; Held & Karp 1962): a prefix's future
+    depends only on (state, set of letters read), so each layer maps such
+    pairs, at most |V| * 2^k of them, to the {cost: count} histogram of
+    the prefixes reaching them; step and step_cost run once per (pair,
+    unread letter), not once per prefix.
+    """
+    k = dfa.alphabet_size
+    step, step_cost = dfa.step, dfa.step_cost
+    letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]
+    dists = [Counter() for _ in range(max_len + 1)]
+    dists[0][0] = 1
+    frontier = {(start, 0): {0: 1}}
+    for length in range(1, max_len + 1):
+        bucket = dists[length]
+        last = length == max_len
+        nxt: dict = {}
+        for (v, used), hist in frontier.items():
+            for t, bit in letters:
+                if used & bit:
+                    continue
+                c = step_cost(v, t)
+                if last:
+                    # fold straight into the result: last-layer (state,
+                    # set) pairs would hardly ever merge
+                    for total, n in hist.items():
+                        nt = total + c
+                        if budget is None or nt <= budget:
+                            bucket[nt] += n
+                    continue
+                key = (step(v, t), used | bit)
+                out = nxt.get(key)
+                if out is None:
+                    out = nxt[key] = {}
+                for total, n in hist.items():
+                    nt = total + c
+                    if budget is None or nt <= budget:
+                        out[nt] = out.get(nt, 0) + n
+                if not out:
+                    del nxt[key]
+        for hist in nxt.values():
+            bucket.update(hist)
+        frontier = nxt
+    return dists
+
+
 def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> int:
     """How many permutations of [k], walked from the root, cost at most
     budget.
 
-    Depth-first over injective prefixes, abandoning a prefix once its
-    partial cost exceeds the budget (costs are non-negative).
+    The (state, letters read) DP of _injective_cost_layers, at most
+    |V| * 2^k entries per layer, drops prefixes over the budget, so tight
+    budgets stay cheap. The cap on k is unchanged.
     """
     k = dfa.alphabet_size
     if k > max_k:
         raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    step = dfa.step
-    step_cost = dfa.step_cost
-
-    def rec(v, used: int, total, depth: int) -> int:
-        if depth == k:
-            return 1
-        hits = 0
-        for t in range(1, k + 1):
-            bit = 1 << (t - 1)
-            if used & bit:
-                continue
-            nt = total + step_cost(v, t)
-            if nt <= budget:
-                hits += rec(step(v, t), used | bit, nt, depth + 1)
-        return hits
-
-    return rec(dfa.root, 0, 0, 0)
+    return sum(_injective_cost_layers(dfa, dfa.root, k, budget)[k].values())
 
 
 def perm_cost_census(dfa: Dfa, *, max_k: int = MAX_FACTORIAL_K) -> dict:
     """Exact distribution {total cost: count} of root walk costs over all
-    permutations of [k]. Infinite totals are keyed by INFINITY."""
+    permutations of [k]. Infinite totals are keyed by INFINITY. Computed
+    by the (state, letters read) DP of _injective_cost_layers, at most
+    |V| * 2^k entries per layer; the cap on k is unchanged.
+    """
     k = dfa.alphabet_size
     if k > max_k:
         raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    census: dict = {}
-    step = dfa.step
-    step_cost = dfa.step_cost
-
-    def rec(v, used: int, total, depth: int):
-        if depth == k:
-            census[total] = census.get(total, 0) + 1
-            return
-        for t in range(1, k + 1):
-            bit = 1 << (t - 1)
-            if not used & bit:
-                rec(step(v, t), used | bit, total + step_cost(v, t), depth + 1)
-
-    rec(dfa.root, 0, 0, 0)
-    return census
+    return dict(_injective_cost_layers(dfa, dfa.root, k)[k])
 
 
 def random_k_dfa(k: int, state_count: int, seed: int) -> WeightedDfa:

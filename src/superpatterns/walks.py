@@ -26,7 +26,6 @@ matter how samples are scheduled across workers.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from hashlib import blake2b
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from .dfa import SubsetDfa, is_k_dfa, letters_of
+from .dfa import SubsetDfa, _injective_cost_layers, is_k_dfa, letters_of
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -164,43 +163,21 @@ def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = M
     """Cost distribution of every injective walk from start, per length.
 
     Returns a list dists with dists[L] = Counter {total cost: number of
-    injective length-L words paying it}; one depth-first sweep over the
-    injective-prefix tree covers all lengths at once.
+    injective length-L words paying it}, from one layered DP over (state,
+    set of letters read) with at most |V| * 2^k entries per layer. The cap
+    still counts the injective words of lengths 1..max_len.
     """
     k = dfa.alphabet_size
     if not dfa.has_state(start):
         raise ValueError(f"unknown state {start!r}")
     if not (0 <= max_len <= k):
         raise ValueError(f"need 0 <= max_len <= k, got {max_len}")
-    tree = 0
-    nodes = 1
-    for L in range(1, max_len + 1):
-        nodes *= k - L + 1
-        tree += nodes
+    tree = sum(math.perm(k, L) for L in range(1, max_len + 1))
     if tree > max_words:
         raise ResourceLimitError(
             f"enumerating {tree} injective words exceeds the cap {max_words}"
         )
-    dists = [Counter() for _ in range(max_len + 1)]
-    dists[0][0] = 1
-    step = dfa.step
-    step_cost = dfa.step_cost
-
-    def rec(v, used: int, total, depth: int):
-        nxt = depth + 1
-        bucket = dists[nxt]
-        for t in range(1, k + 1):
-            bit = 1 << (t - 1)
-            if used & bit:
-                continue
-            nt = total + step_cost(v, t)
-            bucket[nt] += 1
-            if nxt < max_len:
-                rec(step(v, t), used | bit, nt, nxt)
-
-    if max_len > 0:
-        rec(start, 0, 0, 0)
-    return dists
+    return _injective_cost_layers(dfa, start, max_len)
 
 
 def _threshold(k: int, L: int, epsilon: float) -> Fraction:
@@ -210,9 +187,21 @@ def _threshold(k: int, L: int, epsilon: float) -> Fraction:
 
 def _cost_bound(k: int, L: int, epsilon: float, strict: bool) -> int:
     """Largest integer cost counted by the comparator against the
-    threshold (1/2 - eps)kL."""
+    threshold (1/2 - eps)kL.
+
+    A float epsilon is read through its shortest decimal (0.1 as 1/10,
+    not the double above it), so integer ties count under <=.
+    """
+    if isinstance(epsilon, float):
+        epsilon = Fraction(repr(float(epsilon)))
     thr = _threshold(k, L, epsilon)
     return math.ceil(thr) - 1 if strict else math.floor(thr)
+
+
+def _share_within(dfa, state, L: int, bound: int, max_words: int) -> Fraction:
+    dist = cost_distributions_by_length(dfa, state, L, max_words=max_words)[L]
+    hits = sum(c for cost, c in dist.items() if cost <= bound)
+    return Fraction(hits, sum(dist.values()))
 
 
 def exact_P(
@@ -231,11 +220,8 @@ def exact_P(
     """
     if not is_k_dfa(dfa):
         raise ValueError("exact_P needs a k-DFA (every cost row a permutation)")
-    dists = cost_distributions_by_length(dfa, state, L, max_words=max_words)
     bound = _cost_bound(dfa.alphabet_size, L, epsilon, strict)
-    hits = sum(c for cost, c in dists[L].items() if cost <= bound)
-    total = sum(dists[L].values())
-    return Fraction(hits, total)
+    return _share_within(dfa, state, L, bound, max_words)
 
 
 def exact_P_max(
@@ -247,10 +233,10 @@ def exact_P_max(
     max_words: int = MAX_INJECTIVE_ENUM,
 ) -> Fraction:
     """max over states of exact_P (the form the walk bounds are stated for)."""
-    return max(
-        exact_P(dfa, v, L, epsilon, strict=strict, max_words=max_words)
-        for v in dfa.states
-    )
+    if not is_k_dfa(dfa):
+        raise ValueError("exact_P_max needs a k-DFA (every cost row a permutation)")
+    bound = _cost_bound(dfa.alphabet_size, L, epsilon, strict)
+    return max(_share_within(dfa, v, L, bound, max_words) for v in dfa.states)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ class TestProbabilityCommands:
         assert doc["p"] == 0.5
         assert (doc["p_numerator"], doc["p_denominator"]) == (1, 2)
 
+    def test_exact_p_le_counts_integer_tie(self, capsys):
+        # (1/2 - 0.1) * 5 * 5 = 10: cost 10 is counted under <=
+        rc, out, _ = run_cli(
+            capsys, "exact-p", "--dfa", "subset", "--k", "5", "--L", "5",
+            "--epsilon", "0.1", "--comparator", "le",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["p_numerator"], doc["p_denominator"]) == (71, 120)
+
     def test_estimate_p_round_trip(self, capsys):
         rc, out, _ = run_cli(
             capsys, "estimate-p", "--dfa", "subset", "--k", "3", "--L", "3",
@@ -194,6 +204,29 @@ class TestBoundsCommands:
             capsys, "bounds", "con", "--epsilon-star", "0.3", "--M", "4"
         )
         assert json.loads(out)["c_con1"] == pytest.approx(0.0028125)
+
+    REQUIRED = {
+        "forL": ["--k", "10", "--L", "3", "--epsilon", "0.1"],
+        "birthday": ["--k", "10", "--L", "3"],
+        "theorem-constants": ["--epsilon-star", "0.3"],
+        "hoeffding-x": ["--k", "10", "--epsilon", "0.1"],
+        "infeasibility": ["--k", "3", "--r", "3", "--n", "4", "--f", "2"],
+        "gupta": ["--k", "3", "--n", "4", "--f", "2"],
+        "loworder": ["--k", "10", "--epsilon", "0.1"],
+        "con": ["--epsilon-star", "0.3", "--M", "4"],
+    }
+
+    @pytest.mark.parametrize("bound", sorted(REQUIRED))
+    def test_each_missing_argument_is_one_line_exit_1(self, capsys, bound):
+        flags = self.REQUIRED[bound]
+        rc, _, _ = run_cli(capsys, "bounds", bound, *flags)
+        assert rc == 0
+        for i in range(0, len(flags), 2):
+            rc, out, err = run_cli(capsys, "bounds", bound, *flags[:i], *flags[i + 2:])
+            assert rc == 1, (bound, flags[i])
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert flags[i] in err
 
 
 class TestBcp:
@@ -255,6 +288,21 @@ class TestCapFlags:
         assert json.loads(out)["count"] == 0
         rc, _, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "11")
         assert rc == 2
+
+    def test_zero_max_k_is_honoured(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "census", "--word", "1", "2", "3", "--k", "3", "--max-k", "0"
+        )
+        assert rc == 2
+        assert "cap" in err
+
+    def test_zero_max_enum_is_honoured(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "exact-p", "--dfa", "subset", "--k", "3", "--L", "1",
+            "--epsilon", "0.1", "--max-enum", "0",
+        )
+        assert rc == 2
+        assert "cap" in err
 
     def test_bcp_census_capped(self, capsys):
         rc, _, err = run_cli(capsys, "bcp", "--word", "1", "2", "--k", "11")

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -21,6 +22,7 @@ from superpatterns.dfa import (
     random_k_dfa,
     walk_cost,
 )
+from superpatterns.dfa import _injective_cost_layers
 from superpatterns.errors import CheapeningError, ResourceLimitError
 from superpatterns.patterns import as_word, pattern_set
 
@@ -42,6 +44,23 @@ EXAMPLE_1232_EDGES = [
 
 def perms(k):
     return list(permutations(range(1, k + 1)))
+
+
+def injective_walk_costs(dfa, start, L):
+    """Counter of walk costs from start over every injective length-L
+    word, by plain enumeration (the reference for the subset DP)."""
+    out = Counter()
+    for w in permutations(range(1, dfa.alphabet_size + 1), L):
+        v, total = start, 0
+        for t in w:
+            total += dfa.step_cost(v, t)
+            v = dfa.step(v, t)
+        out[total] += 1
+    return out
+
+
+def within(hist, budget):
+    return {c: n for c, n in hist.items() if budget is None or c <= budget}
 
 
 class TestGreedyDfa:
@@ -341,6 +360,67 @@ class TestCheapPermCount:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             cheap_perm_count(build_subset_dfa(12), 5)
+
+
+class TestInjectiveCostLayers:
+    """The (state, letters read) subset DP against plain enumeration."""
+
+    def check_all_lengths_and_budgets(self, dfa, start):
+        k = dfa.alphabet_size
+        ref = [injective_walk_costs(dfa, start, L) for L in range(k + 1)]
+        for max_len in range(k + 1):
+            low = min(ref[max_len]) - 1
+            top = k * k
+            for budget in [None, *range(low, top + 1)]:
+                got = _injective_cost_layers(dfa, start, max_len, budget)
+                assert len(got) == max_len + 1
+                assert got[0] == {0: 1}
+                for L in range(1, max_len + 1):
+                    assert got[L] == within(ref[L], budget), (start, max_len, L, budget)
+
+    def test_random_k_dfas_from_non_root_starts(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            k = rng.randint(1, 6)
+            dfa = random_k_dfa(k, rng.randint(2, 6), rng.randrange(10**6))
+            others = [v for v in dfa.states if v != dfa.root]
+            for start in rng.sample(others, min(2, len(others))):
+                self.check_all_lengths_and_budgets(dfa, start)
+
+    def test_random_weighted_dfas_with_zero_and_repeated_costs(self):
+        rng = random.Random(42)
+        for _ in range(10):
+            k = rng.randint(1, 5)
+            n = rng.randint(2, 5)
+            delta = {v: tuple(rng.randrange(n) for _ in range(k)) for v in range(n)}
+            cost = {v: tuple(rng.randint(0, 3) for _ in range(k)) for v in range(n)}
+            dfa = WeightedDfa(k, 0, delta, cost)
+            self.check_all_lengths_and_budgets(dfa, rng.randrange(1, n))
+
+    def test_greedy_not_cheapened_keeps_infinity(self):
+        rng = random.Random(43)
+        seen_infinite = False
+        for _ in range(12):
+            k = rng.randint(1, 5)
+            word = tuple(rng.randint(1, k) for _ in range(rng.randint(0, 7)))
+            a = build_greedy_dfa(as_word(word, k))
+            for start in a.states:
+                ref = injective_walk_costs(a, start, k)
+                assert _injective_cost_layers(a, start, k)[k] == ref
+                seen_infinite |= INFINITY in ref
+            census = injective_walk_costs(a, a.root, k)
+            assert perm_cost_census(a) == census
+            for budget in range(-1, k * k + 1):
+                assert cheap_perm_count(a, budget) == sum(within(census, budget).values())
+        assert seen_infinite
+
+    def test_subset_census_and_tight_budgets(self):
+        for k in range(1, 7):
+            s = build_subset_dfa(k)
+            census = injective_walk_costs(s, 0, k)
+            assert perm_cost_census(s) == census
+            for budget in range(k - 1, k * k + 1):
+                assert cheap_perm_count(s, budget) == sum(within(census, budget).values())
 
 
 class TestRandomKDfa:

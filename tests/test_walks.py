@@ -185,6 +185,54 @@ class TestExactP:
                 assert pre <= full
 
 
+class TestEpsilonTies:
+    def test_float_epsilon_counts_the_integer_tie(self):
+        # (1/2 - 1/10) * 5 * 5 = 10 exactly: <= must count cost 10 whether
+        # epsilon arrives as the float 0.1 or as the fraction 1/10
+        s = build_subset_dfa(5)
+        for eps in (0.1, Fraction(1, 10)):
+            assert exact_P(s, 0, 5, eps, strict=False) == Fraction(71, 120)
+            assert exact_P(s, 0, 5, eps, strict=True) == Fraction(49, 120)
+
+
+def shifted_mahonian(pool_sizes):
+    """Coefficients of prod_m (q + q^2 + ... + q^m) over the pool sizes,
+    as {exponent: coefficient} (OEIS A008302, shifted)."""
+    poly = {0: 1}
+    for m in pool_sizes:
+        nxt = Counter()
+        for e, c in poly.items():
+            for r in range(1, m + 1):
+                nxt[e + r] += c
+        poly = nxt
+    return dict(poly)
+
+
+class TestCostDistributionsByLength:
+    def test_matches_permutation_walk_from_every_start(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            k = rng.randint(1, 6)
+            dfa = random_k_dfa(k, rng.randint(1, 6), rng.randrange(10**6))
+            for start in dfa.states:
+                dists = cost_distributions_by_length(dfa, start, k)
+                for L in range(k + 1):
+                    want = Counter()
+                    for w in permutations(range(1, k + 1), L):
+                        want[walk_cost(dfa, start, w).total_cost] += 1
+                    assert dists[L] == want
+
+    def test_subset_is_shifted_mahonian_beyond_dfs_scale(self):
+        # at k = 11 the injective-prefix tree has ~1.1e8 words; the DP
+        # touches at most 2^11 subsets per layer
+        for k in range(1, 12):
+            dists = cost_distributions_by_length(
+                build_subset_dfa(k), 0, k - 1, max_words=10**9
+            )
+            for L in range(k):
+                assert dists[L] == shifted_mahonian(range(k, k - L, -1))
+
+
 class TestDoubling:
     def test_subadditivity(self):
         # P(ML, eps) <= M * |V| * P(L, eps)
