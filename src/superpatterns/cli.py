@@ -112,6 +112,13 @@ def _add_cap_flags(sp, enum: bool = False):
         )
 
 
+def _add_threads_flag(sp):
+    sp.add_argument(
+        "--threads", type=int, default=1,
+        help="at least 1; kept for compatibility, samples run in one thread",
+    )
+
+
 def _effective_caps(args, caps) -> dict:
     # a flag set to 0 still overrides the default
     return {
@@ -249,11 +256,9 @@ def _cmd_f_oracle(args, caps):
 def _cmd_dfa(args, caps):
     caps = _effective_caps(args, caps)
     dfa = _build_dfa(args)
-    if args.action == "build":
-        _emit_dfa(dfa, args.format, args.include_infinite)
-        return
-    if args.action == "dot":
-        sys.stdout.write(D.dfa_to_dot(dfa, include_infinite=args.include_infinite))
+    if args.action in ("build", "dot"):
+        fmt = "dot" if args.action == "dot" else args.format
+        _emit_dfa(dfa, fmt, args.include_infinite)
         return
     if args.action == "cost":
         if args.walk_word is None:
@@ -364,6 +369,8 @@ def _cmd_decompose(args, caps):
 
 
 def _cmd_concentration(args, caps):
+    if args.threads < 1:
+        raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)
     rep = W.concentration_experiment(
         dfa, args.M, args.epsilon_star, args.samples, args.seed
@@ -599,7 +606,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--state", type=int)
     sp.add_argument("--comparator", choices=["lt", "le"], default="lt")
-    sp.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(sp)
     _add_format(sp)
     sp.set_defaults(func=_cmd_estimate_p)
 
@@ -616,7 +623,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--epsilon-star", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(sp)
     _add_format(sp)
     sp.set_defaults(func=_cmd_concentration)
 

@@ -19,14 +19,13 @@ where [m] = {1..m}; so E[sum_j X_j] = sum_{m=1..k} (m+1)/2 = (k^2+3k)/4
 exactly.
 
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
-counter-mode stream keyed by (seed, i), so estimates are bit-identical no
-matter how samples are scheduled across workers.
+counter-mode stream keyed by (seed, i) and shuffles through one partial
+Fisher-Yates sampler, so a fixed seed gives bit-identical estimates.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
@@ -121,6 +120,19 @@ class PermutationalWord:
         return iter(self.letters)
 
 
+def _shuffled(k: int, L: int, randrange) -> list[int]:
+    """1..k with its first L slots shuffled by partial Fisher-Yates.
+
+    Slot i swaps with slot i + randrange(k - i), for i = 0..L-1 in order;
+    every Monte-Carlo sample in this module draws its word here.
+    """
+    pool = list(range(1, k + 1))
+    for i in range(L):
+        j = i + randrange(k - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool
+
+
 def sample_perm_word(k: int, L: int, rng) -> PermutationalWord:
     """A uniform random injective word of length L over [k].
 
@@ -130,11 +142,7 @@ def sample_perm_word(k: int, L: int, rng) -> PermutationalWord:
     """
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}, k={k}")
-    pool = list(range(1, k + 1))
-    for i in range(L):
-        j = i + rng.randrange(k - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return PermutationalWord(tuple(pool[:L]), k)
+    return PermutationalWord(tuple(_shuffled(k, L, rng.randrange)[:L]), k)
 
 
 def restriction(w, E) -> PermutationalWord:
@@ -190,8 +198,11 @@ def _cost_bound(k: int, L: int, epsilon: float, strict: bool) -> int:
     threshold (1/2 - eps)kL.
 
     A float epsilon is read through its shortest decimal (0.1 as 1/10,
-    not the double above it), so integer ties count under <=.
+    not the double above it), so integer ties count under <=. An epsilon
+    outside [0, 1/2], NaN included, is refused.
     """
+    if not (0 <= epsilon <= 0.5):
+        raise ValueError(f"need 0 <= epsilon <= 1/2, got {epsilon!r}")
     if isinstance(epsilon, float):
         epsilon = Fraction(repr(float(epsilon)))
     thr = _threshold(k, L, epsilon)
@@ -289,30 +300,6 @@ class EstimateReport:
         }
 
 
-def _count_hits(dfa, state, L: int, bound: int, seed: int, lo: int, hi: int) -> int:
-    """Successes among sample indices [lo, hi); each sample uses its own
-    (seed, index) stream, so any partition of the index range agrees."""
-    k = dfa.alphabet_size
-    step = dfa.step
-    step_cost = dfa.step_cost
-    hits = 0
-    for i in range(lo, hi):
-        rng = CounterRng(seed, i)
-        randrange = rng.randrange
-        pool = list(range(1, k + 1))
-        v = state
-        total = 0
-        for j in range(L):
-            at = j + randrange(k - j)
-            pool[j], pool[at] = pool[at], pool[j]
-            t = pool[j]
-            total += step_cost(v, t)
-            v = step(v, t)
-        if total <= bound:
-            hits += 1
-    return hits
-
-
 def estimate_P(
     dfa,
     state,
@@ -327,11 +314,15 @@ def estimate_P(
 ) -> EstimateReport:
     """Monte-Carlo P(state, L, eps) with a Clopper-Pearson interval.
 
-    Deterministic in seed and independent of the threads setting: sample i
-    is a pure function of (seed, i).
+    Deterministic in seed: sample i is a pure function of (seed, i).
+    threads must be at least 1 and does not change how samples run: they
+    run one after another in the calling thread, because the work is pure
+    Python under the interpreter lock and a thread pool measured slower.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if not is_k_dfa(dfa):
         raise ValueError("estimate_P needs a k-DFA")
     if not dfa.has_state(state):
@@ -340,19 +331,17 @@ def estimate_P(
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}")
     bound = _cost_bound(k, L, epsilon, strict)
-    if threads <= 1:
-        hits = _count_hits(dfa, state, L, bound, seed, 0, samples)
-    else:
-        chunk = -(-samples // threads)
-        ranges = [
-            (lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda r: _count_hits(dfa, state, L, bound, seed, r[0], r[1]),
-                ranges,
-            )
-            hits = sum(parts)
+    step = dfa.step
+    step_cost = dfa.step_cost
+    hits = 0
+    for i in range(samples):
+        v = state
+        total = 0
+        for t in _shuffled(k, L, CounterRng(seed, i).randrange)[:L]:
+            total += step_cost(v, t)
+            v = step(v, t)
+        if total <= bound:
+            hits += 1
     lo, hi = clopper_pearson(hits, samples, confidence)
     return EstimateReport(
         estimate=hits / samples,
@@ -459,18 +448,11 @@ def _sample_perm_matrix(k: int, samples: int, seed: int) -> np.ndarray:
     """samples uniform random permutations of [k], one (seed, i) stream per
     row, as an int array of shape (samples, k).
 
-    Draw-for-draw identical to sample_perm_word(k, k, CounterRng(seed, i));
-    inlined to skip per-row object construction in large batches.
+    Row i equals sample_perm_word(k, k, CounterRng(seed, i)).letters.
     """
     out = np.empty((samples, k), dtype=np.int64)
     for i in range(samples):
-        rng = CounterRng(seed, i)
-        randrange = rng.randrange
-        pool = list(range(1, k + 1))
-        for j in range(k):
-            at = j + randrange(k - j)
-            pool[j], pool[at] = pool[at], pool[j]
-        out[i] = pool
+        out[i] = _shuffled(k, k, CounterRng(seed, i).randrange)
     return out
 
 
@@ -556,6 +538,8 @@ def concentration_experiment(
     """Estimate the frequencies of the con1/con2 window events."""
     if M < 2:
         raise ValueError("need M >= 2")
+    if not (0 < epsilon_star < 0.5):
+        raise ValueError(f"need 0 < epsilon_star < 1/2, got {epsilon_star!r}")
     if samples <= 0:
         raise ValueError("need at least one sample")
     if not is_k_dfa(dfa):

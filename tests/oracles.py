@@ -1,10 +1,12 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here goes through index subsets and literal order-isomorphism,
+The pattern oracles go through index subsets and literal order-isomorphism,
 deliberately avoiding the value-subset/greedy reduction and the automaton
-machinery used by the library itself.
+machinery used by the library itself. The stream oracles re-derive the
+Monte-Carlo words from the stream's definition, without CounterRng.
 """
 
+from hashlib import blake2b
 from itertools import combinations, permutations
 from math import factorial
 
@@ -61,3 +63,38 @@ def all_words(alphabet_size, length):
     from itertools import product
 
     return product(range(1, alphabet_size + 1), repeat=length)
+
+
+def stream_words(seed, stream):
+    """The 64-bit words of the Monte-Carlo stream (seed, stream), in draw
+    order. Block c is BLAKE2b-512 of seed (16 bytes, signed little-endian),
+    stream (16 bytes, little-endian) and c (8 bytes, little-endian); its
+    eight little-endian words are drawn last to first."""
+    key = seed.to_bytes(16, "little", signed=True) + stream.to_bytes(16, "little")
+    counter = 0
+    while True:
+        block = blake2b(key + counter.to_bytes(8, "little"), digest_size=64).digest()
+        for offset in (56, 48, 40, 32, 24, 16, 8, 0):
+            yield int.from_bytes(block[offset : offset + 8], "little")
+        counter += 1
+
+
+def stream_below(words, n):
+    """A uniform draw in [0, n): the next word below floor(2^64 / n) * n,
+    reduced mod n."""
+    limit = (2**64 // n) * n
+    for w in words:
+        if w < limit:
+            return w % n
+
+
+def stream_injective_word(seed, stream, k, L):
+    """The length-L injective word over [k] that stream (seed, stream)
+    draws: partial Fisher-Yates on 1..k, slot i swapping with slot
+    i + draw(k - i) for i = 0..L-1."""
+    words = stream_words(seed, stream)
+    pool = list(range(1, k + 1))
+    for i in range(L):
+        j = i + stream_below(words, k - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(pool[:L])

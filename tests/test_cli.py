@@ -89,6 +89,14 @@ class TestDfaCommands:
         assert len(node_lines) == 1
         assert edge_lines == []
 
+    @pytest.mark.parametrize("infinite", [[], ["--include-infinite"]])
+    def test_dot_action_matches_build_format_dot(self, capsys, infinite):
+        greedy = ["greedy", "--word", "1", "2", "3", "2", *infinite]
+        rc, dot, _ = run_cli(capsys, "dfa", "dot", *greedy)
+        rc2, build, _ = run_cli(capsys, "dfa", "build", *greedy, "--format", "dot")
+        assert rc == rc2 == 0
+        assert dot == build
+
     def test_cost_and_census(self, capsys):
         rc, out, _ = run_cli(
             capsys, "dfa", "cost", "subset", "--k", "3", "--walk-word", "3", "2", "1"
@@ -262,6 +270,29 @@ class TestExitCodes:
         rc, out, err = run_proc("contains", "--no-such-flag")
         assert rc == 1
         assert err.strip()
+        assert len(err.strip().splitlines()) == 1
+
+    MC_DOMAIN_ERRORS = [
+        ["exact-p", "--dfa", "subset", "--k", "3", "--L", "3", "--epsilon", "-0.7"],
+        ["estimate-p", "--dfa", "subset", "--k", "3", "--L", "3", "--epsilon", "2",
+         "--samples", "10", "--seed", "1"],
+        *(
+            ["estimate-p", "--dfa", "subset", "--k", "3", "--L", "3",
+             "--epsilon", "0.1", "--samples", "10", "--seed", "1", "--threads", n]
+            for n in ("0", "-3")
+        ),
+        *(
+            ["concentration", "--dfa", "subset", "--k", "4", "--M", "2",
+             "--epsilon-star", eps, "--samples", "10", "--seed", "1", "--threads", n]
+            for eps, n in (("nan", "1"), ("-0.3", "1"), ("0.3", "0"), ("0.3", "-3"))
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv", MC_DOMAIN_ERRORS, ids=" ".join)
+    def test_probability_domain_error_is_one_line_exit_1(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
         assert len(err.strip().splitlines()) == 1
 
     def test_success_is_0(self, capsys):

@@ -35,6 +35,7 @@ from superpatterns.walks import (
     xy_decompose,
 )
 from superpatterns.walks import _sample_perm_matrix, _x_matrix_subset
+from oracles import stream_below, stream_injective_word, stream_words
 
 
 def perms(k):
@@ -58,6 +59,15 @@ class TestCounterRng:
         assert all(0 <= rng.randrange(7) < 7 for _ in range(2000))
         with pytest.raises(ValueError):
             rng.randrange(0)
+
+    def test_draws_follow_the_stream_definition(self):
+        # n = 2^63 + 1 rejects about half of all words, so the rejection
+        # rule is exercised along with the word order
+        for seed, stream in ((0, 0), (-17, 3), (2**70, 5)):
+            rng = CounterRng(seed, stream)
+            words = stream_words(seed, stream)
+            for n in (1, 7, 60, 2**63 + 1) * 6:
+                assert rng.randrange(n) == stream_below(words, n)
 
 
 class TestSamplePermWord:
@@ -91,6 +101,11 @@ class TestSamplePermWord:
         mat = _sample_perm_matrix(6, 20, seed=77)
         for i in range(20):
             assert tuple(mat[i]) == sample_perm_word(6, 6, CounterRng(77, i)).letters
+
+    def test_matrix_rows_follow_the_stream_definition(self):
+        mat = _sample_perm_matrix(7, 30, seed=91)
+        for i in range(30):
+            assert tuple(mat[i]) == stream_injective_word(91, i, 7, 7)
 
 
 class TestRestriction:
@@ -183,6 +198,20 @@ class TestExactP:
             for L in range(k + 1):
                 pre = walk_cost(dfa, 0, w.letters[:L]).total_cost
                 assert pre <= full
+
+
+class TestEpsilonDomain:
+    @pytest.mark.parametrize(
+        "eps", [-0.7, -1e-9, 0.5000001, 2, Fraction(-1, 10), math.nan, math.inf]
+    )
+    def test_outside_closed_half_rejected(self, eps):
+        s = build_subset_dfa(3)
+        with pytest.raises(ValueError):
+            exact_P(s, 0, 3, eps)
+        with pytest.raises(ValueError):
+            exact_P_max(s, 3, eps)
+        with pytest.raises(ValueError):
+            estimate_P(s, 0, 3, eps, 10, seed=1)
 
 
 class TestEpsilonTies:
@@ -291,6 +320,30 @@ class TestEstimateP:
         with pytest.raises(ValueError):
             estimate_P(build_subset_dfa(3), 0, 2, 0.1, 0, seed=1)
 
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError):
+                estimate_P(build_subset_dfa(3), 0, 2, 0.1, 10, seed=1, threads=threads)
+
+    def test_hits_follow_the_stream_definition(self):
+        # a random automaton from a non-root start, walked through its
+        # tables; L < k leaves the last slots unshuffled
+        k, n, seed, eps = 6, 400, 13, 0.05
+        dfa = random_k_dfa(k, 5, 29)
+        start = 3
+        assert start != dfa.root
+        for L in (4, k):
+            thr = (Fraction(1, 2) - Fraction(str(eps))) * k * L
+            want = 0
+            for i in range(n):
+                v, total = start, 0
+                for t in stream_injective_word(seed, i, k, L):
+                    total += dfa.cost_row(v)[t - 1]
+                    v = dfa.delta_row(v)[t - 1]
+                want += total < thr
+            assert 0 < want < n
+            assert round(estimate_P(dfa, start, L, eps, n, seed).estimate * n) == want
+
     def test_estimate_below_forL_bound_with_ci_slack(self):
         # k = 8, L = 8, eps = 0.1: the bound exceeds 1, so this is a sanity
         # anchor; the sharper comparison happens at exact_P scale.
@@ -391,6 +444,20 @@ class TestXStatistics:
             X = _x_matrix_subset(mat)
             for row, tau in zip(X, taus):
                 assert tuple(row) == xy_decompose(s, tau).x_ranks
+
+    def test_sample_x_sums_follow_the_stream_definition(self):
+        k, n, seed = 6, 40, 8
+        dfa = random_k_dfa(k, 5, 31)
+        want = []
+        for i in range(n):
+            v, unread, x_sum = dfa.root, set(range(1, k + 1)), 0
+            for t in stream_injective_word(seed, i, k, k):
+                row = dfa.cost_row(v)
+                x_sum += sum(1 for u in unread if row[u - 1] <= row[t - 1])
+                unread.discard(t)
+                v = dfa.delta_row(v)[t - 1]
+            want.append(x_sum)
+        assert list(sample_x_sums(dfa, n, seed)) == want
 
     def test_sample_x_sums_agree_across_paths(self):
         k, n, seed = 6, 50, 21
@@ -509,6 +576,21 @@ class TestConcentration:
             concentration_experiment(build_subset_dfa(4), 1, 0.3, 10, seed=0)
         with pytest.raises(ValueError):
             concentration_experiment(build_subset_dfa(4), 2, 0.3, 0, seed=0)
+
+    @pytest.mark.parametrize("eps_star", [0, 0.5, -0.3, 0.7, math.nan])
+    def test_epsilon_star_outside_open_half_rejected_before_sampling(
+        self, eps_star, monkeypatch
+    ):
+        import superpatterns.walks as W
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking epsilon_star")
+
+        monkeypatch.setattr(W, "_sample_perm_matrix", no_sampling)
+        monkeypatch.setattr(W, "sample_perm_word", no_sampling)
+        for dfa in (build_subset_dfa(4), random_k_dfa(4, 3, 1)):
+            with pytest.raises(ValueError):
+                concentration_experiment(dfa, 2, eps_star, 10, seed=0)
 
 
 class TestConcentrationAtScale:
