@@ -86,8 +86,11 @@ _LOG_TOL = 1e-9
 
 def _log_of(x: LogLike) -> float:
     """Natural log carried by x: LogValue passes through, bare numbers are
-    taken as already-logged values."""
-    return x.log if isinstance(x, LogValue) else float(x)
+    taken as already-logged values. NaN carries no value and is refused."""
+    log = x.log if isinstance(x, LogValue) else float(x)
+    if math.isnan(log):
+        raise ValueError("a log value must not be NaN")
+    return log
 
 
 def log_factorial(n: int) -> float:
@@ -112,7 +115,7 @@ def forL_bound(k: int, L: int, epsilon: float) -> LogValue:
     """
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}, k={k}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if L == 0:
         return LogValue(0.0)
@@ -168,7 +171,7 @@ def theorem_constants(epsilon_star: float) -> TheoremConstants:
 def hoeffding_x_bound(k: int, epsilon: float) -> LogValue:
     """The stated tail bound exp(-32 eps^2 k / 3) for the rank sum falling
     below (1/4 - eps) k^2. (The constant 32/3 is reproduced verbatim.)"""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if k < 1:
         raise ValueError("need k >= 1")
@@ -200,7 +203,7 @@ def loworder_predicate(k: int, epsilon: float, *, log_base: float = math.e) -> b
     """The hypothesis eps^4 > (33 + 132 log k)/k of the explicit
     lower-order-term bound. The log is natural by default; the base is a
     declared choice, not something the source pins down."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if k < 2:
         raise ValueError("need k >= 2")
@@ -211,8 +214,8 @@ def con_constants(epsilon_star: float, M: int) -> tuple[float, float]:
     """(c_con1, c_con2_sup): the window-concentration decay rate
     (eps*/M)^2 / 2, and the same value as the exclusive supremum of valid
     rates for the T-statistic event."""
-    if epsilon_star <= 0:
-        raise ValueError("epsilon_star must be positive")
+    if not (0 < epsilon_star < 0.5):
+        raise ValueError("need 0 < epsilon_star < 1/2")
     if M < 2:
         raise ValueError("need M >= 2")
     c = 0.5 * (epsilon_star / M) ** 2

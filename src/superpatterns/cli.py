@@ -30,11 +30,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _caps():
-    """Default cap overrides, read once at startup."""
-    return {
-        "max_k": int(os.environ.get("SUPERPATTERNS_MAX_K", P.MAX_FACTORIAL_K)),
-        "max_enum": int(os.environ.get("SUPERPATTERNS_MAX_ENUM", P.MAX_ENUM_WORDS)),
-    }
+    """Default cap overrides from SUPERPATTERNS_MAX_K/_MAX_ENUM, read once
+    per command."""
+    caps = {"max_k": P.MAX_FACTORIAL_K, "max_enum": P.MAX_ENUM_WORDS}
+    for name in caps:
+        var = f"SUPERPATTERNS_{name.upper()}"
+        try:
+            caps[name] = int(os.environ.get(var, caps[name]))
+        except ValueError:
+            raise ValueError(f"{var} must be an integer") from None
+    return caps
 
 
 def _emit(payload: dict, fmt: str = "json") -> None:
@@ -44,10 +49,6 @@ def _emit(payload: dict, fmt: str = "json") -> None:
             print(f"{key}: {payload[key]}")
     else:
         print(json.dumps(payload, sort_keys=True))
-
-
-def _jsonable_cost(c):
-    return "inf" if c == D.INFINITY else c
 
 
 def _read_word(args) -> P.Word:
@@ -270,7 +271,7 @@ def _cmd_dfa(args, caps):
                 "command": "dfa cost",
                 "start": start,
                 "walk_word": list(args.walk_word),
-                "total_cost": _jsonable_cost(trace.total_cost),
+                "total_cost": D._cost_to_jsonable(trace.total_cost),
             },
             args.format,
         )
@@ -281,7 +282,7 @@ def _cmd_dfa(args, caps):
         "command": "dfa census",
         "k": dfa.alphabet_size,
         "census": [
-            {"cost": _jsonable_cost(c), "count": census[c]}
+            {"cost": D._cost_to_jsonable(c), "count": census[c]}
             for c in sorted(census, key=lambda c: (c == D.INFINITY, c))
         ],
     }
@@ -308,8 +309,8 @@ def _cmd_walk(args, caps):
             "start": start,
             "walk_word": list(args.walk_word),
             "states": list(trace.states),
-            "step_costs": [_jsonable_cost(c) for c in trace.step_costs],
-            "total_cost": _jsonable_cost(trace.total_cost),
+            "step_costs": [D._cost_to_jsonable(c) for c in trace.step_costs],
+            "total_cost": D._cost_to_jsonable(trace.total_cost),
         },
         args.format,
     )
@@ -432,8 +433,8 @@ def _cmd_bcp(args, caps):
 
 def _log_f_arg(args) -> float:
     if args.f is not None:
-        if args.f < 0:
-            raise ValueError("--f must be non-negative")
+        if not args.f >= 0:
+            raise ValueError("--f must be a non-negative number")
         return -math.inf if args.f == 0 else math.log(args.f)
     if args.log_f is not None:
         return args.log_f
@@ -636,13 +637,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_bcp)
 
     sp = sub.add_parser("bounds", help="closed-form constants and predicates")
-    sp.add_argument(
-        "bound",
-        choices=[
-            "forL", "birthday", "theorem-constants", "hoeffding-x",
-            "infeasibility", "gupta", "loworder", "con",
-        ],
-    )
+    sp.add_argument("bound", choices=list(_BOUND_ARGS))
     sp.add_argument("--k", type=int)
     sp.add_argument("--L", type=int)
     sp.add_argument("--n", type=int)
@@ -660,14 +655,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    caps = _caps()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        args.func(args, caps)
+        args.func(args, _caps())
         return 0
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)

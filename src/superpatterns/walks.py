@@ -31,7 +31,6 @@ from fractions import Fraction
 from hashlib import blake2b
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .dfa import SubsetDfa, _injective_cost_layers, is_k_dfa, letters_of
 from .errors import ResourceLimitError
@@ -256,17 +255,19 @@ def exact_P_max(
 
 def clopper_pearson(successes: int, samples: int, confidence: float = 0.99):
     """Exact binomial (Clopper-Pearson) confidence interval."""
+    from scipy.stats import beta  # on first use: most of the import time
+
     if not (0 <= successes <= samples) or samples <= 0:
         raise ValueError("need 0 <= successes <= samples, samples > 0")
     alpha = 1.0 - confidence
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(_beta_dist.ppf(alpha / 2, successes, samples - successes + 1))
+        lo = float(beta.ppf(alpha / 2, successes, samples - successes + 1))
     if successes == samples:
         hi = 1.0
     else:
-        hi = float(_beta_dist.ppf(1 - alpha / 2, successes + 1, samples - successes))
+        hi = float(beta.ppf(1 - alpha / 2, successes + 1, samples - successes))
     return lo, hi
 
 
@@ -467,23 +468,54 @@ def _x_matrix_subset(perm_matrix: np.ndarray) -> np.ndarray:
     return X
 
 
-def sample_x_sums(dfa, samples: int, seed: int) -> np.ndarray:
-    """Monte-Carlo samples of sum_j X_j over uniform random permutations.
+def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
+    """X_j of every row of perms walked from the root, shape (samples, k):
+    the subset rank identity, or one table walk of all rows at once."""
+    if isinstance(dfa, SubsetDfa):
+        return _x_matrix_subset(perms)
+    index = {v: i for i, v in enumerate(dfa.states)}
+    cost = np.array([dfa.cost_row(v) for v in index])
+    succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index])
+    letters = perms - 1
+    at = np.full(len(perms), index[dfa.root])
+    X = np.empty_like(perms)
+    for j in range(perms.shape[1]):
+        unread = cost[at[:, None], letters[:, j:]]  # column 0 is t_j's cost
+        X[:, j] = (unread <= unread[:, :1]).sum(axis=1)
+        at = succ[at, letters[:, j]]
+    return X
 
-    Subset automata use the vectorized rank identity (cross-checked
-    against xy_decompose in the test suite); other k-DFAs walk each sample
-    explicitly.
-    """
+
+def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
+    """For each x in xs, the (samples, k) matrix of T_{j, x}: the minimum
+    over states of the number of letters before t_j costing at most x.
+    Non-subset automata stream over their states, so no states x samples
+    x k array is built."""
+    k = perms.shape[1]
+    if isinstance(dfa, SubsetDfa):  # sample-independent closed form
+        return [
+            np.broadcast_to([dfa.min_t_statistic(j, x) for j in range(k)], perms.shape)
+            for x in xs
+        ]
+    T = [np.full(perms.shape, k) for _ in xs]
+    for v in dfa.states:
+        paid = np.array(dfa.cost_row(v))[perms - 1]
+        for t, x in zip(T, xs):
+            low = paid <= x
+            np.minimum(t, low.cumsum(axis=1) - low, out=t)
+    return T
+
+
+def sample_x_sums(dfa, samples: int, seed: int) -> np.ndarray:
+    """Monte-Carlo samples of sum_j X_j over uniform random permutations:
+    the row sums of _x_ranks over the rows of _sample_perm_matrix, the
+    pipeline concentration_experiment shares."""
     if samples <= 0:
         raise ValueError("need at least one sample")
-    k = dfa.alphabet_size
-    if isinstance(dfa, SubsetDfa):
-        return _x_matrix_subset(_sample_perm_matrix(k, samples, seed)).sum(axis=1)
-    out = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        tau = sample_perm_word(k, k, CounterRng(seed, i))
-        out[i] = sum(xy_decompose(dfa, tau).x_ranks)
-    return out
+    if not is_k_dfa(dfa):
+        raise ValueError("sample_x_sums needs a k-DFA")
+    perms = _sample_perm_matrix(dfa.alphabet_size, samples, seed)
+    return _x_ranks(dfa, perms).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -535,7 +567,12 @@ def _window(k: int, M: int, m1: int) -> list[int]:
 def concentration_experiment(
     dfa, M: int, epsilon_star: float, samples: int, seed: int
 ) -> ConcentrationReport:
-    """Estimate the frequencies of the con1/con2 window events."""
+    """Estimate the frequencies of the con1/con2 window events.
+
+    The X ranks of the rows of _sample_perm_matrix (as in sample_x_sums)
+    and the T matrices of _min_t_counts feed one loop over window pairs
+    that scores all samples at once, for every kind of k-DFA.
+    """
     if M < 2:
         raise ValueError("need M >= 2")
     if not (0 < epsilon_star < 0.5):
@@ -545,77 +582,21 @@ def concentration_experiment(
     if not is_k_dfa(dfa):
         raise ValueError("concentration_experiment needs a k-DFA")
     k = dfa.alphabet_size
-    windows = {m1: _window(k, M, m1) for m1 in range(1, M)}
-    con1_counts = {(m1, m2): 0 for m1 in range(1, M) for m2 in range(1, M)}
-    con2_counts = dict(con1_counts)
-
-    if isinstance(dfa, SubsetDfa):
-        X = _x_matrix_subset(_sample_perm_matrix(k, samples, seed))
-        for m1 in range(1, M):
-            js = windows[m1]
-            for m2 in range(1, M):
-                thr1 = (1 - epsilon_star) * (1 - m2 / M) * k / M
-                if js:
-                    exceed = np.zeros(samples, dtype=np.int64)
-                    for j in js:
-                        exceed += X[:, j - 1] * M > m2 * (k - j + 1)
-                    con1_counts[(m1, m2)] = int((exceed < thr1).sum())
-                else:
-                    con1_counts[(m1, m2)] = samples if 0 < thr1 else 0
-                # the minimum T over subset states is sample-independent
-                x = m2 * k / M
-                bad = any(
-                    dfa.min_t_statistic(j - 1, x)
-                    < (1 - epsilon_star) * (m2 / M) * (j - 1)
-                    for j in js
-                )
-                con2_counts[(m1, m2)] = samples if bad else 0
-    else:
-        state_list = list(dfa.states)
-        rows = {v: dfa.cost_row(v) for v in state_list}
-        xs = [m2 * k / M for m2 in range(1, M)]
-        j_to_m1 = {j: m1 for m1, js in windows.items() for j in js}
-        for i in range(samples):
-            word = sample_perm_word(k, k, CounterRng(seed, i)).letters
-            # T_{j, x} per threshold, tracked incrementally per state
-            t_counts = {v: [0] * (M - 1) for v in state_list}
-            exceeds = {
-                (m1, m2): 0 for m1 in range(1, M) for m2 in range(1, M)
-            }
-            t_shortfall = {key: False for key in exceeds}
-            v = dfa.root
-            unused = set(range(1, k + 1))
-            for j in range(1, k + 1):
-                t = word[j - 1]
-                row = rows[v]
-                c = row[t - 1]
-                m1 = j_to_m1.get(j)
-                if m1 is not None:
-                    x_rank = sum(1 for u in unused if row[u - 1] <= c)
-                    for m2 in range(1, M):
-                        if x_rank * M > m2 * (k - j + 1):
-                            exceeds[(m1, m2)] += 1
-                        T_j = min(t_counts[s][m2 - 1] for s in state_list)
-                        if T_j < (1 - epsilon_star) * (m2 / M) * (j - 1):
-                            t_shortfall[(m1, m2)] = True
-                unused.discard(t)
-                for s in state_list:
-                    cs = rows[s][t - 1]
-                    tc = t_counts[s]
-                    for m2 in range(1, M):
-                        if cs <= xs[m2 - 1]:
-                            tc[m2 - 1] += 1
-                v = dfa.step(v, t)
-            for m1 in range(1, M):
-                for m2 in range(1, M):
-                    thr1 = (1 - epsilon_star) * (1 - m2 / M) * k / M
-                    if exceeds[(m1, m2)] < thr1:
-                        con1_counts[(m1, m2)] += 1
-                    if t_shortfall[(m1, m2)]:
-                        con2_counts[(m1, m2)] += 1
-
-    con1 = {key: c / samples for key, c in con1_counts.items()}
-    con2 = {key: c / samples for key, c in con2_counts.items()}
+    perms = _sample_perm_matrix(k, samples, seed)
+    X = _x_ranks(dfa, perms)
+    T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)])
+    con1 = {}
+    con2 = {}
+    for m1 in range(1, M):
+        js = _window(k, M, m1)
+        cols = np.array(js, dtype=np.intp) - 1
+        for m2 in range(1, M):
+            thr1 = (1 - epsilon_star) * (1 - m2 / M) * k / M
+            exceed = (X[:, cols] * M > m2 * (k - cols)).sum(axis=1)
+            con1[(m1, m2)] = int((exceed < thr1).sum()) / samples
+            thr2 = [(1 - epsilon_star) * (m2 / M) * (j - 1) for j in js]
+            short = (T[m2 - 1][:, cols] < thr2).any(axis=1)
+            con2[(m1, m2)] = int(short.sum()) / samples
     return ConcentrationReport(
         k=k,
         M=M,

@@ -237,6 +237,33 @@ class TestBoundsCommands:
             assert flags[i] in err
 
 
+    NAN_INPUTS = [
+        ["forL", "--k", "10", "--L", "3", "--epsilon", "nan"],
+        ["hoeffding-x", "--k", "10", "--epsilon", "nan"],
+        ["loworder", "--k", "10", "--epsilon", "nan"],
+        ["con", "--epsilon-star", "nan", "--M", "3"],
+        ["con", "--epsilon-star", "0.7", "--M", "3"],
+        ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--f", "nan"],
+        ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--log-f", "nan"],
+        ["gupta", "--k", "3", "--n", "4", "--log-f", "nan"],
+    ]
+
+    @pytest.mark.parametrize("argv", NAN_INPUTS, ids=" ".join)
+    def test_nan_or_out_of_domain_input_is_one_line_exit_1(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "bounds", *argv)
+        assert rc == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_f_is_minus_infinity(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "bounds", "infeasibility", "--k", "3", "--r", "3", "--n", "4",
+            "--f", "0",
+        )
+        assert rc == 0
+        assert json.loads(out)["log_f"] == float("-inf")
+
+
 class TestBcp:
     def test_single(self, capsys):
         rc, out, _ = run_cli(
@@ -356,3 +383,22 @@ class TestEnvCaps:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 0
+
+    @pytest.mark.parametrize("var", ["SUPERPATTERNS_MAX_K", "SUPERPATTERNS_MAX_ENUM"])
+    def test_malformed_env_cap_is_one_line_exit_1(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        rc, out, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "2")
+        assert rc == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert var in err
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        code = "import sys, superpatterns.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -565,6 +565,49 @@ class TestConcentration:
         assert fast.con1 == slow.con1
         assert fast.con2 == slow.con2
 
+    def test_generic_concentration_follows_the_stream_definition(self):
+        # con1/con2 re-derived sample by sample from the stream words, the
+        # X ranks of xy_decompose and the minimum T of t_statistic; on
+        # random automata that minimum depends on the sample, unlike on
+        # subset-derived tables. k = 2, M = 4 leaves the m1 = 2 window empty.
+        eps, n, seed = 0.3, 40, 12
+        empty_windows = 0
+        t_values = {}
+        for k, M, states in ((6, 3, 5), (5, 4, 4), (2, 4, 3)):
+            dfa = random_k_dfa(k, states, 100 + k)
+            windows = {
+                m1: [j for j in range(1, k + 1) if m1 * k < j * M <= (m1 + 1) * k]
+                for m1 in range(1, M)
+            }
+            empty_windows += sum(not window for window in windows.values())
+            con1 = Counter()
+            con2 = Counter()
+            for i in range(n):
+                word = stream_injective_word(seed, i, k, k)
+                X = xy_decompose(dfa, word).x_ranks
+                for m1, window in windows.items():
+                    for m2 in range(1, M):
+                        x = m2 * k / M
+                        exceed = sum(
+                            Fraction(X[j - 1], k - j + 1) > Fraction(m2, M)
+                            for j in window
+                        )
+                        con1[(m1, m2)] += exceed < (1 - eps) * (1 - m2 / M) * k / M
+                        short = False
+                        for j in window:
+                            t_min = t_statistic(dfa, word[: j - 1], x)[1]
+                            t_values.setdefault((k, j, m2), set()).add(t_min)
+                            short |= t_min < (1 - eps) * (m2 / M) * (j - 1)
+                        con2[(m1, m2)] += short
+            rep = concentration_experiment(dfa, M, eps, n, seed)
+            keys = {(m1, m2) for m1 in range(1, M) for m2 in range(1, M)}
+            assert set(rep.con1) == set(rep.con2) == keys
+            for key in keys:
+                assert rep.con1[key] == con1[key] / n, (k, M, key)
+                assert rep.con2[key] == con2[key] / n, (k, M, key)
+        assert empty_windows == 1
+        assert any(len(values) > 1 for values in t_values.values())
+
     def test_con2_trivial_on_subset_when_threshold_zero(self):
         # min-T at the subset automaton is sample independent; frequencies
         # are 0 or 1 accordingly
