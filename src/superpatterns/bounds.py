@@ -86,11 +86,18 @@ _LOG_TOL = 1e-9
 
 def _log_of(x: LogLike) -> float:
     """Natural log carried by x: LogValue passes through, bare numbers are
-    taken as already-logged values. NaN carries no value and is refused."""
+    taken as already-logged values. NaN and +inf carry no finite quantity
+    and are refused; -inf is the log of zero."""
     log = x.log if isinstance(x, LogValue) else float(x)
-    if math.isnan(log):
-        raise ValueError("a log value must not be NaN")
+    if math.isnan(log) or log == math.inf:
+        raise ValueError(f"a log value must be a number below +inf, got {log!r}")
     return log
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # NaN and infinities fail the comparison too
+    if not (0 < epsilon <= 0.5):
+        raise ValueError(f"need 0 < epsilon <= 1/2, got {epsilon!r}")
 
 
 def log_factorial(n: int) -> float:
@@ -115,8 +122,7 @@ def forL_bound(k: int, L: int, epsilon: float) -> LogValue:
     """
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}, k={k}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if L == 0:
         return LogValue(0.0)
     return LogValue(
@@ -171,8 +177,7 @@ def theorem_constants(epsilon_star: float) -> TheoremConstants:
 def hoeffding_x_bound(k: int, epsilon: float) -> LogValue:
     """The stated tail bound exp(-32 eps^2 k / 3) for the rank sum falling
     below (1/4 - eps) k^2. (The constant 32/3 is reproduced verbatim.)"""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if k < 1:
         raise ValueError("need k >= 1")
     return LogValue(-32.0 * epsilon * epsilon * k / 3.0)
@@ -203,8 +208,7 @@ def loworder_predicate(k: int, epsilon: float, *, log_base: float = math.e) -> b
     """The hypothesis eps^4 > (33 + 132 log k)/k of the explicit
     lower-order-term bound. The log is natural by default; the base is a
     declared choice, not something the source pins down."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if k < 2:
         raise ValueError("need k >= 2")
     return epsilon**4 > (33.0 + 132.0 * math.log(k, log_base)) / k

@@ -433,8 +433,8 @@ def _cmd_bcp(args, caps):
 
 def _log_f_arg(args) -> float:
     if args.f is not None:
-        if not args.f >= 0:
-            raise ValueError("--f must be a non-negative number")
+        if not 0 <= args.f < math.inf:
+            raise ValueError("--f must be a finite non-negative number")
         return -math.inf if args.f == 0 else math.log(args.f)
     if args.log_f is not None:
         return args.log_f

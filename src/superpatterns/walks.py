@@ -19,13 +19,17 @@ where [m] = {1..m}; so E[sum_j X_j] = sum_{m=1..k} (m+1)/2 = (k^2+3k)/4
 exactly.
 
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
-counter-mode stream keyed by (seed, i) and shuffles through one partial
-Fisher-Yates sampler, so a fixed seed gives bit-identical estimates.
+counter-mode stream keyed by (seed, i) (counter-based generation as in
+Salmon et al., SC'11) and shuffles by partial Fisher-Yates, so a fixed
+seed gives bit-identical estimates. _sample_perm_matrix draws blocks of
+_BLOCK_ROWS rows at once in numpy; a row whose stream rejects a word is
+redrawn by the scalar definition, _shuffled over CounterRng.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
@@ -56,6 +60,12 @@ __all__ = [
 
 MAX_INJECTIVE_ENUM = 10**7
 
+# Rows the batched sampler hashes, shuffles and walks at a time: a fixed
+# size keeps its temporaries, and so peak memory, flat in the sample count.
+_BLOCK_ROWS = 2048
+
+_unpack_block = struct.Struct("<8Q").unpack
+
 
 class CounterRng:
     """Uniform integers from BLAKE2b in counter mode.
@@ -79,9 +89,7 @@ class CounterRng:
                 self._key + self._counter.to_bytes(8, "little"), digest_size=64
             ).digest()
             self._counter += 1
-            self._pool = [
-                int.from_bytes(block[i : i + 8], "little") for i in range(0, 64, 8)
-            ]
+            self._pool = list(_unpack_block(block))
         return self._pool.pop()
 
     def randrange(self, n: int) -> int:
@@ -122,8 +130,9 @@ class PermutationalWord:
 def _shuffled(k: int, L: int, randrange) -> list[int]:
     """1..k with its first L slots shuffled by partial Fisher-Yates.
 
-    Slot i swaps with slot i + randrange(k - i), for i = 0..L-1 in order;
-    every Monte-Carlo sample in this module draws its word here.
+    Slot i swaps with slot i + randrange(k - i), for i = 0..L-1 in order.
+    This is the definition every Monte-Carlo sample follows; the batched
+    _sample_perm_matrix reproduces it and falls back to it on rejection.
     """
     pool = list(range(1, k + 1))
     for i in range(L):
@@ -253,6 +262,97 @@ def exact_P_max(
 # Monte Carlo
 
 
+def _sample_perm_matrix(
+    k: int, samples: int, seed: int, L: int | None = None, first: int = 0
+) -> np.ndarray:
+    """Rows first..first+samples-1 of the seed's streams, each 1..k with
+    its first L slots (all k by default) shuffled: an int array of shape
+    (samples, k) whose row i equals _shuffled(k, L, CounterRng(seed,
+    first + i).randrange).
+
+    Blocks of _BLOCK_ROWS rows are drawn at once: each row's ceil(L/8)
+    BLAKE2b blocks become one uint64 matrix; draw i of a row is the i-th
+    word CounterRng.bits64 would pop, mod n = k - i, unless some word of
+    the row falls at or above floor(2^64/n)*n for its n, and the partial
+    Fisher-Yates swaps run one column at a time for all rows. A row with a
+    rejected word is redrawn by _shuffled itself.
+    """
+    L = k if L is None else L
+    out = np.empty((samples, k), dtype=np.int64)
+    prefix = seed.to_bytes(16, "little", signed=True)
+    counters = [c.to_bytes(8, "little") for c in range(-(-L // 8))]
+    # draw i pops word 7 - i % 8 of block i // 8; the largest word it
+    # accepts, floor(2^64/n)*n - 1 for n = k - i, fits in 64 bits
+    column = [8 * (i // 8) + 7 - i % 8 for i in range(L)]
+    top = [np.uint64((1 << 64) // (k - i) * (k - i) - 1) for i in range(L)]
+    for lo in range(0, samples, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, samples)
+        # fromiter copies each digest as it comes: a list of thousands of
+        # small bytes objects left about 2 MB of heap resident
+        digests = np.fromiter(
+            (
+                blake2b(prefix + i.to_bytes(16, "little") + c, digest_size=64).digest()
+                for i in range(first + lo, first + hi)
+                for c in counters
+            ),
+            dtype="S64",
+            count=(hi - lo) * len(counters),
+        )
+        words = digests.view("<u8").reshape(hi - lo, 8 * len(counters))
+        pool = out[lo:hi]
+        pool[:] = np.arange(1, k + 1)
+        at = np.arange(hi - lo)
+        rejected = np.zeros(hi - lo, dtype=bool)
+        for i in range(L):
+            word = words[:, column[i]]
+            rejected |= word > top[i]
+            j = i + (word % np.uint64(k - i)).astype(np.intp)
+            slot = pool[:, i].copy()
+            pool[:, i] = pool[at, j]
+            pool[at, j] = slot
+        for r in np.flatnonzero(rejected):
+            pool[r] = _shuffled(k, L, CounterRng(seed, first + lo + int(r)).randrange)
+    return out
+
+
+def _tables(dfa):
+    """The dense tables of a table-backed automaton: ({state: row},
+    cost[V, k], succ[V, k]), successors given as row numbers."""
+    index = {v: i for i, v in enumerate(dfa.states)}
+    cost = np.array([dfa.cost_row(v) for v in index], dtype=np.int64)
+    succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index], dtype=np.intp)
+    return index, cost, succ
+
+
+def _walk_totals(dfa, start, words: np.ndarray, tables) -> np.ndarray:
+    """Total cost of every row of words (letters, shape (rows, L)) walked
+    from start: through tables (from _tables), or, for SubsetDfa
+    (tables None), step_cost's formula on a boolean mask of the letters
+    read, which needs no state list and works at any k."""
+    rows, k = len(words), dfa.alphabet_size
+    total = np.zeros(rows, dtype=np.int64)
+    letters = (words - 1).T
+    if tables is not None:
+        index, cost, succ = tables
+        at = np.full(rows, index[start])
+        for t in letters:
+            total += cost[at, t]
+            at = succ[at, t]
+        return total
+    read = np.zeros((rows, k), dtype=bool)
+    read[:] = [(start >> t) & 1 for t in range(k)]
+    count = np.full(rows, start.bit_count())
+    at = np.arange(rows)
+    lane = np.arange(k)
+    for t in letters:
+        seen = read[at, t]
+        below = (read & (lane < t[:, None])).sum(axis=1)
+        total += np.where(seen, k - count + below + 1, t + 1 - below)
+        count += ~seen
+        read[at, t] = True
+    return total
+
+
 def clopper_pearson(successes: int, samples: int, confidence: float = 0.99):
     """Exact binomial (Clopper-Pearson) confidence interval."""
     from scipy.stats import beta  # on first use: most of the import time
@@ -316,9 +416,9 @@ def estimate_P(
     """Monte-Carlo P(state, L, eps) with a Clopper-Pearson interval.
 
     Deterministic in seed: sample i is a pure function of (seed, i).
-    threads must be at least 1 and does not change how samples run: they
-    run one after another in the calling thread, because the work is pure
-    Python under the interpreter lock and a thread pool measured slower.
+    Samples come from _sample_perm_matrix in blocks of _BLOCK_ROWS rows,
+    and each block is walked all at once by _walk_totals. threads must be
+    at least 1 and changes nothing: every block runs in the calling thread.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
@@ -332,17 +432,12 @@ def estimate_P(
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}")
     bound = _cost_bound(k, L, epsilon, strict)
-    step = dfa.step
-    step_cost = dfa.step_cost
+    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
     hits = 0
-    for i in range(samples):
-        v = state
-        total = 0
-        for t in _shuffled(k, L, CounterRng(seed, i).randrange)[:L]:
-            total += step_cost(v, t)
-            v = step(v, t)
-        if total <= bound:
-            hits += 1
+    for lo in range(0, samples, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, samples - lo)
+        words = _sample_perm_matrix(k, rows, seed, L, first=lo)[:, :L]
+        hits += int((_walk_totals(dfa, state, words, tables) <= bound).sum())
     lo, hi = clopper_pearson(hits, samples, confidence)
     return EstimateReport(
         estimate=hits / samples,
@@ -445,18 +540,6 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
 # Monte-Carlo X sums and the concentration experiments
 
 
-def _sample_perm_matrix(k: int, samples: int, seed: int) -> np.ndarray:
-    """samples uniform random permutations of [k], one (seed, i) stream per
-    row, as an int array of shape (samples, k).
-
-    Row i equals sample_perm_word(k, k, CounterRng(seed, i)).letters.
-    """
-    out = np.empty((samples, k), dtype=np.int64)
-    for i in range(samples):
-        out[i] = _shuffled(k, k, CounterRng(seed, i).randrange)
-    return out
-
-
 def _x_matrix_subset(perm_matrix: np.ndarray) -> np.ndarray:
     """X ranks on the subset-state automaton: the cost of reading t_j is
     its rank among unread letters, so X_j = t_j - #{j' < j : t_j' < t_j}."""
@@ -473,9 +556,7 @@ def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
     the subset rank identity, or one table walk of all rows at once."""
     if isinstance(dfa, SubsetDfa):
         return _x_matrix_subset(perms)
-    index = {v: i for i, v in enumerate(dfa.states)}
-    cost = np.array([dfa.cost_row(v) for v in index])
-    succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index])
+    index, cost, succ = _tables(dfa)
     letters = perms - 1
     at = np.full(len(perms), index[dfa.root])
     X = np.empty_like(perms)
@@ -498,8 +579,8 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
             for x in xs
         ]
     T = [np.full(perms.shape, k) for _ in xs]
-    for v in dfa.states:
-        paid = np.array(dfa.cost_row(v))[perms - 1]
+    for row in _tables(dfa)[1]:
+        paid = row[perms - 1]
         for t, x in zip(T, xs):
             low = paid <= x
             np.minimum(t, low.cumsum(axis=1) - low, out=t)

@@ -90,6 +90,33 @@ class TestForLBound:
         assert math.isfinite(forL_bound(10**6, 1000, 0.1).log)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.5000001, 0.9, math.inf, -math.inf, math.nan])
+def test_epsilon_outside_half_open_half_rejected(eps):
+    with pytest.raises(ValueError):
+        forL_bound(10, 3, eps)
+    with pytest.raises(ValueError):
+        hoeffding_x_bound(10, eps)
+    with pytest.raises(ValueError):
+        loworder_predicate(10, eps)
+
+
+def test_epsilon_one_half_accepted():
+    assert math.isfinite(forL_bound(10, 3, 0.5).log)
+    assert math.isfinite(hoeffding_x_bound(10, 0.5).log)
+    assert loworder_predicate(10, 0.5) is False
+
+
+def test_infinite_log_f_rejected():
+    for log_f in (math.inf, LogValue(math.inf)):
+        with pytest.raises(ValueError):
+            infeasibility(3, 3, 4, log_f)
+        with pytest.raises(ValueError):
+            gupta_check(3, 4, log_f)
+    # log F = -inf (F = 0) stays a valid input
+    assert infeasibility(3, 3, 4, -math.inf)
+    assert not gupta_check(3, 4, -math.inf)
+
+
 class TestBirthday:
     def test_L0(self):
         assert birthday_ratio(7, 0).log == 0.0

@@ -246,6 +246,16 @@ class TestBoundsCommands:
         ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--f", "nan"],
         ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--log-f", "nan"],
         ["gupta", "--k", "3", "--n", "4", "--log-f", "nan"],
+        ["forL", "--k", "10", "--L", "3", "--epsilon", "0.9"],
+        ["forL", "--k", "10", "--L", "3", "--epsilon", "inf"],
+        ["hoeffding-x", "--k", "10", "--epsilon", "0.9"],
+        ["hoeffding-x", "--k", "10", "--epsilon", "inf"],
+        ["loworder", "--k", "10", "--epsilon", "0.9"],
+        ["loworder", "--k", "10", "--epsilon", "inf"],
+        ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--f", "inf"],
+        ["infeasibility", "--k", "3", "--r", "3", "--n", "4", "--log-f", "inf"],
+        ["gupta", "--k", "3", "--n", "4", "--f", "inf"],
+        ["gupta", "--k", "3", "--n", "4", "--log-f", "inf"],
     ]
 
     @pytest.mark.parametrize("argv", NAN_INPUTS, ids=" ".join)

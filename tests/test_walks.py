@@ -9,9 +9,11 @@ import pytest
 from scipy.stats import chisquare
 
 from superpatterns.bounds import forL_bound
+import superpatterns.walks as W
 from superpatterns.dfa import (
     build_greedy_dfa,
     build_subset_dfa,
+    build_two_track_dfa,
     cheapen,
     random_k_dfa,
     walk_cost,
@@ -106,6 +108,99 @@ class TestSamplePermWord:
         mat = _sample_perm_matrix(7, 30, seed=91)
         for i in range(30):
             assert tuple(mat[i]) == stream_injective_word(91, i, 7, 7)
+
+
+def _scalar_rows(k, samples, seed, L):
+    return [W._shuffled(k, L, CounterRng(seed, i).randrange) for i in range(samples)]
+
+
+def _scalar_hits(dfa, start, L, eps, samples, seed):
+    bound = W._cost_bound(dfa.alphabet_size, L, eps, True)
+    return sum(
+        walk_cost(dfa, start, row[:L]).total_cost <= bound
+        for row in _scalar_rows(dfa.alphabet_size, samples, seed, L)
+    )
+
+
+class TestBatchedSampler:
+    def test_rejected_rows_fall_back_to_the_scalar_sampler(self, monkeypatch):
+        # forced blocks (stream, counter): all-ones words, which every
+        # modulus that is not a power of two rejects (block 0 rejects draw
+        # 0 eight times, block 1 the draw mod 3 of k = 12), and one whose
+        # first word is the largest that draw 0 (mod 12) accepts
+        k, seed = 12, 5
+        samples = W._BLOCK_ROWS + 5
+        largest = (2**64 // k * k - 1).to_bytes(8, "little")
+        forced = {
+            (3, 0): b"\xff" * 64,
+            (W._BLOCK_ROWS + 1, 1): b"\xff" * 64,
+            (7, 0): bytes(56) + largest,
+        }
+        rejecting = [3, W._BLOCK_ROWS + 1]
+        real_blake2b, real_shuffled = W.blake2b, W._shuffled
+
+        class Forced:
+            def __init__(self, digest):
+                self._digest = digest
+
+            def digest(self):
+                return self._digest
+
+        def forcing_blake2b(data, digest_size):
+            stream = int.from_bytes(data[16:32], "little")
+            counter = int.from_bytes(data[32:40], "little")
+            if (stream, counter) in forced:
+                return Forced(forced[(stream, counter)])
+            return real_blake2b(data, digest_size=digest_size)
+
+        fallbacks = []
+
+        def spy(k, L, randrange):
+            fallbacks.append(int.from_bytes(randrange.__self__._key[16:], "little"))
+            return real_shuffled(k, L, randrange)
+
+        monkeypatch.setattr(W, "blake2b", forcing_blake2b)
+        want = [real_shuffled(k, k, CounterRng(seed, i).randrange) for i in range(samples)]
+        assert want[7][0] == 12  # slot 0 swapped with slot 11: accepted
+        monkeypatch.setattr(W, "_shuffled", spy)
+        mat = _sample_perm_matrix(k, samples, seed)
+        assert mat.tolist() == want
+        assert fallbacks == rejecting
+        for stream, _ in forced:
+            assert tuple(mat[stream]) != stream_injective_word(seed, stream, k, k)
+        fallbacks.clear()
+        s = build_subset_dfa(k)
+        got = estimate_P(s, 0, k, 0.1, samples, seed).estimate * samples
+        assert fallbacks == rejecting
+        monkeypatch.setattr(W, "_shuffled", real_shuffled)
+        assert round(got) == _scalar_hits(s, 0, k, 0.1, samples, seed)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_sizes_around_one_block(self, delta):
+        samples, seed = W._BLOCK_ROWS + delta, 23
+        for k, L in ((5, 5), (5, 3), (5, 0)):
+            mat = _sample_perm_matrix(k, samples, seed, L)
+            assert mat.shape == (samples, k)
+            assert mat.tolist() == _scalar_rows(k, samples, seed, L)
+        dfa = random_k_dfa(6, 4, 8)
+        got = estimate_P(dfa, 2, 6, 0.1, samples, seed).estimate * samples
+        assert round(got) == _scalar_hits(dfa, 2, 6, 0.1, samples, seed)
+
+    def test_empty_words_and_one_letter(self):
+        for L in (0, 1):
+            assert _sample_perm_matrix(1, 7, 3, L).tolist() == [[1]] * 7
+        assert _sample_perm_matrix(4, 3, 3, 0).tolist() == [[1, 2, 3, 4]] * 3
+        for dfa, state, L, eps in (
+            (build_subset_dfa(1), 0, 1, 0.0),
+            (build_subset_dfa(1), 1, 1, 0.0),
+            (build_subset_dfa(4), 0, 0, 0.0),
+            (random_k_dfa(1, 2, 4), 1, 1, 0.0),
+        ):
+            rep = estimate_P(dfa, state, L, eps, 9, seed=3, strict=False)
+            assert round(rep.estimate * 9) == sum(
+                walk_cost(dfa, state, row[:L]).total_cost <= 0.5 * dfa.alphabet_size * L
+                for row in _scalar_rows(dfa.alphabet_size, 9, 3, L)
+            )
 
 
 class TestRestriction:
@@ -343,6 +438,30 @@ class TestEstimateP:
                 want += total < thr
             assert 0 < want < n
             assert round(estimate_P(dfa, start, L, eps, n, seed).estimate * n) == want
+        # the subset automaton from non-root starts, letters of the word
+        # already read, and masks beyond 64 bits at k = 70; two-track
+        # states below 0; a sample count spanning three sampler blocks
+        subset70_start = (1 << 69) | (1 << 66) | (1 << 10)
+        cases = (
+            (build_subset_dfa(9), 0b1, 9, 0.2, 60),
+            (build_subset_dfa(9), 0b101100110, 5, 0.05, 60),
+            (build_subset_dfa(9), 0b101100110, 9, 0.02, 60),
+            (build_subset_dfa(70), subset70_start, 40, 0.1, 60),
+            (build_subset_dfa(70), subset70_start, 70, 0.25, 60),
+            (build_two_track_dfa(8), -3, 4, 0.05, 60),
+            (build_two_track_dfa(8), -1, 6, 0.0, 60),
+            (random_k_dfa(6, 5, 29), 3, 6, 0.05, 2 * W._BLOCK_ROWS + 3),
+        )
+        for dfa, start, L, eps, n in cases:
+            k = dfa.alphabet_size
+            thr = (Fraction(1, 2) - Fraction(str(eps))) * k * L
+            want = sum(
+                walk_cost(dfa, start, stream_injective_word(seed, i, k, L)).total_cost < thr
+                for i in range(n)
+            )
+            assert 0 < want < n, (dfa, start, L)
+            got = estimate_P(dfa, start, L, eps, n, seed).estimate * n
+            assert round(got) == want, (dfa, start, L)
 
     def test_estimate_below_forL_bound_with_ci_slack(self):
         # k = 8, L = 8, eps = 0.1: the bound exceeds 1, so this is a sanity
