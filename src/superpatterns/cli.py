@@ -288,8 +288,8 @@ def _cmd_dfa(args, caps):
     }
     if args.budget is not None:
         payload["budget"] = args.budget
-        payload["count_within_budget"] = D.cheap_perm_count(
-            dfa, args.budget, max_k=caps["max_k"]
+        payload["count_within_budget"] = sum(
+            n for c, n in census.items() if c <= args.budget
         )
     _emit(payload, args.format)
 

@@ -362,6 +362,36 @@ def build_two_track_dfa(k: int) -> WeightedDfa:
     return WeightedDfa(k, 0, delta, cost)
 
 
+# Largest max_len * (largest finite step cost) the packed histograms of
+# _injective_cost_layers take on; past it an integer would hold mostly
+# empty digits, and the sparse {cost: count} dicts are cheaper.
+_PACKED_MAX_TOTAL = 1 << 10
+
+
+def _largest_finite_cost(dfa: Dfa) -> int:
+    if isinstance(dfa, SubsetDfa):
+        return dfa.alphabet_size
+    return max(
+        (c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY),
+        default=0,
+    )
+
+
+def _unpack(packed: int, width: int) -> Counter:
+    """The histogram a packed integer holds: digit c (width bits each,
+    least significant first) counts the words of total cost c."""
+    out = Counter()
+    digit = (1 << width) - 1
+    cost = 0
+    while packed:
+        n = packed & digit
+        if n:
+            out[cost] = n
+        packed >>= width
+        cost += 1
+    return out
+
+
 def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """dists[l] = Counter {total cost: number of injective length-l words
     paying it from start}, l = 0..max_len. With a budget, a prefix costing
@@ -369,10 +399,77 @@ def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
 
     Layered subset DP (Bellman 1962; Held & Karp 1962): a prefix's future
     depends only on (state, set of letters read), so each layer maps such
-    pairs, at most |V| * 2^k of them, to the {cost: count} histogram of
-    the prefixes reaching them; step and step_cost run once per (pair,
-    unread letter), not once per prefix.
+    pairs, at most |V| * 2^k of them, to the cost histogram of the
+    prefixes reaching them; step and step_cost run once per (pair, unread
+    letter), not once per prefix.
+
+    A histogram is one packed integer (Kronecker substitution): the count
+    of prefixes with total c is digit c, width bits wide. No count exceeds
+    perm(k, max_len) < 2^width, so digits never carry; paying c is a shift
+    by width * c, merging two pairs is an add, and a budget is a mask.
+    Prefixes that paid INFINITY sit in a side dict keyed like the
+    frontier, whose values are the (unshifted) histograms they had when
+    they did. Each layer is decoded once. When max_len times the largest
+    finite step cost passes _PACKED_MAX_TOTAL, the integers would be
+    mostly empty digits and _injective_cost_layers_sparse runs instead.
     """
+    k = dfa.alphabet_size
+    ceiling = max_len * _largest_finite_cost(dfa)
+    if ceiling > _PACKED_MAX_TOTAL:
+        return _injective_cost_layers_sparse(dfa, start, max_len, budget)
+    step, step_cost = dfa.step, dfa.step_cost
+    letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]
+    width = math.perm(k, max_len).bit_length()
+    mask = None
+    if budget is not None and budget < ceiling:
+        mask = (1 << width * (budget + 1)) - 1 if budget >= 0 else 0
+    dists = [Counter({0: 1})]
+    frontier = {(start, 0): 1}
+    infinite: dict = {}
+    for length in range(1, max_len + 1):
+        last = length == max_len
+        nxt: dict = {}
+        nxt_infinite: dict = {}
+        layer = 0
+        for (v, used), packed in frontier.items():
+            for t, bit in letters:
+                if used & bit:
+                    continue
+                c = step_cost(v, t)
+                if c == INFINITY:
+                    if budget is None:
+                        key = (step(v, t), used | bit)
+                        nxt_infinite[key] = nxt_infinite.get(key, 0) + packed
+                    continue
+                out = packed << width * c
+                if mask is not None:
+                    out &= mask
+                    if not out:
+                        continue
+                if last:
+                    # fold straight into the result: last-layer (state,
+                    # set) pairs would hardly ever merge
+                    layer += out
+                    continue
+                key = (step(v, t), used | bit)
+                nxt[key] = nxt.get(key, 0) + out
+        for (v, used), packed in infinite.items():
+            for t, bit in letters:
+                if not used & bit:
+                    key = (step(v, t), used | bit)
+                    nxt_infinite[key] = nxt_infinite.get(key, 0) + packed
+        bucket = _unpack(layer + sum(nxt.values()), width)
+        lost = sum(_unpack(sum(nxt_infinite.values()), width).values())
+        if lost:
+            bucket[INFINITY] = lost
+        dists.append(bucket)
+        frontier, infinite = nxt, nxt_infinite
+    return dists
+
+
+def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
+    """_injective_cost_layers with one {cost: count} dict per (state, set
+    of letters read), for automata whose finite costs are too wide to pack."""
     k = dfa.alphabet_size
     step, step_cost = dfa.step, dfa.step_cost
     letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]

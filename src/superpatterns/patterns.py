@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatchError, ResourceLimitError
@@ -432,10 +432,15 @@ def exhaustive_f_search(
 
     The least n marked True (if any) is the minimum superpattern length
     for this (k, r). Superpattern-ness survives appending letters, so the
-    search stops at the first reachable n and marks the rest True.
+    rows from that n on are all True. The search itself is
+    _shortest_superpattern over the alphabet [min(r, n_max)]: a word of
+    length n uses at most n letters, and relabeling them
+    order-preservingly keeps every pattern.
 
     >>> exhaustive_f_search(2, 2, 4)
     [(1, False), (2, False), (3, True), (4, True)]
+    >>> exhaustive_f_search(3, 4, 6)[-1]
+    (6, True)
     """
     if k < 0 or r < 1 or n_max < 1:
         raise ValueError("need k >= 0, r >= 1, n_max >= 1")
@@ -445,28 +450,78 @@ def exhaustive_f_search(
         raise ResourceLimitError(
             f"r^n_max = {r}^{n_max} exceeds the word-enumeration cap {max_words}"
         )
+    shortest = 1 if k == 0 else _shortest_superpattern(k, min(r, n_max), n_max)
+    return [(n, shortest is not None and n >= shortest) for n in range(1, n_max + 1)]
+
+
+def _shortest_superpattern(k: int, r: int, n_max: int) -> Optional[int]:
+    """Length of the shortest k-superpattern in [r]^n, n <= n_max, or None.
+
+    Layered search over subsequence-set states. A word's state is the set
+    of injective letter sequences of length <= k over [r] it contains as
+    subsequences (the empty one included); appending x adds p + x for
+    every present p that lacks x, and the word is a k-superpattern when
+    its length-k sequences meet every standardization class. The state
+    decides every extension, so layer n keeps only distinct states, and
+    the search stops at the first one that is a superpattern.
+
+    A sequence p_1..p_l is bit offset[l] + sum (p_i - 1) r^(i-1): block l
+    spans every word of length l (the non-injective ones stay 0), so
+    appending x moves a length-l sequence's bit up by x * r^l, and one
+    mask and one shift per length extend a whole state.
+
+    Three prunings keep some shortest superpattern: one without a letter
+    that leaves the state unchanged (dropping that letter leaves a
+    shorter one), whose letters are exactly 1..m (relabel them
+    order-preservingly) and whose first letter is at most (m + 1) / 2
+    (take the complement t -> m + 1 - t). So an append that changes
+    nothing is skipped, the first letter is at most (r + 1) / 2, and a
+    prefix is dropped when the letters it still lacks below its largest
+    one, or below k, outnumber the letters left to n_max.
+    """
     target = math.factorial(k)
-    rows: list[tuple[int, bool]] = []
-    found_at: Optional[int] = None
+    if r < k or math.comb(n_max, k) < target:
+        return None
+    offset = [0]
+    for length in range(k + 1):
+        offset.append(offset[-1] + r**length)
+
+    def bit(seq):
+        return 1 << (offset[len(seq)] + sum((x - 1) * r**i for i, x in enumerate(seq)))
+
+    sequences = [list(permutations(range(1, r + 1), length)) for length in range(k + 1)]
+    moves = [
+        [
+            (sum(bit(p) for p in sequences[length] if x not in p), x * r**length)
+            for length in range(k)
+        ]
+        for x in range(1, r + 1)
+    ]
+    classes: dict = {}
+    for p in sequences[k]:
+        std = tuple(sorted(p).index(x) for x in p)
+        classes[std] = classes.get(std, 0) | bit(p)
+    letter_bits = (1 << r) - 1
+    layer = [bit(())]
     for n in range(1, n_max + 1):
-        if found_at is not None:
-            rows.append((n, True))
-            continue
-        exists = False
-        if k == 0:
-            exists = True
-        else:
-            for w in _canonical_words(n, r):
-                if len(set(w)) < min(k, r):
+        check = math.comb(n, k) >= target
+        seen: set[int] = set()
+        for state in layer:
+            for shifts in moves if n > 1 else moves[: (r + 1) // 2]:
+                out = state
+                for mask, shift in shifts:
+                    out |= (state & mask) << shift
+                if out == state or out in seen:
                     continue
-                word = Word(w, r)
-                if len(pattern_set(word, k, max_k=max_k)) == target:
-                    exists = True
-                    break
-        rows.append((n, exists))
-        if exists:
-            found_at = n
-    return rows
+                used = (out >> 1) & letter_bits
+                if max(k, used.bit_length()) - used.bit_count() > n_max - n:
+                    continue
+                if check and all(out & c for c in classes.values()):
+                    return n
+                if n < n_max:
+                    seen.add(out)
+        layer = seen
+    return None
 
 
 def minimal_superpattern_length(rows: Iterable[tuple[int, bool]]) -> Optional[int]:

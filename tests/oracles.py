@@ -3,12 +3,17 @@
 The pattern oracles go through index subsets and literal order-isomorphism,
 deliberately avoiding the value-subset/greedy reduction and the automaton
 machinery used by the library itself. The stream oracles re-derive the
-Monte-Carlo words from the stream's definition, without CounterRng.
+Monte-Carlo words from the stream's definition, without CounterRng. The
+walk oracle enumerates every injective word and walks it letter by letter,
+without the subset DP.
 """
 
+from collections import Counter
 from hashlib import blake2b
 from itertools import combinations, permutations
 from math import factorial
+
+from superpatterns.dfa import walk_cost
 
 
 def order_isomorphic(values, tau):
@@ -98,3 +103,12 @@ def stream_injective_word(seed, stream, k, L):
         j = i + stream_below(words, k - i)
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(pool[:L])
+
+
+def brute_injective_costs(dfa, start, L):
+    """Counter {total cost: count} over every injective length-L word over
+    [k], each walked from start by the scalar walk_cost."""
+    return Counter(
+        walk_cost(dfa, start, w).total_cost
+        for w in permutations(range(1, dfa.alphabet_size + 1), L)
+    )

@@ -109,6 +109,53 @@ class TestDfaCommands:
         assert doc["count_within_budget"] == 0
         assert doc["census"][0] == {"cost": 3, "count": 1}
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                "subset --k 5 --budget 8",
+                '{"budget": 8, "census": [{"cost": 5, "count": 1}, {"cost": 6, "count": 4}, '
+                '{"cost": 7, "count": 9}, {"cost": 8, "count": 15}, {"cost": 9, "count": 20}, '
+                '{"cost": 10, "count": 22}, {"cost": 11, "count": 20}, {"cost": 12, "count": 15}, '
+                '{"cost": 13, "count": 9}, {"cost": 14, "count": 4}, {"cost": 15, "count": 1}], '
+                '"command": "dfa census", "count_within_budget": 29, "k": 5, "schema_version": 1}',
+            ),
+            (
+                "subset --k 3 --budget -1",
+                '{"budget": -1, "census": [{"cost": 3, "count": 1}, {"cost": 4, "count": 2}, '
+                '{"cost": 5, "count": 2}, {"cost": 6, "count": 1}], "command": "dfa census", '
+                '"count_within_budget": 0, "k": 3, "schema_version": 1}',
+            ),
+            (
+                "random --k 5 --states 4 --dfa-seed 3 --budget 11",
+                '{"budget": 11, "census": [{"cost": 8, "count": 1}, {"cost": 10, "count": 4}, '
+                '{"cost": 11, "count": 3}, {"cost": 12, "count": 16}, {"cost": 13, "count": 7}, '
+                '{"cost": 14, "count": 15}, {"cost": 15, "count": 14}, {"cost": 16, "count": 19}, '
+                '{"cost": 17, "count": 15}, {"cost": 18, "count": 6}, {"cost": 19, "count": 9}, '
+                '{"cost": 20, "count": 4}, {"cost": 21, "count": 5}, {"cost": 23, "count": 2}], '
+                '"command": "dfa census", "count_within_budget": 8, "k": 5, "schema_version": 1}',
+            ),
+            (
+                "greedy --word 1 2 3 2 --budget 4",
+                '{"budget": 4, "census": [{"cost": 3, "count": 1}, {"cost": 4, "count": 1}, '
+                '{"cost": "inf", "count": 4}], "command": "dfa census", '
+                '"count_within_budget": 2, "k": 3, "schema_version": 1}',
+            ),
+            (
+                "greedy --word 3 1 2 3 1 --budget 100",
+                '{"budget": 100, "census": [{"cost": 3, "count": 1}, {"cost": 4, "count": 1}, '
+                '{"cost": 5, "count": 2}, {"cost": "inf", "count": 2}], "command": "dfa census", '
+                '"count_within_budget": 4, "k": 3, "schema_version": 1}',
+            ),
+        ],
+    )
+    def test_census_budget_output_pinned(self, capsys, argv, expected):
+        # the budget count is read off the census; these are the bytes the
+        # separate budgeted DP printed
+        rc, out, _ = run_cli(capsys, "dfa", "census", *argv.split())
+        assert rc == 0
+        assert out == expected + "\n"
+
     def test_infinite_cost_serializes_as_string(self, capsys):
         rc, out, _ = run_cli(
             capsys, "dfa", "cost", "greedy", "--word", "1", "2", "3", "2",

@@ -1,6 +1,8 @@
 import math
 import random
+import time
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -22,11 +24,13 @@ from superpatterns.dfa import (
     random_k_dfa,
     walk_cost,
 )
+import superpatterns.dfa as dfa_module
 from superpatterns.dfa import _injective_cost_layers
 from superpatterns.errors import CheapeningError, ResourceLimitError
 from superpatterns.patterns import as_word, pattern_set
+from superpatterns.walks import cost_distributions_by_length, exact_P, exact_P_max
 
-from oracles import brute_is_pattern
+from oracles import brute_injective_costs, brute_is_pattern
 
 # Hand-checked edge list of the greedy automaton for the word 1,2,3,2:
 # every finite-cost edge as (state, letter, successor, cost).
@@ -421,6 +425,154 @@ class TestInjectiveCostLayers:
             assert perm_cost_census(s) == census
             for budget in range(k - 1, k * k + 1):
                 assert cheap_perm_count(s, budget) == sum(within(census, budget).values())
+
+
+def mahonian(sizes):
+    """Coefficients of prod (q + q^2 + ... + q^m) over m in sizes, as
+    {exponent: coefficient}: the cost distribution of the subset automaton
+    from the root, one factor per letter read."""
+    poly = Counter({0: 1})
+    for m in sizes:
+        out = Counter()
+        for e, n in poly.items():
+            for step in range(1, m + 1):
+                out[e + step] += n
+        poly = out
+    return dict(poly)
+
+
+def greedy_with_infinity():
+    a = build_greedy_dfa(as_word((1, 2, 3, 2, 4, 1), 4))
+    assert INFINITY in brute_injective_costs(a, a.root, 4)
+    return a
+
+
+class TestPackedKernel:
+    """The packed-histogram subset DP and its callers against plain
+    enumeration (tests/oracles.py), on every automaton family."""
+
+    AUTOMATA = [
+        ("subset", lambda: build_subset_dfa(5), (0, 0b10110)),
+        ("random", lambda: random_k_dfa(5, 6, 11), (0, 3)),
+        ("two-track", lambda: build_two_track_dfa(6), (0, -2, 3)),
+        ("greedy", greedy_with_infinity, (0, 2, 6)),
+    ]
+
+    @pytest.mark.parametrize("name,make,starts", AUTOMATA, ids=[a[0] for a in AUTOMATA])
+    def test_layers_lengths_and_budgets(self, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        for start in starts:
+            ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
+            top = max((c for c in ref[k] if c != INFINITY), default=0)
+            for max_len in (0, 1, k):
+                for budget in (None, 0, top // 2, top + 1, 10**9):
+                    got = _injective_cost_layers(dfa, start, max_len, budget)
+                    assert len(got) == max_len + 1
+                    for L in range(max_len + 1):
+                        assert got[L] == within(ref[L], budget), (name, start, max_len, L, budget)
+
+    @pytest.mark.parametrize("name,make,starts", AUTOMATA, ids=[a[0] for a in AUTOMATA])
+    def test_callers(self, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        census = brute_injective_costs(dfa, dfa.root, k)
+        assert perm_cost_census(dfa) == census
+        top = max(c for c in census if c != INFINITY)
+        for budget in (-1, 0, top // 2, top, top + 1, 10**9):
+            assert cheap_perm_count(dfa, budget) == sum(within(census, budget).values())
+        for start in starts:
+            dists = cost_distributions_by_length(dfa, start, k)
+            assert dists == [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
+        if not is_k_dfa(dfa):
+            return
+        for L in (1, k // 2, k):
+            for eps in (0.0, 0.1, 0.25, 0.5):
+                bound = math.ceil((Fraction(1, 2) - Fraction(str(eps))) * k * L) - 1
+                shares = {}
+                for start in dfa.states:
+                    dist = brute_injective_costs(dfa, start, L)
+                    hits = sum(n for c, n in dist.items() if c <= bound)
+                    shares[start] = Fraction(hits, math.perm(k, L))
+                for start in starts:
+                    assert exact_P(dfa, start, L, eps) == shares[start]
+                assert exact_P_max(dfa, L, eps) == max(shares.values())
+
+    def test_mahonian_product_for_the_subset_automaton(self):
+        # 12! = 479001600 needs a 29-bit digit; k = 60 puts costs up to 60
+        # on each step
+        for k, L in ((60, 3), (12, 12), (12, 5)):
+            got = cost_distributions_by_length(build_subset_dfa(k), 0, L, max_words=10**10)
+            for l in range(L + 1):
+                assert got[l] == mahonian(range(k, k - l, -1)), (k, l)
+        census = perm_cost_census(build_subset_dfa(12), max_k=12)
+        assert census == mahonian(range(12, 0, -1))
+        assert sum(census.values()) == math.factorial(12)
+        assert cheap_perm_count(build_subset_dfa(12), 30, max_k=12) == sum(
+            n for c, n in census.items() if c <= 30
+        )
+
+    def test_wide_costs_take_the_dict_path(self, monkeypatch):
+        # one step cost near 10^5: packed, every histogram would be an
+        # integer of millions of bits
+        k = 6
+        base = random_k_dfa(k, 4, 7)
+        cost = {v: base.cost_row(v) for v in base.states}
+        cost[0] = (99_991,) + cost[0][1:]
+        wide = WeightedDfa(k, 0, {v: base.delta_row(v) for v in base.states}, cost)
+        calls = []
+        sparse = dfa_module._injective_cost_layers_sparse
+
+        def spy(*args):
+            calls.append(args)
+            return sparse(*args)
+
+        monkeypatch.setattr(dfa_module, "_injective_cost_layers_sparse", spy)
+        began = time.perf_counter()
+        census = perm_cost_census(wide)
+        assert time.perf_counter() - began < 1.0
+        assert calls
+        assert census == brute_injective_costs(wide, 0, k)
+        assert 99_991 <= max(census) < 99_991 + k * k
+        assert cheap_perm_count(wide, 30) == sum(within(census, 30).values())
+
+    def test_dict_path_bound(self, monkeypatch):
+        # the largest total decides the path: at the bound the histograms
+        # are packed, one past it they are dicts, with equal answers
+        calls = []
+        sparse = dfa_module._injective_cost_layers_sparse
+        monkeypatch.setattr(
+            dfa_module, "_injective_cost_layers_sparse",
+            lambda *args: calls.append(args) or sparse(*args),
+        )
+        k = 4
+        limit = dfa_module._PACKED_MAX_TOTAL
+        for top, packed in ((limit // k, True), (limit // k + 1, False)):
+            delta = {0: (1, 0, 1, 0), 1: (0, 0, 1, 1)}
+            cost = {0: (1, top, 2, 3), 1: (4, 3, 2, 1)}
+            dfa = WeightedDfa(k, 0, delta, cost)
+            calls.clear()
+            got = _injective_cost_layers(dfa, 0, k)
+            assert (not calls) == packed
+            assert got == [brute_injective_costs(dfa, 0, L) for L in range(k + 1)]
+
+    def test_packed_and_dict_paths_agree(self):
+        rng = random.Random(44)
+        for _ in range(30):
+            k = rng.randint(1, 5)
+            n = rng.randint(1, 5)
+            delta = {v: tuple(rng.randrange(n) for _ in range(k)) for v in range(n)}
+            cost = {
+                v: tuple(rng.choice((0, 1, 2, 5, INFINITY)) for _ in range(k))
+                for v in range(n)
+            }
+            dfa = WeightedDfa(k, 0, delta, cost)
+            start = rng.randrange(n)
+            for budget in (None, -1, 0, 3, 7, 10**9):
+                for max_len in range(k + 1):
+                    assert _injective_cost_layers(dfa, start, max_len, budget) == (
+                        dfa_module._injective_cost_layers_sparse(dfa, start, max_len, budget)
+                    )
 
 
 class TestRandomKDfa:

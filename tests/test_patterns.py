@@ -31,6 +31,7 @@ from oracles import (
     all_words,
     brute_embeddings,
     brute_is_pattern,
+    brute_is_superpattern,
     brute_pattern_set,
 )
 
@@ -344,7 +345,7 @@ class TestExhaustiveSearch:
         assert exhaustive_f_search(1, 1, 1) == [(1, True)]
 
     def test_agrees_with_unpruned_search(self):
-        for k, r, n_max in [(2, 2, 4), (2, 3, 3), (3, 3, 4)]:
+        for k, r, n_max in [(2, 2, 4), (2, 3, 3), (3, 3, 4), (3, 4, 6), (3, 5, 5)]:
             rows = exhaustive_f_search(k, r, n_max)
             for n, ok in rows:
                 expect = any(
@@ -356,6 +357,37 @@ class TestExhaustiveSearch:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             exhaustive_f_search(3, 10, 8)
+
+    def test_witnesses_on_more_letters_than_k(self):
+        # superpatterns that a search keeping one word per letter
+        # relabeling class never sees: relabeling keeps patterns only for
+        # words over [k]
+        for k, r, word in [
+            (3, 4, (1, 2, 4, 1, 3, 1)),
+            (3, 5, (2, 5, 3, 1, 4)),
+            (4, 5, (1, 3, 5, 1, 2, 4, 1, 5, 3, 1)),
+        ]:
+            assert brute_is_superpattern(word, k)
+            assert max(word) == r
+            rows = exhaustive_f_search(k, r, len(word))
+            assert rows[-1] == (len(word), True)
+
+    def test_millers_bound_reached_for_k4(self):
+        # Miller's (k^2 + k) / 2 = 10 is the shortest length on [k + 1]
+        rows = exhaustive_f_search(4, 5, 10)
+        assert minimal_superpattern_length(rows) == 10
+
+    def test_alphabet_beyond_n_max(self):
+        # a word of length n uses at most n letters, so a larger alphabet
+        # changes nothing past [n_max]
+        for k, n_max in [(2, 4), (3, 6), (3, 5)]:
+            rows = exhaustive_f_search(k, n_max, n_max)
+            for r in (n_max + 1, n_max + 3):
+                assert exhaustive_f_search(k, r, n_max) == rows
+
+    def test_fewer_letters_than_k(self):
+        assert exhaustive_f_search(3, 2, 9) == [(n, False) for n in range(1, 10)]
+        assert exhaustive_f_search(0, 3, 2) == [(1, True), (2, True)]
 
 
 class TestTextFormat:
