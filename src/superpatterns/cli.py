@@ -222,7 +222,9 @@ def _cmd_superpattern(args, caps):
         )
         return
     if args.search_r is None or args.n_max is None:
-        raise ValueError("need --word for a check, or --r and --n-max for a search")
+        raise ValueError(
+            "need --word or --word-file for a check, or --search-r and --n-max for a search"
+        )
     rows = P.exhaustive_f_search(
         args.k, args.search_r, args.n_max,
         max_words=caps["max_enum"], max_k=caps["max_k"],

@@ -21,13 +21,19 @@ exactly.
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
 counter-mode stream keyed by (seed, i) (counter-based generation as in
 Salmon et al., SC'11) and shuffles by partial Fisher-Yates, so a fixed
-seed gives bit-identical estimates. _sample_perm_matrix draws blocks of
-_BLOCK_ROWS rows at once in numpy; a row whose stream rejects a word is
-redrawn by the scalar definition, _shuffled over CounterRng.
+seed gives bit-identical estimates. CounterRng and _sample_perm_matrix
+take their blocks from one generator, _stream_blocks, which keys BLAKE2b
+with the seed once and copies that state per stream and per block.
+_sample_perm_matrix draws blocks of _BLOCK_ROWS rows at once in numpy; a
+row whose stream rejects a word is redrawn by the scalar definition,
+_shuffled over CounterRng. Walks on the subset automaton (_subset_costs)
+keep the letters read as uint64 bit masks, so a step costs O(1) per row
+at any k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -64,32 +70,54 @@ MAX_INJECTIVE_ENUM = 10**7
 # size keeps its temporaries, and so peak memory, flat in the sample count.
 _BLOCK_ROWS = 2048
 
+# Cells (rows x steps) _subset_costs walks at a time: each of its uint64
+# temporaries stays at 128 KB (with 0.5-1 MB ones the walk ran 2-4x slower
+# per cell on a 2-core x86 host).
+_WALK_CELLS = 1 << 14
+
 _unpack_block = struct.Struct("<8Q").unpack
+
+
+def _stream_blocks(seed: int, streams, counters):
+    """The BLAKE2b-512 digest of seed || stream || counter (16 bytes signed,
+    16 bytes and 8 bytes, all little-endian) for each stream in streams
+    and, within it, each counter in counters.
+
+    The seed's state is keyed once; each stream copies it and absorbs its
+    16 bytes, and each block copies that and absorbs its counter, so the
+    argument parsing of a blake2b() call is paid once, not per block.
+    """
+    keyed = blake2b(seed.to_bytes(16, "little", signed=True), digest_size=64)
+    for stream in streams:
+        state = keyed.copy()
+        state.update(stream.to_bytes(16, "little"))
+        for counter in counters:
+            block = state.copy()
+            block.update(counter.to_bytes(8, "little"))
+            yield block.digest()
 
 
 class CounterRng:
     """Uniform integers from BLAKE2b in counter mode.
 
     The pair (seed, stream) names an independent, reproducible stream;
-    sampling loops use one stream per sample index.
+    sampling loops use one stream per sample index. Block c of the stream
+    is the digest of seed || stream || c (see _stream_blocks), and its
+    eight little-endian 64-bit words are drawn last to first.
     """
 
-    __slots__ = ("_key", "_counter", "_pool")
+    __slots__ = ("_key", "_blocks", "_pool")
 
     def __init__(self, seed: int, stream: int = 0):
         self._key = seed.to_bytes(16, "little", signed=True) + stream.to_bytes(
             16, "little"
         )
-        self._counter = 0
+        self._blocks = _stream_blocks(seed, (stream,), itertools.count())
         self._pool: list[int] = []
 
     def bits64(self) -> int:
         if not self._pool:
-            block = blake2b(
-                self._key + self._counter.to_bytes(8, "little"), digest_size=64
-            ).digest()
-            self._counter += 1
-            self._pool = list(_unpack_block(block))
+            self._pool = list(_unpack_block(next(self._blocks)))
         return self._pool.pop()
 
     def randrange(self, n: int) -> int:
@@ -271,34 +299,28 @@ def _sample_perm_matrix(
     first + i).randrange).
 
     Blocks of _BLOCK_ROWS rows are drawn at once: each row's ceil(L/8)
-    BLAKE2b blocks become one uint64 matrix; draw i of a row is the i-th
-    word CounterRng.bits64 would pop, mod n = k - i, unless some word of
-    the row falls at or above floor(2^64/n)*n for its n, and the partial
-    Fisher-Yates swaps run one column at a time for all rows. A row with a
-    rejected word is redrawn by _shuffled itself.
+    BLAKE2b blocks (from one _stream_blocks generator for the whole call,
+    the stream CounterRng defines) become one uint64 matrix; draw i of a
+    row is the i-th word CounterRng.bits64 would pop, mod n = k - i,
+    unless some word of the row falls at or above floor(2^64/n)*n for its
+    n, and the partial Fisher-Yates swaps run one column at a time for all
+    rows. A row with a rejected word is redrawn by _shuffled itself.
     """
     L = k if L is None else L
     out = np.empty((samples, k), dtype=np.int64)
-    prefix = seed.to_bytes(16, "little", signed=True)
-    counters = [c.to_bytes(8, "little") for c in range(-(-L // 8))]
+    per_row = -(-L // 8)
+    blocks = _stream_blocks(seed, range(first, first + samples), range(per_row))
     # draw i pops word 7 - i % 8 of block i // 8; the largest word it
     # accepts, floor(2^64/n)*n - 1 for n = k - i, fits in 64 bits
     column = [8 * (i // 8) + 7 - i % 8 for i in range(L)]
     top = [np.uint64((1 << 64) // (k - i) * (k - i) - 1) for i in range(L)]
     for lo in range(0, samples, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, samples)
-        # fromiter copies each digest as it comes: a list of thousands of
-        # small bytes objects left about 2 MB of heap resident
-        digests = np.fromiter(
-            (
-                blake2b(prefix + i.to_bytes(16, "little") + c, digest_size=64).digest()
-                for i in range(first + lo, first + hi)
-                for c in counters
-            ),
-            dtype="S64",
-            count=(hi - lo) * len(counters),
-        )
-        words = digests.view("<u8").reshape(hi - lo, 8 * len(counters))
+        # fromiter takes exactly count digests, copying each as it comes: a
+        # list of thousands of small bytes objects left about 2 MB of heap
+        # resident
+        digests = np.fromiter(blocks, dtype="S64", count=(hi - lo) * per_row)
+        words = digests.view("<u8").reshape(hi - lo, 8 * per_row)
         pool = out[lo:hi]
         pool[:] = np.arange(1, k + 1)
         at = np.arange(hi - lo)
@@ -324,32 +346,60 @@ def _tables(dfa):
     return index, cost, succ
 
 
+def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
+    """SubsetDfa(k).step_cost of every step of every row of words (letters,
+    shape (rows, L)) walked from the letter set start: shape (rows, L).
+
+    Before step j a row has read start and words[row, :j]: one
+    np.bitwise_or.accumulate along the row gives that set as a bit mask in
+    ceil(k/64) uint64 lanes, for every j at once. With b the np.bitwise_count
+    of the mask's letters below t = words[row, j], the step costs t - b if
+    t is unread and k - |mask| + b + 1 if it was read, step_cost's formula.
+    Rows go _WALK_CELLS // L (at least one) at a time, which bounds every
+    temporary.
+    """
+    rows, L = words.shape
+    lanes = -(-k // 64)
+    # below[q, t]: the bits of lane q that hold the letters before letter t;
+    # here[q, t]: the bit that holds letter t itself (t = 1..k)
+    below = np.array(
+        [[(1 << min(max(t - 1 - 64 * q, 0), 64)) - 1 for t in range(k + 2)] for q in range(lanes)],
+        dtype=np.uint64,
+    )
+    here = below[:, 1:] ^ below[:, :-1]
+    out = np.empty((rows, L), dtype=np.int64)
+    step = max(1, _WALK_CELLS // max(L, 1))
+    for lo in range(0, rows, step):
+        letters = words[lo : lo + step]
+        b = np.zeros(letters.shape, dtype=np.int64)
+        count = np.zeros(letters.shape, dtype=np.int64)
+        seen = np.zeros(letters.shape, dtype=bool)
+        for q in range(lanes):
+            hit = here[q][letters]
+            read = np.empty_like(hit)
+            read[:, :1] = (start >> 64 * q) & ((1 << 64) - 1)
+            read[:, 1:] = hit[:, :-1]
+            np.bitwise_or.accumulate(read, axis=1, out=read)
+            b += np.bitwise_count(read & below[q][letters])
+            count += np.bitwise_count(read)
+            seen |= (read & hit) != 0
+        out[lo : lo + step] = np.where(seen, k + 1 - count + b, letters - b)
+    return out
+
+
 def _walk_totals(dfa, start, words: np.ndarray, tables) -> np.ndarray:
     """Total cost of every row of words (letters, shape (rows, L)) walked
     from start: through tables (from _tables), or, for SubsetDfa
-    (tables None), step_cost's formula on a boolean mask of the letters
-    read, which needs no state list and works at any k."""
-    rows, k = len(words), dfa.alphabet_size
-    total = np.zeros(rows, dtype=np.int64)
-    letters = (words - 1).T
-    if tables is not None:
-        index, cost, succ = tables
-        at = np.full(rows, index[start])
-        for t in letters:
-            total += cost[at, t]
-            at = succ[at, t]
-        return total
-    read = np.zeros((rows, k), dtype=bool)
-    read[:] = [(start >> t) & 1 for t in range(k)]
-    count = np.full(rows, start.bit_count())
-    at = np.arange(rows)
-    lane = np.arange(k)
-    for t in letters:
-        seen = read[at, t]
-        below = (read & (lane < t[:, None])).sum(axis=1)
-        total += np.where(seen, k - count + below + 1, t + 1 - below)
-        count += ~seen
-        read[at, t] = True
+    (tables None), the row sums of _subset_costs, which needs no state
+    list and works at any k."""
+    if tables is None:
+        return _subset_costs(dfa.alphabet_size, start, words).sum(axis=1)
+    index, cost, succ = tables
+    total = np.zeros(len(words), dtype=np.int64)
+    at = np.full(len(words), index[start])
+    for t in (words - 1).T:
+        total += cost[at, t]
+        at = succ[at, t]
     return total
 
 
@@ -540,22 +590,14 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
 # Monte-Carlo X sums and the concentration experiments
 
 
-def _x_matrix_subset(perm_matrix: np.ndarray) -> np.ndarray:
-    """X ranks on the subset-state automaton: the cost of reading t_j is
-    its rank among unread letters, so X_j = t_j - #{j' < j : t_j' < t_j}."""
-    samples, k = perm_matrix.shape
-    X = np.empty_like(perm_matrix)
-    for j in range(k):
-        col = perm_matrix[:, j : j + 1]
-        X[:, j] = perm_matrix[:, j] - (perm_matrix[:, :j] < col).sum(axis=1)
-    return X
-
-
 def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
-    """X_j of every row of perms walked from the root, shape (samples, k):
-    the subset rank identity, or one table walk of all rows at once."""
+    """X_j of every row of perms walked from the root, shape (samples, k).
+
+    On SubsetDfa the cost of reading t_j from the root's walk is its rank
+    among the unread letters, so X is _subset_costs from the empty set;
+    otherwise one table walk of all rows at once."""
     if isinstance(dfa, SubsetDfa):
-        return _x_matrix_subset(perms)
+        return _subset_costs(dfa.alphabet_size, 0, perms)
     index, cost, succ = _tables(dfa)
     letters = perms - 1
     at = np.full(len(perms), index[dfa.root])

@@ -5,7 +5,7 @@ deliberately avoiding the value-subset/greedy reduction and the automaton
 machinery used by the library itself. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
-without the subset DP.
+without the subset DP, and the X-rank oracle reads ranks off cost rows.
 """
 
 from collections import Counter
@@ -112,3 +112,16 @@ def brute_injective_costs(dfa, start, L):
         walk_cost(dfa, start, w).total_cost
         for w in permutations(range(1, dfa.alphabet_size + 1), L)
     )
+
+
+def literal_x_ranks(dfa, word):
+    """X_j of each step of word walked from the root, read off cost_row:
+    X_j = #{unread u : cost(v, u) <= cost(v, t_j)} at the state v that
+    reads t_j, where the unread letters include t_j itself."""
+    v, unread, ranks = dfa.root, set(range(1, dfa.alphabet_size + 1)), []
+    for t in word:
+        row = dfa.cost_row(v)
+        ranks.append(sum(1 for u in unread if row[u - 1] <= row[t - 1]))
+        unread.discard(t)
+        v = dfa.step(v, t)
+    return tuple(ranks)

@@ -356,6 +356,18 @@ class TestExitCodes:
         assert err.strip()
         assert len(err.strip().splitlines()) == 1
 
+    def test_superpattern_without_a_mode_names_the_search_flags(self, capsys):
+        # --r is the alphabet of --word, not the search alphabet
+        rc, out, err = run_cli(capsys, "superpattern", "--k", "3", "--r", "4", "--n-max", "6")
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: need --word or --word-file for a check, "
+            "or --search-r and --n-max for a search\n"
+        )
+        rc, out, _ = run_cli(capsys, "superpattern", "--k", "3", "--search-r", "4", "--n-max", "6")
+        assert rc == 0
+        assert json.loads(out)["minimal_length"] == 6
+
     MC_DOMAIN_ERRORS = [
         ["exact-p", "--dfa", "subset", "--k", "3", "--L", "3", "--epsilon", "-0.7"],
         ["estimate-p", "--dfa", "subset", "--k", "3", "--L", "3", "--epsilon", "2",

@@ -36,8 +36,8 @@ from superpatterns.walks import (
     t_statistic,
     xy_decompose,
 )
-from superpatterns.walks import _sample_perm_matrix, _x_matrix_subset
-from oracles import stream_below, stream_injective_word, stream_words
+from superpatterns.walks import _sample_perm_matrix, _subset_costs, _walk_totals, _x_ranks
+from oracles import literal_x_ranks, stream_below, stream_injective_word, stream_words
 
 
 def perms(k):
@@ -139,19 +139,26 @@ class TestBatchedSampler:
         rejecting = [3, W._BLOCK_ROWS + 1]
         real_blake2b, real_shuffled = W.blake2b, W._shuffled
 
-        class Forced:
-            def __init__(self, digest):
-                self._digest = digest
+        class Forcing:
+            # a BLAKE2b-512 state that serves the forced digests: it keeps
+            # the bytes absorbed so far and hashes them for real otherwise
+            def __init__(self, data=b"", digest_size=64):
+                assert digest_size == 64
+                self._data = bytes(data)
+
+            def copy(self):
+                return Forcing(self._data)
+
+            def update(self, data):
+                self._data += data
 
             def digest(self):
-                return self._digest
-
-        def forcing_blake2b(data, digest_size):
-            stream = int.from_bytes(data[16:32], "little")
-            counter = int.from_bytes(data[32:40], "little")
-            if (stream, counter) in forced:
-                return Forced(forced[(stream, counter)])
-            return real_blake2b(data, digest_size=digest_size)
+                assert len(self._data) == 40  # seed, stream, counter
+                stream = int.from_bytes(self._data[16:32], "little")
+                counter = int.from_bytes(self._data[32:40], "little")
+                if (stream, counter) in forced:
+                    return forced[(stream, counter)]
+                return real_blake2b(self._data, digest_size=64).digest()
 
         fallbacks = []
 
@@ -159,7 +166,7 @@ class TestBatchedSampler:
             fallbacks.append(int.from_bytes(randrange.__self__._key[16:], "little"))
             return real_shuffled(k, L, randrange)
 
-        monkeypatch.setattr(W, "blake2b", forcing_blake2b)
+        monkeypatch.setattr(W, "blake2b", Forcing)
         want = [real_shuffled(k, k, CounterRng(seed, i).randrange) for i in range(samples)]
         assert want[7][0] == 12  # slot 0 swapped with slot 11: accepted
         monkeypatch.setattr(W, "_shuffled", spy)
@@ -201,6 +208,78 @@ class TestBatchedSampler:
                 walk_cost(dfa, state, row[:L]).total_cost <= 0.5 * dfa.alphabet_size * L
                 for row in _scalar_rows(dfa.alphabet_size, 9, 3, L)
             )
+
+
+class TestSubsetCostKernel:
+    @staticmethod
+    def starts(k, rng):
+        low_high = 1 | 1 << (k - 1) | (1 << 64 if k > 64 else 0)
+        missing = rng.randrange(k)
+        return {
+            "empty": 0,
+            "random": rng.getrandbits(k),
+            "low_and_high_words": low_high,
+            "all_but_one": ((1 << k) - 1) & ~(1 << missing),
+        }
+
+    @pytest.mark.parametrize("k", [1, 12, 63, 64, 65, 70, 128, 129])
+    def test_matches_step_cost_step_by_step(self, k):
+        rng = random.Random(k)
+        s = build_subset_dfa(k)
+        for name, start in self.starts(k, rng).items():
+            for L in sorted({0, 1, k}):
+                rows = [rng.sample(range(1, k + 1), L) for _ in range(4)]
+                words = np.array(rows, dtype=np.int64).reshape(4, L)
+                got = _subset_costs(k, start, words)
+                assert got.shape == (4, L) and got.dtype == np.int64
+                for row, costs in zip(rows, got.tolist()):
+                    want = walk_cost(s, start, row).step_costs
+                    assert tuple(costs) == want, (name, L, row)
+
+    def test_rows_beyond_one_chunk(self, monkeypatch):
+        # more rows than _WALK_CELLS // L, so the walk takes several chunks;
+        # with fewer cells than steps it takes one row at a time
+        k, start = 12, 0b100000100101
+        rng = random.Random(4)
+        rows = [rng.sample(range(1, k + 1), k) for _ in range(W._WALK_CELLS // k + 7)]
+        s = build_subset_dfa(k)
+        want = [walk_cost(s, start, r).step_costs for r in rows]
+        got = _subset_costs(k, start, np.array(rows))
+        assert [tuple(c) for c in got.tolist()] == want
+        monkeypatch.setattr(W, "_WALK_CELLS", k - 1)
+        got = _subset_costs(k, start, np.array(rows[:5]))
+        assert [tuple(c) for c in got.tolist()] == want[:5]
+
+    @pytest.mark.parametrize("k", [5, 12, 70])
+    def test_x_rank_sums_are_walk_totals_from_the_root(self, k):
+        s = build_subset_dfa(k)
+        perms = _sample_perm_matrix(k, 300, seed=k)
+        totals = _walk_totals(s, s.root, perms, None)
+        assert _x_ranks(s, perms).sum(axis=1).tolist() == totals.tolist()
+
+
+class TestXRanksOracle:
+    @pytest.mark.parametrize(
+        "dfa",
+        [
+            build_subset_dfa(4),
+            build_subset_dfa(12),
+            build_subset_dfa(70),
+            random_k_dfa(5, 6, 3),
+            random_k_dfa(12, 30, 8),
+            build_two_track_dfa(4),
+            build_two_track_dfa(12),
+        ],
+        ids=["subset4", "subset12", "subset70", "random5", "random12", "two_track4", "two_track12"],
+    )
+    def test_x_ranks_match_the_literal_oracle(self, dfa):
+        k = dfa.alphabet_size
+        if k <= 5:
+            perms = np.array(list(permutations(range(1, k + 1))), dtype=np.int64)
+        else:
+            perms = _sample_perm_matrix(k, 200, seed=k)
+        X = _x_ranks(dfa, perms)
+        assert [tuple(x) for x in X.tolist()] == [literal_x_ranks(dfa, p) for p in perms.tolist()]
 
 
 class TestRestriction:
@@ -560,22 +639,14 @@ class TestXStatistics:
             s = build_subset_dfa(k)
             taus = list(permutations(range(1, k + 1)))
             mat = np.array(taus, dtype=np.int64)
-            X = _x_matrix_subset(mat)
+            X = _x_ranks(s, mat)
             for row, tau in zip(X, taus):
                 assert tuple(row) == xy_decompose(s, tau).x_ranks
 
     def test_sample_x_sums_follow_the_stream_definition(self):
         k, n, seed = 6, 40, 8
         dfa = random_k_dfa(k, 5, 31)
-        want = []
-        for i in range(n):
-            v, unread, x_sum = dfa.root, set(range(1, k + 1)), 0
-            for t in stream_injective_word(seed, i, k, k):
-                row = dfa.cost_row(v)
-                x_sum += sum(1 for u in unread if row[u - 1] <= row[t - 1])
-                unread.discard(t)
-                v = dfa.delta_row(v)[t - 1]
-            want.append(x_sum)
+        want = [sum(literal_x_ranks(dfa, stream_injective_word(seed, i, k, k))) for i in range(n)]
         assert list(sample_x_sums(dfa, n, seed)) == want
 
     def test_sample_x_sums_agree_across_paths(self):
