@@ -21,9 +21,10 @@ exactly.
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
 counter-mode stream keyed by (seed, i) (counter-based generation as in
 Salmon et al., SC'11) and shuffles by partial Fisher-Yates, so a fixed
-seed gives bit-identical estimates. CounterRng and _sample_perm_matrix
-take their blocks from one generator, _stream_blocks, which keys BLAKE2b
-with the seed once and copies that state per stream and per block.
+seed gives bit-identical estimates. CounterRng keys BLAKE2b with its
+(seed, stream) once and copies that state per block; _sample_perm_matrix
+takes its blocks from _stream_blocks, which keys BLAKE2b with the seed
+once and copies that state per stream and per block.
 _sample_perm_matrix draws blocks of _BLOCK_ROWS rows at once in numpy; a
 row whose stream rejects a word is redrawn by the scalar definition,
 _shuffled over CounterRng. Walks on the subset automaton (_subset_costs)
@@ -33,7 +34,6 @@ at any k.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -103,21 +103,27 @@ class CounterRng:
     The pair (seed, stream) names an independent, reproducible stream;
     sampling loops use one stream per sample index. Block c of the stream
     is the digest of seed || stream || c (see _stream_blocks), and its
-    eight little-endian 64-bit words are drawn last to first.
+    eight little-endian 64-bit words are drawn last to first. The state
+    keyed with seed || stream is built once and copied per block; a single
+    stream needs no seed-level state of its own.
     """
 
-    __slots__ = ("_key", "_blocks", "_pool")
+    __slots__ = ("_key", "_state", "_counter", "_pool")
 
     def __init__(self, seed: int, stream: int = 0):
         self._key = seed.to_bytes(16, "little", signed=True) + stream.to_bytes(
             16, "little"
         )
-        self._blocks = _stream_blocks(seed, (stream,), itertools.count())
+        self._state = blake2b(self._key, digest_size=64)
+        self._counter = 0
         self._pool: list[int] = []
 
     def bits64(self) -> int:
         if not self._pool:
-            self._pool = list(_unpack_block(next(self._blocks)))
+            block = self._state.copy()
+            block.update(self._counter.to_bytes(8, "little"))
+            self._counter += 1
+            self._pool = list(_unpack_block(block.digest()))
         return self._pool.pop()
 
     def randrange(self, n: int) -> int:

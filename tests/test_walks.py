@@ -252,10 +252,13 @@ class TestSubsetCostKernel:
 
     @pytest.mark.parametrize("k", [5, 12, 70])
     def test_x_rank_sums_are_walk_totals_from_the_root(self, k):
+        # from the root a subset walk burns nothing (Y_j = 0), so its total
+        # is the sum of the literal X ranks; with TestXRanksOracle this ties
+        # the row sums of _x_ranks to _walk_totals
         s = build_subset_dfa(k)
         perms = _sample_perm_matrix(k, 300, seed=k)
         totals = _walk_totals(s, s.root, perms, None)
-        assert _x_ranks(s, perms).sum(axis=1).tolist() == totals.tolist()
+        assert totals.tolist() == [sum(literal_x_ranks(s, p)) for p in perms.tolist()]
 
 
 class TestXRanksOracle:
