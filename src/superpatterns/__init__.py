@@ -46,6 +46,7 @@ from .patterns import (
     as_word,
     ascent_count,
     circular_contains,
+    circular_pattern_set,
     exhaustive_f_search,
     f_oracle,
     find_embedding,

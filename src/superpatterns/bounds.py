@@ -116,19 +116,12 @@ def forL_bound(k: int, L: int, epsilon: float) -> LogValue:
     """The length-L walk bound (k^L (k-L)!/k!) * exp(-eps^2 L / 4).
 
     Bounds the probability that a uniform random injective word of length
-    L walks below threshold from any state of a k-DFA: the first factor
-    un-conditions from injective to i.i.d. letters, the second is the
-    Chernoff tail of an i.i.d. uniform cost sum.
+    L walks below threshold from any state of a k-DFA: the first factor,
+    birthday_ratio, un-conditions from injective to i.i.d. letters, the
+    second is the Chernoff tail of an i.i.d. uniform cost sum.
     """
-    if not (0 <= L <= k):
-        raise ValueError(f"need 0 <= L <= k, got L={L}, k={k}")
     _check_epsilon(epsilon)
-    if L == 0:
-        return LogValue(0.0)
-    return LogValue(
-        L * math.log(k) + log_factorial(k - L) - log_factorial(k)
-        - epsilon * epsilon * L / 4.0
-    )
+    return birthday_ratio(k, L) * LogValue(-epsilon * epsilon * L / 4.0)
 
 
 def birthday_ratio(k: int, L: int) -> LogValue:

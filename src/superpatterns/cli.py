@@ -393,6 +393,8 @@ def _cmd_concentration(args, caps):
 def _cmd_bcp(args, caps):
     sigma = _read_word(args)
     if args.perm is not None or args.perm_file is not None:
+        if args.k is not None:
+            raise ValueError("give --perm (single check) or --k (full census), not both")
         tau = _read_perm(args)
         _emit(
             {
@@ -407,27 +409,18 @@ def _cmd_bcp(args, caps):
         return
     if args.k is None:
         raise ValueError("need --perm (single check) or --k (full census)")
-    if args.k > _effective_caps(args, caps)["max_k"]:
-        raise ResourceLimitError(
-            f"k={args.k} exceeds the k! cap; raise --max-k deliberately"
-        )
-    from itertools import permutations as _perms
-
-    total = 0
-    hits = 0
-    for tau in _perms(range(1, args.k + 1)):
-        total += 1
-        if P.circular_contains(sigma, tau, args.bidirectional):
-            hits += 1
+    max_k = _effective_caps(args, caps)["max_k"]
+    count = len(P.circular_pattern_set(sigma, args.k, args.bidirectional, max_k=max_k))
+    total = math.factorial(args.k)
     _emit(
         {
             "command": "bcp",
             "word": list(sigma.letters),
             "k": args.k,
             "bidirectional": args.bidirectional,
-            "count": hits,
+            "count": count,
             "total": total,
-            "superpattern": hits == total,
+            "superpattern": count == total,
         },
         args.format,
     )

@@ -40,6 +40,7 @@ __all__ = [
     "is_superpattern",
     "f_oracle",
     "circular_contains",
+    "circular_pattern_set",
     "ascent_count",
     "repeat_word",
     "exhaustive_f_search",
@@ -373,23 +374,43 @@ def f_oracle(
     return best, Word(witness, k)
 
 
+def _circular_words(sigma, bidirectional: bool) -> list:
+    """The distinct rotations of sigma and, if bidirectional, of its reversal."""
+    sigma = as_word(sigma)
+    bases = [sigma, sigma.reversed()] if bidirectional else [sigma]
+    turns = range(max(len(sigma), 1))
+    return list({w.letters: w for w in (b.rotated(i) for b in bases for i in turns)}.values())
+
+
 def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
     """Whether tau is a pattern of some rotation of sigma (or, with
-    bidirectional=True, of some rotation of sigma's reversal).
+    bidirectional=True, of some rotation of sigma's reversal). Stops at the
+    first hit; circular_pattern_set answers every tau of one length.
 
     >>> circular_contains((1, 2, 3), (3, 2, 1), False)
     False
     >>> circular_contains((1, 2, 3), (3, 2, 1), True)
     True
     """
-    sigma = as_word(sigma)
+    words = _circular_words(sigma, bidirectional)
     tau = as_permutation(tau)
-    n = len(sigma)
-    candidates = [sigma] if n == 0 else [sigma.rotated(i) for i in range(n)]
-    if bidirectional:
-        rev = sigma.reversed()
-        candidates += [rev] if n == 0 else [rev.rotated(i) for i in range(n)]
-    return any(is_pattern(w, tau) for w in candidates)
+    return any(is_pattern(w, tau) for w in words)
+
+
+def circular_pattern_set(
+    sigma, k: int, bidirectional: bool = False, *, max_k: int = MAX_FACTORIAL_K
+) -> set:
+    """The permutations of [k] circular_contains finds in sigma: the union
+    of pattern_set, with its domain and cap, over _circular_words.
+
+    >>> sorted(p.images for p in circular_pattern_set((1, 2, 3), 3))
+    [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+    >>> len(circular_pattern_set((1, 2, 3), 3, True))
+    6
+    """
+    return set().union(
+        *(pattern_set(w, k, max_k=max_k) for w in _circular_words(sigma, bidirectional))
+    )
 
 
 def ascent_count(tau) -> int:

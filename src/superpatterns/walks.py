@@ -18,6 +18,9 @@ X_j are independent and uniform on [k-j+1] regardless of the automaton,
 where [m] = {1..m}; so E[sum_j X_j] = sum_{m=1..k} (m+1)/2 = (k^2+3k)/4
 exactly.
 
+X and T have one definition each: the scalar xy_decompose and t_statistic
+are views of the matrix kernels _x_ranks and _cost_matrix.
+
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
 counter-mode stream keyed by (seed, i) (counter-based generation as in
 Salmon et al., SC'11) and shuffles by partial Fisher-Yates, so a fixed
@@ -36,13 +39,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from hashlib import blake2b
 
 import numpy as np
 
-from .dfa import SubsetDfa, _injective_cost_layers, is_k_dfa, letters_of
+from .dfa import SubsetDfa, _injective_cost_layers, is_k_dfa, letters_of, walk_cost
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -343,13 +346,17 @@ def _sample_perm_matrix(
     return out
 
 
+def _cost_matrix(dfa) -> np.ndarray:
+    """cost[V, k]: row i is the cost row of state i of dfa.states."""
+    return np.array([dfa.cost_row(v) for v in dfa.states], dtype=np.int64)
+
+
 def _tables(dfa):
     """The dense tables of a table-backed automaton: ({state: row},
-    cost[V, k], succ[V, k]), successors given as row numbers."""
+    _cost_matrix(dfa), succ[V, k]), successors given as row numbers."""
     index = {v: i for i, v in enumerate(dfa.states)}
-    cost = np.array([dfa.cost_row(v) for v in index], dtype=np.int64)
     succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index], dtype=np.intp)
-    return index, cost, succ
+    return index, _cost_matrix(dfa), succ
 
 
 def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
@@ -443,18 +450,7 @@ class EstimateReport:
     epsilon: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "samples": self.samples,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "comparator": self.comparator,
-            "k": self.k,
-            "L": self.L,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 def estimate_P(
@@ -533,37 +529,23 @@ class Decomposition:
 
 def xy_decompose(dfa, tau) -> Decomposition:
     """Walk tau from the root of a k-DFA and split each step cost into its
-    rank among available costs plus slack."""
+    rank among available costs plus slack: X is _x_ranks of the one-row
+    matrix [tau], the states and step costs are walk_cost's."""
     if not is_k_dfa(dfa):
         raise ValueError("xy_decompose needs a k-DFA")
     k = dfa.alphabet_size
     word = letters_of(tau)
     if sorted(word) != list(range(1, k + 1)):
         raise ValueError(f"{word!r} is not a permutation of [{k}]")
-    v = dfa.root
-    states = [v]
-    C: list[int] = []
-    X: list[int] = []
-    used: set[int] = set()
-    for t in word:
-        row = dfa.cost_row(v)
-        c = row[t - 1]
-        rank = sum(
-            1 for u in range(1, k + 1) if u not in used and row[u - 1] <= c
-        )
-        C.append(c)
-        X.append(rank)
-        used.add(t)
-        v = dfa.step(v, t)
-        states.append(v)
-    Y = tuple(c - x for c, x in zip(C, X))
+    trace = walk_cost(dfa, dfa.root, word)
+    X = tuple(_x_ranks(dfa, np.array([word]))[0].tolist())
     return Decomposition(
-        step_costs=tuple(C),
-        x_ranks=tuple(X),
-        y_slacks=Y,
+        step_costs=trace.step_costs,
+        x_ranks=X,
+        y_slacks=tuple(c - x for c, x in zip(trace.step_costs, X)),
         pool_sizes=tuple(range(k, 0, -1)),
-        states=tuple(states),
-        total_cost=sum(C),
+        states=trace.states,
+        total_cost=trace.total_cost,
     )
 
 
@@ -572,7 +554,8 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
 
     For each state v, counts the prefix letters whose cost at v is at most
     x — the number of cost values <= x that a walk sitting at v could no
-    longer pay when reading fresh letters. Returns ({state: count}, min).
+    longer pay when reading fresh letters. Returns ({state: count}, min),
+    read off the prefix columns of _cost_matrix, as _min_t_counts does.
     """
     if not is_k_dfa(dfa):
         raise ValueError("t_statistic needs a k-DFA")
@@ -585,11 +568,9 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
             raise ValueError(f"letter {t!r} outside alphabet [{k}]")
     if x < 0:
         raise ValueError("x must be non-negative")
-    per_state = {}
-    for v in dfa.states:
-        row = dfa.cost_row(v)
-        per_state[v] = sum(1 for t in letters if row[t - 1] <= x)
-    return per_state, (min(per_state.values()) if per_state else 0)
+    columns = np.array(letters, dtype=np.intp) - 1
+    counts = (_cost_matrix(dfa)[:, columns] <= x).sum(axis=1).tolist()
+    return dict(zip(dfa.states, counts)), min(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +608,7 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
             for x in xs
         ]
     T = [np.full(perms.shape, k) for _ in xs]
-    for row in _tables(dfa)[1]:
+    for row in _cost_matrix(dfa):
         paid = row[perms - 1]
         for t, x in zip(T, xs):
             low = paid <= x

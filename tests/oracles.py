@@ -5,7 +5,8 @@ deliberately avoiding the value-subset/greedy reduction and the automaton
 machinery used by the library itself. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
-without the subset DP, and the X-rank oracle reads ranks off cost rows.
+without the subset DP, and the X-rank and T-count oracles read ranks and
+counts off cost rows.
 """
 
 from collections import Counter
@@ -125,3 +126,9 @@ def literal_x_ranks(dfa, word):
         unread.discard(t)
         v = dfa.step(v, t)
     return tuple(ranks)
+
+
+def literal_t_counts(dfa, prefix, x):
+    """{state: number of prefix letters t with cost(state, t) <= x}, read
+    off cost_row state by state."""
+    return {v: sum(1 for t in prefix if dfa.cost_row(v)[t - 1] <= x) for v in dfa.states}

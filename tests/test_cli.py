@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpatterns.cli import main
 
@@ -338,12 +342,45 @@ class TestBcp:
         doc = json.loads(out)
         assert doc["superpattern"] is True  # rotations of 12 give both orders
 
+    @pytest.mark.parametrize("flags, count", [([], 189), (["--bidirectional"], 378)])
+    def test_census_counts_k7(self, capsys, flags, count):
+        word = "1 2 3 4 5 6 7 1 2 3 4 5".split()
+        rc, out, _ = run_cli(capsys, "bcp", "--word", *word, "--k", "7", *flags)
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["count"], doc["total"], doc["superpattern"]) == (count, 5040, False)
+
+    def test_census_of_the_empty_word(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        for k, count, total in ((0, 1, 1), (1, 0, 1), (3, 0, 6)):
+            rc, out, _ = run_cli(
+                capsys, "bcp", "--word-file", str(path), "--k", str(k), "--bidirectional"
+            )
+            assert rc == 0
+            doc = json.loads(out)
+            assert (doc["word"], doc["count"], doc["total"]) == ([], count, total)
+
 
 class TestExitCodes:
     def test_domain_error_is_1(self, capsys):
         rc, _, err = run_cli(capsys, "contains", "--word", "1", "2", "--perm", "1", "1")
         assert rc == 1
         assert err.strip().count("\n") == 0  # single-line diagnostic
+
+    def test_bcp_negative_k_is_1_like_census(self, capsys):
+        for command in ("bcp", "census"):
+            rc, out, err = run_cli(capsys, command, "--word", "1", "2", "--k", "-1")
+            assert (rc, out) == (1, "")
+            assert err == "error: k must be non-negative\n"
+
+    def test_bcp_refuses_perm_with_k(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "bcp", "--word", "1", "2", "--perm", "1", "2", "--k", "3"
+        )
+        assert (rc, out) == (1, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "--perm" in err and "--k" in err
 
     def test_resource_error_is_2(self, capsys):
         rc, _, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "11")
@@ -434,6 +471,11 @@ class TestCapFlags:
     def test_bcp_census_capped(self, capsys):
         rc, _, err = run_cli(capsys, "bcp", "--word", "1", "2", "--k", "11")
         assert rc == 2
+        rc, out, _ = run_cli(
+            capsys, "bcp", "--word", "1", "2", "--k", "11", "--max-k", "11"
+        )
+        assert rc == 0
+        assert json.loads(out)["count"] == 0
 
 
 class TestEnvCaps:
@@ -471,3 +513,45 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+@st.composite
+def _cli_argv(draw):
+    """bcp, census or decompose argv over small integers; most draws are
+    in the domain, some are not, and each flag may be missing."""
+    command = draw(st.sampled_from(["bcp", "census", "decompose"]))
+    small = st.integers(-2, 7)
+    k = draw(st.integers(-2, 6))
+    word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7) | st.lists(small, max_size=7))
+    perm = draw(st.permutations(range(1, max(k, 0) + 1)) | st.lists(small, max_size=6))
+
+    def flag(name, *values, odds=3):
+        # the flag appears in odds of 4 draws
+        return [name, *map(str, values)] if draw(st.integers(1, 4)) <= odds else []
+
+    argv = [command, *flag("--word", *word), *flag("--k", k)]
+    if command == "decompose":
+        argv += flag("--dfa", draw(st.sampled_from(["subset", "two-track", "random", "greedy"])))
+        argv += flag("--states", draw(small)) + flag("--perm", *perm)
+        return argv
+    argv += flag("--r", draw(small), odds=1) + flag("--max-k", draw(small), odds=1)
+    if command == "bcp":
+        return argv + flag("--perm", *perm, odds=1) + flag("--bidirectional", odds=2)
+    return argv + flag("--list", odds=2)
+
+
+class TestCliFuzz:
+    @given(_cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_line_diagnostic(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert json.loads(out.getvalue())["command"] == argv[0]
+            assert err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().strip().splitlines()) == 1, argv

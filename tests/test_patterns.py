@@ -13,6 +13,7 @@ from superpatterns.patterns import (
     as_word,
     ascent_count,
     circular_contains,
+    circular_pattern_set,
     exhaustive_f_search,
     f_oracle,
     find_embedding,
@@ -291,6 +292,47 @@ class TestCircular:
                 rots += [rev[i:] + rev[:i] for i in range(n)]
                 expect_bi = any(brute_is_pattern(w, tau) for w in rots)
                 assert circular_contains(letters, tau, True) == expect_bi
+
+
+def brute_circular_pattern_set(letters, k, bidirectional):
+    """The union of brute_pattern_set over every rotation of the word and,
+    when bidirectional, of its reversal."""
+    bases = [letters, letters[::-1]] if bidirectional else [letters]
+    out = set()
+    for w in bases:
+        for i in range(max(len(w), 1)):
+            out |= brute_pattern_set(w[i:] + w[:i], k)
+    return out
+
+
+class TestCircularPatternSet:
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_the_rotation_union_oracle(self, bidirectional):
+        rng = random.Random(7 + bidirectional)
+        words = [(), (1, 2, 1, 2), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1), (3, 3, 3), (1, 2, 3, 1, 2, 3)]
+        words += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 7))) for _ in range(40)]
+        for letters in words:
+            for k in range(0, 5):
+                got = circular_pattern_set(as_word(letters, 5), k, bidirectional)
+                want = brute_circular_pattern_set(letters, k, bidirectional)
+                assert {p.images for p in got} == want, (letters, k)
+
+    def test_agrees_with_circular_contains(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            letters = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+            for bidirectional in (False, True):
+                got = {p.images for p in circular_pattern_set(letters, 3, bidirectional)}
+                assert got == {t for t in perms(3) if circular_contains(letters, t, bidirectional)}
+
+    def test_domain_and_cap_are_pattern_sets(self):
+        with pytest.raises(ValueError):
+            circular_pattern_set((1, 2), -1)
+        with pytest.raises(ResourceLimitError):
+            circular_pattern_set((1, 2), 11)
+        with pytest.raises(ResourceLimitError):
+            circular_pattern_set((1, 2), 3, True, max_k=2)
+        assert len(circular_pattern_set((1, 2), 11, max_k=11)) == 0
 
 
 class TestAscents:

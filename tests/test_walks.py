@@ -36,8 +36,21 @@ from superpatterns.walks import (
     t_statistic,
     xy_decompose,
 )
-from superpatterns.walks import _sample_perm_matrix, _subset_costs, _walk_totals, _x_ranks
-from oracles import literal_x_ranks, stream_below, stream_injective_word, stream_words
+from superpatterns.walks import (
+    _cost_matrix,
+    _min_t_counts,
+    _sample_perm_matrix,
+    _subset_costs,
+    _walk_totals,
+    _x_ranks,
+)
+from oracles import (
+    literal_t_counts,
+    literal_x_ranks,
+    stream_below,
+    stream_injective_word,
+    stream_words,
+)
 
 
 def perms(k):
@@ -644,7 +657,7 @@ class TestXStatistics:
             mat = np.array(taus, dtype=np.int64)
             X = _x_ranks(s, mat)
             for row, tau in zip(X, taus):
-                assert tuple(row) == xy_decompose(s, tau).x_ranks
+                assert tuple(row) == literal_x_ranks(s, tau) == xy_decompose(s, tau).x_ranks
 
     def test_sample_x_sums_follow_the_stream_definition(self):
         k, n, seed = 6, 40, 8
@@ -657,10 +670,10 @@ class TestXStatistics:
         fast = sample_x_sums(build_subset_dfa(k), n, seed)
         slow = [
             sum(
-                xy_decompose(
+                literal_x_ranks(
                     build_subset_dfa(k),
-                    sample_perm_word(k, k, CounterRng(seed, i)),
-                ).x_ranks
+                    sample_perm_word(k, k, CounterRng(seed, i)).letters,
+                )
             )
             for i in range(n)
         ]
@@ -713,6 +726,49 @@ class TestTStatistic:
                 assert d.y_slacks[j - 1] >= per_state[v_prev] >= mn
 
 
+T_ORACLE_DFAS = [
+    build_subset_dfa(3),
+    build_subset_dfa(6),
+    random_k_dfa(5, 6, 3),
+    random_k_dfa(9, 12, 8),
+    build_two_track_dfa(4),
+    build_two_track_dfa(8),
+]
+T_ORACLE_IDS = ["subset3", "subset6", "random5", "random9", "two_track4", "two_track8"]
+
+
+class TestTCountsOracle:
+    @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
+    def test_t_statistic_matches_the_literal_oracle(self, dfa):
+        k = dfa.alphabet_size
+        rng = random.Random(k)
+        for _ in range(15):
+            prefix = sample_perm_word(k, rng.randint(0, k), rng).letters
+            for x in (0, 1, k / 3, rng.randint(0, k), Fraction(k, 2), k, k + 2):
+                per_state, mn = t_statistic(dfa, prefix, x)
+                want = literal_t_counts(dfa, prefix, x)
+                assert per_state == want
+                assert list(per_state) == list(dfa.states)
+                assert mn == min(want.values())
+                assert all(type(c) is int for c in (mn, *per_state.values()))
+
+    @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
+    def test_min_t_counts_match_the_literal_oracle(self, dfa):
+        k = dfa.alphabet_size
+        perms = _sample_perm_matrix(k, 40, seed=k)
+        xs = [m * k / 4 for m in range(1, 4)] + [0, k]
+        for T, x in zip(_min_t_counts(dfa, perms, xs), xs):
+            want = [
+                [min(literal_t_counts(dfa, p[:j], x).values()) for j in range(k)]
+                for p in perms.tolist()
+            ]
+            assert T.tolist() == want
+
+    @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
+    def test_cost_matrix_rows_follow_the_state_order(self, dfa):
+        assert _cost_matrix(dfa).tolist() == [list(dfa.cost_row(v)) for v in dfa.states]
+
+
 class TestConcentration:
     def test_frequencies_in_unit_interval(self):
         rep = concentration_experiment(build_subset_dfa(8), 4, 0.3, 200, seed=5)
@@ -760,7 +816,7 @@ class TestConcentration:
 
     def test_generic_concentration_follows_the_stream_definition(self):
         # con1/con2 re-derived sample by sample from the stream words, the
-        # X ranks of xy_decompose and the minimum T of t_statistic; on
+        # literal X ranks and the minimum of the literal T counts; on
         # random automata that minimum depends on the sample, unlike on
         # subset-derived tables. k = 2, M = 4 leaves the m1 = 2 window empty.
         eps, n, seed = 0.3, 40, 12
@@ -777,7 +833,7 @@ class TestConcentration:
             con2 = Counter()
             for i in range(n):
                 word = stream_injective_word(seed, i, k, k)
-                X = xy_decompose(dfa, word).x_ranks
+                X = literal_x_ranks(dfa, word)
                 for m1, window in windows.items():
                     for m2 in range(1, M):
                         x = m2 * k / M
@@ -788,7 +844,7 @@ class TestConcentration:
                         con1[(m1, m2)] += exceed < (1 - eps) * (1 - m2 / M) * k / M
                         short = False
                         for j in window:
-                            t_min = t_statistic(dfa, word[: j - 1], x)[1]
+                            t_min = min(literal_t_counts(dfa, word[: j - 1], x).values())
                             t_values.setdefault((k, j, m2), set()).add(t_min)
                             short |= t_min < (1 - eps) * (m2 / M) * (j - 1)
                         con2[(m1, m2)] += short
