@@ -205,9 +205,9 @@ class SubsetDfa:
         At the state equal to the prefix's letter set, the prefix letters
         carry the top prefix_len cost values k-prefix_len+1..k; no state
         can do better because a permutation row fits at most k - floor(x)
-        of them above x.
+        of them above x. No state counts more than the prefix_len letters.
         """
-        return max(0, prefix_len + math.floor(x) - self.alphabet_size)
+        return max(0, min(prefix_len, prefix_len + math.floor(x) - self.alphabet_size))
 
     def _check_letter(self, t: int):
         if not (1 <= t <= self.alphabet_size):
@@ -392,10 +392,69 @@ def _unpack(packed: int, width: int) -> Counter:
     return out
 
 
+def _unpack_long(packed: int, width: int) -> Counter:
+    """_unpack for integers of more than _PACKED_MAX_TOTAL digits, in the
+    same key order. _unpack shifts the whole integer once per digit, which
+    is quadratic in the digit count; this splits it in halves until each
+    part has at most _PACKED_MAX_TOTAL digits, so every level of the split
+    touches each bit once."""
+    out = Counter()
+
+    def split(part: int, first: int, digits: int):
+        if digits <= _PACKED_MAX_TOTAL:
+            for cost, n in _unpack(part, width).items():
+                out[first + cost] = n
+            return
+        half = digits // 2
+        split(part & ((1 << width * half) - 1), first, half)
+        split(part >> width * half, first + half, digits - half)
+
+    split(packed, 0, -(-packed.bit_length() // width))
+    return out
+
+
+def _budget_mask(budget, ceiling: int, width: int):
+    """The mask keeping digits 0..budget of a packed histogram, or None
+    when no total can pass the budget."""
+    if budget is None or budget >= ceiling:
+        return None
+    return (1 << width * (budget + 1)) - 1 if budget >= 0 else 0
+
+
+def _subset_root_layers(k: int, max_len: int, budget=None) -> list:
+    """_injective_cost_layers of SubsetDfa(k) from the root, in closed form.
+
+    From the root, letter j of an injective word pays its rank among the
+    k-j+1 letters not yet read, and over the words these ranks run through
+    [k], [k-1], ... independently; so layer l is the shifted Mahonian
+    product prod (q + ... + q^m) over m = k-l+1..k (OEIS A008302; Knuth,
+    TAOCP vol. 3, 5.1.1). Packed as in the DP, with the same width, each
+    layer is one multiplication by q + ... + q^m, and a budget masks each
+    product (no factor lowers a total). Past _PACKED_MAX_TOTAL possible
+    totals the layers are decoded by _unpack_long.
+    """
+    width = math.perm(k, max_len).bit_length()
+    ceiling = max_len * k
+    mask = _budget_mask(budget, ceiling, width)
+    unpack = _unpack if ceiling <= _PACKED_MAX_TOTAL else _unpack_long
+    dists = [Counter({0: 1})]
+    packed = 1
+    for m in range(k, k - max_len, -1):
+        packed *= ((1 << width * m) - 1) // ((1 << width) - 1) << width
+        if mask is not None:
+            packed &= mask
+        dists.append(unpack(packed, width))
+    return dists
+
+
 def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """dists[l] = Counter {total cost: number of injective length-l words
     paying it from start}, l = 0..max_len. With a budget, a prefix costing
     more is dropped with its extensions (costs are non-negative).
+
+    From the root of a SubsetDfa the layers are the closed-form Mahonian
+    products of _subset_root_layers; every other start and automaton runs
+    the DP below.
 
     Layered subset DP (Bellman 1962; Held & Karp 1962): a prefix's future
     depends only on (state, set of letters read), so each layer maps such
@@ -414,15 +473,15 @@ def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
     mostly empty digits and _injective_cost_layers_sparse runs instead.
     """
     k = dfa.alphabet_size
+    if isinstance(dfa, SubsetDfa) and start == 0:
+        return _subset_root_layers(k, max_len, budget)
     ceiling = max_len * _largest_finite_cost(dfa)
     if ceiling > _PACKED_MAX_TOTAL:
         return _injective_cost_layers_sparse(dfa, start, max_len, budget)
     step, step_cost = dfa.step, dfa.step_cost
     letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]
     width = math.perm(k, max_len).bit_length()
-    mask = None
-    if budget is not None and budget < ceiling:
-        mask = (1 << width * (budget + 1)) - 1 if budget >= 0 else 0
+    mask = _budget_mask(budget, ceiling, width)
     dists = [Counter({0: 1})]
     frontier = {(start, 0): 1}
     infinite: dict = {}
@@ -513,9 +572,10 @@ def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> 
     """How many permutations of [k], walked from the root, cost at most
     budget.
 
-    The (state, letters read) DP of _injective_cost_layers, at most
-    |V| * 2^k entries per layer, drops prefixes over the budget, so tight
-    budgets stay cheap. The cap on k is unchanged.
+    _injective_cost_layers (the Mahonian product on SubsetDfa, otherwise
+    the (state, letters read) DP, at most |V| * 2^k entries per layer)
+    drops prefixes over the budget, so tight budgets stay cheap. The cap
+    on k is unchanged.
     """
     k = dfa.alphabet_size
     if k > max_k:
@@ -526,8 +586,10 @@ def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> 
 def perm_cost_census(dfa: Dfa, *, max_k: int = MAX_FACTORIAL_K) -> dict:
     """Exact distribution {total cost: count} of root walk costs over all
     permutations of [k]. Infinite totals are keyed by INFINITY. Computed
-    by the (state, letters read) DP of _injective_cost_layers, at most
-    |V| * 2^k entries per layer; the cap on k is unchanged.
+    by _injective_cost_layers: on SubsetDfa the closed-form Mahonian
+    product prod (q + ... + q^m), m = 1..k, otherwise the (state, letters
+    read) DP, at most |V| * 2^k entries per layer; the cap on k is
+    unchanged.
     """
     k = dfa.alphabet_size
     if k > max_k:

@@ -216,9 +216,11 @@ def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = M
     """Cost distribution of every injective walk from start, per length.
 
     Returns a list dists with dists[L] = Counter {total cost: number of
-    injective length-L words paying it}, from one layered DP over (state,
-    set of letters read) with at most |V| * 2^k entries per layer. The cap
-    still counts the injective words of lengths 1..max_len.
+    injective length-L words paying it}. From the root of a SubsetDfa it
+    is the closed-form product prod (q + ... + q^m) over m = k-L+1..k;
+    otherwise one layered DP over (state, set of letters read) with at
+    most |V| * 2^k entries per layer. The cap still counts the injective
+    words of lengths 1..max_len.
     """
     k = dfa.alphabet_size
     if not dfa.has_state(start):

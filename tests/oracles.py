@@ -5,8 +5,9 @@ deliberately avoiding the value-subset/greedy reduction and the automaton
 machinery used by the library itself. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
-without the subset DP, and the X-rank and T-count oracles read ranks and
-counts off cost rows.
+without the subset DP; the Mahonian oracle convolves the subset
+automaton's rank distributions term by term, without packed integers; and
+the X-rank and T-count oracles read ranks and counts off cost rows.
 """
 
 from collections import Counter
@@ -131,4 +132,20 @@ def literal_x_ranks(dfa, word):
 def literal_t_counts(dfa, prefix, x):
     """{state: number of prefix letters t with cost(state, t) <= x}, read
     off cost_row state by state."""
-    return {v: sum(1 for t in prefix if dfa.cost_row(v)[t - 1] <= x) for v in dfa.states}
+    rows = ((v, dfa.cost_row(v)) for v in dfa.states)
+    return {v: sum(1 for t in prefix if row[t - 1] <= x) for v, row in rows}
+
+
+def shifted_mahonian(pool_sizes):
+    """Coefficients of prod_m (q + q^2 + ... + q^m) over the pool sizes, as
+    {exponent: coefficient} (OEIS A008302, shifted), by naive convolution:
+    the cost distribution of the subset automaton from the root, one
+    factor per letter read."""
+    poly = {0: 1}
+    for m in pool_sizes:
+        nxt = Counter()
+        for e, c in poly.items():
+            for r in range(1, m + 1):
+                nxt[e + r] += c
+        poly = nxt
+    return dict(poly)

@@ -19,6 +19,8 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
 from superpatterns.bounds import forL_bound, infeasibility
 from superpatterns.cli import main as cli_main
 from superpatterns.dfa import (
@@ -43,10 +45,13 @@ from superpatterns.patterns import (
 )
 from superpatterns.walks import (
     cost_distributions_by_length,
+    exact_P,
     exact_P_max,
     sample_x_sums,
     xy_decompose,
 )
+
+from oracles import shifted_mahonian
 
 EXAMPLE_1232_EDGES = [
     (0, 1, 1, 1),
@@ -326,6 +331,34 @@ def test_criterion_09c_x_tail_bound_k60(capsys):
         _report(9, f"[9c] tail freq {tail:g} <= exp(-32 eps^2 k/3) + 3 sigma", t0, 60)
 
 
+@pytest.fixture(scope="module")
+def subset_root_k60():
+    """SubsetDfa(60), the injective-word count that exact_P's unchanged
+    cap must admit at L = 60, and its k = L = 60 root layer: {sum X: count}
+    over S_60, since Y = 0 on this automaton, checked against the tests'
+    Mahonian oracle."""
+    k = 60
+    s, words = build_subset_dfa(k), sum(math.perm(k, L) for L in range(1, k + 1))
+    census = cost_distributions_by_length(s, 0, k, max_words=words)[k]
+    assert census == shifted_mahonian(range(k, 0, -1))
+    return s, words, census
+
+
+def test_criterion_09c_exact_tail_k60(capsys, subset_root_k60):
+    # exact companion of 09c: P(sum X <= (1/2 - 0.35) k^2 = 0.15 k^2)
+    t0 = time.perf_counter()
+    k = 60
+    s, words, census = subset_root_k60
+    tail = exact_P(s, 0, k, 0.35, strict=False, max_words=words)
+    assert tail == Fraction(
+        sum(n for c, n in census.items() if c <= 540), math.factorial(k)
+    )
+    bound = math.exp(-32 * 0.01 * k / 3)
+    assert tail <= bound
+    with capsys.disabled():
+        _report(9, f"[9c] exact tail {float(tail):.3g} <= exp(-32 eps^2 k/3) = {bound:.3g}", t0, 60)
+
+
 def test_criterion_09d_x_mean_k60_true_value(capsys):
     t0 = time.perf_counter()
     k, samples = 60, 10**5
@@ -340,6 +373,17 @@ def test_criterion_09d_x_mean_k60_true_value(capsys):
             t0,
             60,
         )
+
+
+def test_criterion_09d_exact_mean_k60(capsys, subset_root_k60):
+    # exact companion of 09d: the mean of the k = 60 root census
+    t0 = time.perf_counter()
+    k = 60
+    _, _, census = subset_root_k60
+    mean = Fraction(sum(c * n for c, n in census.items()), math.factorial(k))
+    assert mean == Fraction(k * k + 3 * k, 4) == 945
+    with capsys.disabled():
+        _report(9, f"[9d] exact E[sum X] = {mean} = (k^2+3k)/4 at k=60", t0, 60)
 
 
 def test_criterion_10_doubling_inequality(capsys):

@@ -540,18 +540,59 @@ def _cli_argv(draw):
     return argv + flag("--list", odds=2)
 
 
+@st.composite
+def _exact_argv(draw):
+    """exact-p or dfa census argv on the subset or two-track automaton with
+    k <= 8: L from -1 to k+1, epsilons inside and outside [0, 1/2] (NaN and
+    infinities too), states, budgets and caps; the optional flags may be
+    missing."""
+    k = draw(st.integers(-1, 8))
+    epsilon = draw(
+        st.sampled_from([0.0, 0.1, 0.25, 0.35, 0.5])
+        | st.floats(-1, 2)
+        | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    )
+
+    def flag(name, *values, odds=3):
+        # the flag appears in odds of 4 draws
+        return [name, *map(str, values)] if draw(st.integers(1, 4)) <= odds else []
+
+    automaton = ["--dfa", draw(st.sampled_from(["subset", "two-track"])), "--k", str(k)]
+    automaton += flag("--max-k", draw(st.integers(0, 9)), odds=1)
+    if draw(st.booleans()):
+        return [
+            "dfa", "census", *automaton, *flag("--budget", draw(st.integers(-2, 70)), odds=2)
+        ]
+    return [
+        "exact-p", *automaton, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
+        # --name=value, so a negative value is not read as a flag
+        f"--L={draw(st.integers(-1, max(k, 0) + 1))}", f"--epsilon={epsilon!r}",
+        *flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=2),
+        *flag("--state", draw(st.integers(-5, 2**max(k, 0))), odds=1),
+    ]
+
+
+def _assert_cli_contract(argv, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert json.loads(out.getvalue())["command"] == command
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1, argv
+
+
 class TestCliFuzz:
     @given(_cli_argv())
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_one_line_diagnostic(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue()
-        if rc == 0:
-            assert json.loads(out.getvalue())["command"] == argv[0]
-            assert err.getvalue() == ""
-        else:
-            assert out.getvalue() == ""
-            assert len(err.getvalue().strip().splitlines()) == 1, argv
+        _assert_cli_contract(argv, argv[0])
+
+    @given(_exact_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_p_and_dfa_census(self, argv):
+        _assert_cli_contract(argv, "dfa census" if argv[0] == "dfa" else argv[0])

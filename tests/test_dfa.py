@@ -30,7 +30,7 @@ from superpatterns.errors import CheapeningError, ResourceLimitError
 from superpatterns.patterns import as_word, pattern_set
 from superpatterns.walks import cost_distributions_by_length, exact_P, exact_P_max
 
-from oracles import brute_injective_costs, brute_is_pattern
+from oracles import brute_injective_costs, brute_is_pattern, shifted_mahonian
 
 # Hand-checked edge list of the greedy automaton for the word 1,2,3,2:
 # every finite-cost edge as (state, letter, successor, cost).
@@ -427,20 +427,6 @@ class TestInjectiveCostLayers:
                 assert cheap_perm_count(s, budget) == sum(within(census, budget).values())
 
 
-def mahonian(sizes):
-    """Coefficients of prod (q + q^2 + ... + q^m) over m in sizes, as
-    {exponent: coefficient}: the cost distribution of the subset automaton
-    from the root, one factor per letter read."""
-    poly = Counter({0: 1})
-    for m in sizes:
-        out = Counter()
-        for e, n in poly.items():
-            for step in range(1, m + 1):
-                out[e + step] += n
-        poly = out
-    return dict(poly)
-
-
 def greedy_with_infinity():
     a = build_greedy_dfa(as_word((1, 2, 3, 2, 4, 1), 4))
     assert INFINITY in brute_injective_costs(a, a.root, 4)
@@ -504,9 +490,9 @@ class TestPackedKernel:
         for k, L in ((60, 3), (12, 12), (12, 5)):
             got = cost_distributions_by_length(build_subset_dfa(k), 0, L, max_words=10**10)
             for l in range(L + 1):
-                assert got[l] == mahonian(range(k, k - l, -1)), (k, l)
+                assert got[l] == shifted_mahonian(range(k, k - l, -1)), (k, l)
         census = perm_cost_census(build_subset_dfa(12), max_k=12)
-        assert census == mahonian(range(12, 0, -1))
+        assert census == shifted_mahonian(range(12, 0, -1))
         assert sum(census.values()) == math.factorial(12)
         assert cheap_perm_count(build_subset_dfa(12), 30, max_k=12) == sum(
             n for c, n in census.items() if c <= 30
@@ -573,6 +559,86 @@ class TestPackedKernel:
                     assert _injective_cost_layers(dfa, start, max_len, budget) == (
                         dfa_module._injective_cost_layers_sparse(dfa, start, max_len, budget)
                     )
+
+
+def subset_as_table(k):
+    """SubsetDfa(k) copied into a WeightedDfa from its delta_row/cost_row,
+    so _injective_cost_layers runs its DP on the same costs."""
+    s = build_subset_dfa(k)
+    return WeightedDfa(
+        k, 0, {v: s.delta_row(v) for v in s.states}, {v: s.cost_row(v) for v in s.states}
+    )
+
+
+class TestSubsetRootClosedForm:
+    """The closed-form Mahonian layers from the subset root against the DP
+    they replaced, run on a table copy of the same automaton."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_layers_match_the_dp(self, k):
+        s, table = build_subset_dfa(k), subset_as_table(k)
+        # the root takes the closed form; a start inside the lattice keeps
+        # the DP on both automata
+        for start in (0, 0b00101 & ((1 << k) - 1)):
+            for max_len in range(k + 1):
+                ceiling = max_len * k
+                for budget in (None, -1, 0, ceiling // 2, ceiling, ceiling + 1, 10**9):
+                    closed = _injective_cost_layers(s, start, max_len, budget)
+                    dp = _injective_cost_layers(table, start, max_len, budget)
+                    # key order too, so printed outputs stay byte-identical
+                    assert [list(c.items()) for c in closed] == [
+                        list(c.items()) for c in dp
+                    ], (k, start, max_len, budget)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_callers_match_the_dp(self, k):
+        s, table = build_subset_dfa(k), subset_as_table(k)
+        census = perm_cost_census(s)
+        assert list(census.items()) == list(perm_cost_census(table).items())
+        for budget in range(-1, k * k + 2):
+            assert cheap_perm_count(s, budget) == cheap_perm_count(table, budget), budget
+        for L in range(k + 1):
+            for eps in (0.0, 0.1, 0.25, 0.35, 0.5):
+                for strict in (True, False):
+                    assert exact_P(s, 0, L, eps, strict=strict) == exact_P(
+                        table, 0, L, eps, strict=strict
+                    ), (L, eps, strict)
+
+    @pytest.mark.parametrize("width", [1, 3, 17, 64])
+    def test_long_decode_matches_unpack(self, width):
+        rng = random.Random(width)
+        for digits in (0, 1, 1024, 1025, 2049, 5000):
+            # runs of empty digits inside and at the top
+            values = [rng.choice((0, 0, rng.randrange(1 << width))) for _ in range(digits)]
+            packed = sum(n << width * c for c, n in enumerate(values))
+            want = dfa_module._unpack(packed, width)
+            got = dfa_module._unpack_long(packed, width)
+            assert list(got.items()) == list(want.items()), digits
+
+    @pytest.mark.parametrize("max_len, budget", [(26, None), (30, None), (30, 500)])
+    def test_layers_past_the_packed_size_match_the_oracle(self, max_len, budget):
+        # k * max_len > _PACKED_MAX_TOTAL: the layers take _unpack_long
+        k = 40
+        assert k * max_len > dfa_module._PACKED_MAX_TOTAL
+        layers = _injective_cost_layers(build_subset_dfa(k), 0, max_len, budget)
+        for L in (0, 1, max_len // 2, max_len):
+            got, want = layers[L], shifted_mahonian(range(k, k - L, -1))
+            if budget is not None:
+                want = {c: n for c, n in want.items() if c <= budget}
+            assert got == want, L
+            assert list(got) == sorted(got)
+
+    def test_one_letter_at_a_million_is_linear(self):
+        # 10^6 one-letter words, inside the default cap: decoding the
+        # 10^6-digit layer with _unpack's shift per digit took minutes
+        k = 10**6
+        began = time.perf_counter()
+        dists = cost_distributions_by_length(build_subset_dfa(k), 0, 1)
+        assert time.perf_counter() - began < 30.0
+        assert list(dists[0].items()) == [(0, 1)]
+        assert len(dists[1]) == k
+        assert list(dists[1]) == list(range(1, k + 1))
+        assert set(dists[1].values()) == {1}
 
 
 class TestRandomKDfa:

@@ -47,6 +47,7 @@ from superpatterns.walks import (
 from oracles import (
     literal_t_counts,
     literal_x_ranks,
+    shifted_mahonian,
     stream_below,
     stream_injective_word,
     stream_words,
@@ -414,19 +415,6 @@ class TestEpsilonTies:
             assert exact_P(s, 0, 5, eps, strict=True) == Fraction(49, 120)
 
 
-def shifted_mahonian(pool_sizes):
-    """Coefficients of prod_m (q + q^2 + ... + q^m) over the pool sizes,
-    as {exponent: coefficient} (OEIS A008302, shifted)."""
-    poly = {0: 1}
-    for m in pool_sizes:
-        nxt = Counter()
-        for e, c in poly.items():
-            for r in range(1, m + 1):
-                nxt[e + r] += c
-        poly = nxt
-    return dict(poly)
-
-
 class TestCostDistributionsByLength:
     def test_matches_permutation_walk_from_every_start(self):
         rng = random.Random(61)
@@ -706,7 +694,7 @@ class TestTStatistic:
             for _ in range(20):
                 plen = rng.randint(0, k)
                 prefix = sample_perm_word(k, plen, rng).letters
-                for x in range(0, k + 1):
+                for x in (*range(0, k + 1), k + 0.5, 2 * k):
                     assert s.min_t_statistic(plen, x) == t_statistic(s, prefix, x)[1]
 
     def test_y_dominates_t_at_walk_state(self):
@@ -750,6 +738,22 @@ class TestTCountsOracle:
                 assert per_state == want
                 assert list(per_state) == list(dfa.states)
                 assert mn == min(want.values())
+                assert all(type(c) is int for c in (mn, *per_state.values()))
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 14])
+    def test_subset_counts_match_the_literal_oracle(self, k):
+        # up to the k = 14 subset automaton, and x past k, where every
+        # state counts the whole prefix
+        dfa = build_subset_dfa(k)
+        rng = random.Random(100 + k)
+        for L in (1, k // 2, k):
+            prefix = sample_perm_word(k, L, rng).letters
+            for x in (k // 2, k / 3, Fraction(2 * k + 1, 3), k + 1.5):
+                per_state, mn = t_statistic(dfa, prefix, x)
+                want = literal_t_counts(dfa, prefix, x)
+                assert per_state == want, (prefix, x)
+                assert list(per_state) == list(dfa.states)
+                assert mn == min(want.values()) == dfa.min_t_statistic(L, x)
                 assert all(type(c) is int for c in (mn, *per_state.values()))
 
     @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
