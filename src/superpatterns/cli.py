@@ -17,7 +17,6 @@ import sys
 from . import bounds as B
 from . import dfa as D
 from . import patterns as P
-from . import walks as W
 from .errors import ResourceLimitError
 
 SCHEMA_VERSION = 1
@@ -266,17 +265,10 @@ def _cmd_dfa(args, caps):
     if args.action == "cost":
         if args.walk_word is None:
             raise ValueError("dfa cost needs --walk-word")
-        start = dfa.root if args.start is None else args.start
-        trace = D.walk_cost(dfa, start, args.walk_word)
-        _emit(
-            {
-                "command": "dfa cost",
-                "start": start,
-                "walk_word": list(args.walk_word),
-                "total_cost": D._cost_to_jsonable(trace.total_cost),
-            },
-            args.format,
-        )
+        # the walk's start, word and total: no states or step costs
+        walk = _walk_payload(args, dfa)
+        keys = ("start", "walk_word", "total_cost")
+        _emit({"command": "dfa cost", **{key: walk[key] for key in keys}}, args.format)
         return
     # census
     census = D.perm_cost_census(dfa, max_k=caps["max_k"])
@@ -301,24 +293,26 @@ def _cmd_cheapen(args, caps):
     _emit_dfa(D.cheapen(dfa), args.format, args.include_infinite)
 
 
-def _cmd_walk(args, caps):
-    dfa = _build_dfa(args)
+def _walk_payload(args, dfa) -> dict:
     start = dfa.root if args.start is None else args.start
     trace = D.walk_cost(dfa, start, args.walk_word)
-    _emit(
-        {
-            "command": "walk",
-            "start": start,
-            "walk_word": list(args.walk_word),
-            "states": list(trace.states),
-            "step_costs": [D._cost_to_jsonable(c) for c in trace.step_costs],
-            "total_cost": D._cost_to_jsonable(trace.total_cost),
-        },
-        args.format,
-    )
+    return {
+        "command": "walk",
+        "start": start,
+        "walk_word": list(args.walk_word),
+        "states": list(trace.states),
+        "step_costs": [D._cost_to_jsonable(c) for c in trace.step_costs],
+        "total_cost": D._cost_to_jsonable(trace.total_cost),
+    }
+
+
+def _cmd_walk(args, caps):
+    _emit(_walk_payload(args, _build_dfa(args)), args.format)
 
 
 def _cmd_exact_p(args, caps):
+    from . import walks as W  # numpy: only the walk commands load it
+
     caps = _effective_caps(args, caps)
     dfa = _build_dfa(args)
     state = dfa.root if args.state is None else args.state
@@ -343,6 +337,8 @@ def _cmd_exact_p(args, caps):
 
 
 def _cmd_estimate_p(args, caps):
+    from . import walks as W  # numpy: only the walk commands load it
+
     dfa = _build_dfa(args)
     state = dfa.root if args.state is None else args.state
     rep = W.estimate_P(
@@ -353,6 +349,8 @@ def _cmd_estimate_p(args, caps):
 
 
 def _cmd_decompose(args, caps):
+    from . import walks as W  # numpy: only the walk commands load it
+
     dfa = _build_dfa(args)
     tau = _read_perm(args)
     dec = W.xy_decompose(dfa, tau)
@@ -372,6 +370,8 @@ def _cmd_decompose(args, caps):
 
 
 def _cmd_concentration(args, caps):
+    from . import walks as W  # numpy: only the walk commands load it
+
     if args.threads < 1:
         raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)

@@ -102,7 +102,7 @@ class WeightedDfa:
                 if u not in delta:
                     raise ValueError(f"state {v!r}: successor {u!r} unknown")
             for c in cost[v]:
-                if c != INFINITY and (not isinstance(c, int) or c < 0):
+                if c != INFINITY and (type(c) is not int or c < 0):
                     raise ValueError(f"state {v!r}: bad cost {c!r}")
         self.alphabet_size = k
         self.root = root
@@ -635,7 +635,15 @@ def _cost_to_jsonable(c: ExtCost):
 
 
 def _cost_from_jsonable(c) -> ExtCost:
-    return INFINITY if c == "inf" else int(c)
+    # WeightedDfa rejects anything but a non-negative int or INFINITY
+    return INFINITY if c == "inf" else c
+
+
+def _state_from_jsonable(v):
+    # true == 1 as a dict key, so a boolean would pass for state 1
+    if type(v) is bool:
+        raise ValueError(f"state names may not be booleans, got {v!r}")
+    return v
 
 
 def dfa_to_json_dict(dfa: Dfa) -> dict:
@@ -671,17 +679,27 @@ def dfa_to_json(dfa: Dfa) -> str:
 
 
 def dfa_from_json_dict(doc: dict) -> WeightedDfa:
-    k = int(doc["alphabet_size"])
-    delta = {}
-    cost = {}
-    for row in doc["rows"]:
-        v = row["state"]
-        edges = sorted(row["edges"], key=lambda e: e["letter"])
-        if [e["letter"] for e in edges] != list(range(1, k + 1)):
-            raise ValueError(f"state {v!r}: rows must cover letters 1..{k}")
-        delta[v] = tuple(e["next"] for e in edges)
-        cost[v] = tuple(_cost_from_jsonable(e["cost"]) for e in edges)
-    return WeightedDfa(k, doc["root"], delta, cost)
+    """Inverse of dfa_to_json_dict. Any other shape (a missing key, a
+    non-integer alphabet size or cost, a boolean state, a state given two
+    rows) is a ValueError."""
+    try:
+        k = doc["alphabet_size"]
+        if type(k) is not int:
+            raise ValueError(f"alphabet_size must be an integer, got {k!r}")
+        delta = {}
+        cost = {}
+        for row in doc["rows"]:
+            v = _state_from_jsonable(row["state"])
+            if v in delta:
+                raise ValueError(f"state {v!r} has two rows")
+            edges = sorted(row["edges"], key=lambda e: e["letter"])
+            if [e["letter"] for e in edges] != list(range(1, k + 1)):
+                raise ValueError(f"state {v!r}: rows must cover letters 1..{k}")
+            delta[v] = tuple(_state_from_jsonable(e["next"]) for e in edges)
+            cost[v] = tuple(_cost_from_jsonable(e["cost"]) for e in edges)
+        return WeightedDfa(k, _state_from_jsonable(doc["root"]), delta, cost)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed automaton document ({type(e).__name__}: {e})") from None
 
 
 def dfa_from_json(text: str) -> WeightedDfa:

@@ -419,8 +419,13 @@ def _walk_totals(dfa, start, words: np.ndarray, tables) -> np.ndarray:
 
 
 def clopper_pearson(successes: int, samples: int, confidence: float = 0.99):
-    """Exact binomial (Clopper-Pearson) confidence interval."""
-    from scipy.stats import beta  # on first use: most of the import time
+    """Exact binomial (Clopper-Pearson) confidence interval.
+
+    Each limit is a beta quantile: one betaincinv(a, b, q) ufunc call, the
+    inverse regularized incomplete beta function (Boost's ibeta_inv), so
+    scipy's statistics module is never imported.
+    """
+    from scipy.special import betaincinv  # on first use, not at package import
 
     if not (0 <= successes <= samples) or samples <= 0:
         raise ValueError("need 0 <= successes <= samples, samples > 0")
@@ -428,11 +433,11 @@ def clopper_pearson(successes: int, samples: int, confidence: float = 0.99):
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(beta.ppf(alpha / 2, successes, samples - successes + 1))
+        lo = float(betaincinv(successes, samples - successes + 1, alpha / 2))
     if successes == samples:
         hi = 1.0
     else:
-        hi = float(beta.ppf(1 - alpha / 2, successes + 1, samples - successes))
+        hi = float(betaincinv(successes + 1, samples - successes, 1 - alpha / 2))
     return lo, hi
 
 

@@ -105,7 +105,11 @@ class TestDfaCommands:
         rc, out, _ = run_cli(
             capsys, "dfa", "cost", "subset", "--k", "3", "--walk-word", "3", "2", "1"
         )
-        assert json.loads(out)["total_cost"] == 6
+        # the walk's start, word and total only: no states or step costs
+        assert out == (
+            '{"command": "dfa cost", "schema_version": 1, "start": 0, '
+            '"total_cost": 6, "walk_word": [3, 2, 1]}\n'
+        )
         rc, out, _ = run_cli(
             capsys, "dfa", "census", "subset", "--k", "3", "--budget", "2"
         )
@@ -382,6 +386,35 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "--perm" in err and "--k" in err
 
+    # automaton documents of the wrong shape: each is refused with one line,
+    # never a KeyError or TypeError, a dropped row or a rounded number
+    ONE_ROW = '{"alphabet_size": 1, "root": 0, "rows": [%s]}'
+    ROW = '{"state": 0, "edges": [{"letter": 1, "next": %s, "cost": %s}]}'
+    MALFORMED_AUTOMATA = {
+        "empty object": "{}",
+        "list": "[]",
+        "null": "null",
+        "row without edges": ONE_ROW % '{"state": 0}',
+        "rows not a list": '{"alphabet_size": 1, "root": 0, "rows": 5}',
+        "list successor": ONE_ROW % (ROW % ("[0]", "1")),
+        "boolean successor": ONE_ROW % f'{ROW % ("true", "1")}, {ROW.replace("0", "1", 1) % ("0", "1")}',
+        "boolean root": ONE_ROW.replace('"root": 0', '"root": false') % (ROW % ("0", "1")),
+        "null cost": ONE_ROW % (ROW % ("0", "null")),
+        "fractional cost": ONE_ROW % (ROW % ("0", "1.5")),
+        "boolean cost": ONE_ROW % (ROW % ("0", "true")),
+        "fractional alphabet": ONE_ROW.replace("1,", "1.7,", 1) % (ROW % ("0", "1")),
+        "boolean alphabet": ONE_ROW.replace("1,", "true,", 1) % (ROW % ("0", "1")),
+        "state given twice": ONE_ROW % f'{ROW % ("0", "1")}, {ROW % ("0", "2")}',
+    }
+
+    @pytest.mark.parametrize("doc", MALFORMED_AUTOMATA.values(), ids=MALFORMED_AUTOMATA)
+    def test_malformed_automaton_file_is_one_line_exit_1(self, capsys, tmp_path, doc):
+        path = tmp_path / "dfa.json"
+        path.write_text(doc)
+        rc, out, err = run_cli(capsys, "walk", "file", "--in", str(path), "--walk-word", "1")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_resource_error_is_2(self, capsys):
         rc, _, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "11")
         assert rc == 2
@@ -505,36 +538,140 @@ class TestEnvCaps:
         assert var in err
 
 
+def _fresh_interpreter_prints(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# run a subcommand with its JSON sent to /dev/null, then print a module check
+_MAIN_THEN = (
+    "import contextlib, os, sys\n"
+    "from superpatterns.cli import main\n"
+    "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+    "    assert main({argv!r}) == 0\n"
+    "print({check})\n"
+)
+
+
 class TestStartup:
     def test_cli_import_does_not_load_scipy(self):
         code = "import sys, superpatterns.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+        assert _fresh_interpreter_prints(code) == "False"
+
+    def test_clopper_pearson_does_not_load_scipy_stats(self):
+        code = (
+            "import sys; from superpatterns import clopper_pearson\n"
+            "clopper_pearson(3, 10); print('scipy.stats' in sys.modules)"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert _fresh_interpreter_prints(code) == "False"
+
+    def test_estimate_p_does_not_load_scipy_stats(self):
+        argv = ["estimate-p", "--dfa", "subset", "--k", "6", "--L", "6",
+                "--epsilon", "0.1", "--samples", "200", "--seed", "1"]
+        code = _MAIN_THEN.format(argv=argv, check="'scipy.stats' in sys.modules")
+        assert _fresh_interpreter_prints(code) == "False"
+
+    def test_contains_does_not_load_numpy(self):
+        argv = ["contains", "--word", "1", "3", "2", "4", "2", "--perm", "1", "3", "2"]
+        code = _MAIN_THEN.format(argv=argv, check="'numpy' in sys.modules")
+        assert _fresh_interpreter_prints(code) == "False"
+
+
+_AUTOMATON_COMMANDS = ["decompose", "dfa", "cheapen", "walk", "estimate-p", "concentration"]
+_FLOATS = (
+    st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5])
+    | st.sampled_from([0.0, 1.0, float("nan"), float("inf"), float("-inf")])
+    | st.floats(-1, 3)
+)
 
 
 @st.composite
 def _cli_argv(draw):
-    """bcp, census or decompose argv over small integers; most draws are
-    in the domain, some are not, and each flag may be missing."""
-    command = draw(st.sampled_from(["bcp", "census", "decompose"]))
+    """argv of every subcommand but exact-p (see _exact_argv) over small
+    integers; most draws are in the domain, some are not. In half the draws
+    every flag a command needs is there, in the rest each may be missing.
+    k, n, --samples and the search sizes stay small: they size real work."""
+    # half the draws go to bcp, census and decompose, as many as when they were the only ones
+    command = draw(st.sampled_from(["bcp", "census", "decompose"]) | st.sampled_from([
+        "contains", "superpattern", "f-oracle", "bounds",
+        "dfa", "cheapen", "walk", "estimate-p", "concentration",
+    ]))
     small = st.integers(-2, 7)
     k = draw(st.integers(-2, 6))
     word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7) | st.lists(small, max_size=7))
-    perm = draw(st.permutations(range(1, max(k, 0) + 1)) | st.lists(small, max_size=6))
+    perm = draw(st.permutations(range(1, max(k, 1) + 1)) | st.lists(small, max_size=6))
+    needed = 4 if draw(st.booleans()) else 3
 
-    def flag(name, *values, odds=3):
+    def flag(name, *values, odds=needed):
         # the flag appears in odds of 4 draws
         return [name, *map(str, values)] if draw(st.integers(1, 4)) <= odds else []
 
-    argv = [command, *flag("--word", *word), *flag("--k", k)]
-    if command == "decompose":
-        argv += flag("--dfa", draw(st.sampled_from(["subset", "two-track", "random", "greedy"])))
-        argv += flag("--states", draw(small)) + flag("--perm", *perm)
+    def number(name, values, odds=needed):
+        # --name=value, so a negative value is not read as a flag
+        return [f"{name}={draw(values)!r}"] if draw(st.integers(1, 4)) <= odds else []
+
+    if command == "f-oracle":
+        return [
+            command, *number("--k", st.integers(-1, 4)), *number("--n", st.integers(-1, 6)),
+            *number("--max-k", st.integers(0, 4), odds=1),
+            *number("--max-n", st.integers(0, 6), odds=1),
+        ]
+    if command == "bounds":
+        bound = draw(st.sampled_from(sorted(TestBoundsCommands.REQUIRED)))
+        uses = TestBoundsCommands.REQUIRED[bound][::2]
+        argv = [command, bound]
+        for name in ("--k", "--L", "--n", "--r", "--M"):
+            argv += number(name, small, odds=needed if name in uses else 1)
+        for name in ("--epsilon", "--epsilon-star", "--alpha", "--f", "--log-f"):
+            argv += number(name, _FLOATS, odds=needed if name in uses else 1)
         return argv
+
+    argv = [command]
+    if command == "dfa":
+        argv.append(draw(st.sampled_from(["build", "dot", "cost", "census"])))
+    if command in _AUTOMATON_COMMANDS:
+        # the subset automaton is a k-DFA at every k >= 1, so it is drawn twice as often
+        kind = draw(st.sampled_from(["subset", "subset", "two-track", "random", "greedy", "file"]))
+        if command in ("dfa", "cheapen", "walk") and draw(st.booleans()):
+            argv.append(kind)  # the positional builder
+        else:
+            argv += flag("--dfa", kind)
+        argv += flag("--states", draw(small)) + flag("--dfa-seed", draw(small), odds=1)
+        argv += flag("--in", "no-such-automaton.json", odds=1)
+    # a superpattern search needs --word to be missing
+    argv += flag("--word", *word, odds=1 if command == "superpattern" else needed)
+    if command != "contains":
+        argv += flag("--k", k)
+
+    if command == "decompose":
+        return argv + flag("--perm", *perm)
+    if command == "dfa":
+        argv += flag("--walk-word", *perm, odds=needed if argv[1] == "cost" else 1)
+        argv += flag("--start", draw(small), odds=1)
+        argv += flag("--budget", draw(st.integers(-2, 30)), odds=1)
+        argv += flag("--include-infinite", odds=1) + flag("--max-k", draw(small), odds=1)
+        return argv
+    if command == "cheapen":
+        return argv + flag("--include-infinite", odds=2)
+    if command == "walk":
+        return argv + flag("--walk-word", *perm) + flag("--start", draw(small), odds=1)
+    if command in ("estimate-p", "concentration"):
+        argv += number("--samples", st.integers(-1, 40)) + number("--seed", small)
+        argv += number("--threads", st.integers(-1, 3), odds=1)
+        if command == "concentration":
+            return argv + number("--M", st.integers(2, 6) | small) + number("--epsilon-star", _FLOATS)
+        argv += number("--L", st.integers(-1, max(k, 0) + 1)) + number("--epsilon", _FLOATS)
+        argv += number("--state", small, odds=1)
+        return argv + flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=1)
+    if command == "contains":
+        return argv + flag("--perm", *perm) + flag("--r", draw(small), odds=1)
     argv += flag("--r", draw(small), odds=1) + flag("--max-k", draw(small), odds=1)
+    if command == "superpattern":
+        argv += number("--search-r", st.integers(-1, 4)) + number("--n-max", st.integers(-1, 6))
+        return argv + number("--max-enum", st.integers(0, 5000), odds=1)
     if command == "bcp":
         return argv + flag("--perm", *perm, odds=1) + flag("--bidirectional", odds=2)
     return argv + flag("--list", odds=2)
@@ -572,14 +709,28 @@ def _exact_argv(draw):
     ]
 
 
-def _assert_cli_contract(argv, command):
+def _assert_cli_contract(argv):
+    """Exit 0, 1 or 2, no traceback; on success one JSON document (a DOT
+    graph for dfa dot) and nothing on stderr, otherwise nothing on stdout
+    and one line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     if rc == 0:
-        assert json.loads(out.getvalue())["command"] == command
+        if argv[:2] == ["dfa", "dot"]:
+            assert out.getvalue().startswith("digraph {") and out.getvalue().endswith("}\n")
+        else:
+            doc = json.loads(out.getvalue())
+            # dfa build and cheapen print an automaton, with no command field
+            if argv[0] == "dfa" and argv[1] in ("cost", "census"):
+                assert doc["command"] == f"dfa {argv[1]}"
+            elif argv[:2] != ["dfa", "build"] and argv[0] != "cheapen":
+                assert doc["command"] == argv[0]
+            if argv[:2] == ["dfa", "cost"]:
+                # walk's payload without its states and step costs
+                assert list(doc) == ["command", "schema_version", "start", "total_cost", "walk_word"]
         assert err.getvalue() == ""
     else:
         assert out.getvalue() == ""
@@ -588,11 +739,11 @@ def _assert_cli_contract(argv, command):
 
 class TestCliFuzz:
     @given(_cli_argv())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_exit_code_and_one_line_diagnostic(self, argv):
-        _assert_cli_contract(argv, argv[0])
+        _assert_cli_contract(argv)
 
     @given(_exact_argv())
     @settings(max_examples=200, deadline=None)
     def test_exact_p_and_dfa_census(self, argv):
-        _assert_cli_contract(argv, "dfa census" if argv[0] == "dfa" else argv[0])
+        _assert_cli_contract(argv)

@@ -560,6 +560,22 @@ class TestEstimateP:
         assert rep.ci_low <= want <= rep.ci_high
 
 
+class TestPackageExports:
+    # superpatterns serves walks' names lazily from its own copy of the list
+    def test_lazy_names_are_walks_all(self):
+        import superpatterns
+
+        assert superpatterns._WALKS_EXPORTS == set(W.__all__)
+
+    def test_star_import_and_dir_include_walks(self):
+        import superpatterns
+
+        namespace = {}
+        exec("from superpatterns import *", namespace)
+        assert set(W.__all__) | {"walks"} <= set(namespace) & set(dir(superpatterns))
+        assert namespace["estimate_P"] is W.estimate_P
+
+
 class TestClopperPearson:
     def test_edges(self):
         lo, hi = clopper_pearson(0, 50)
@@ -573,6 +589,36 @@ class TestClopperPearson:
         lo99 = clopper_pearson(25, 50, 0.99)
         lo95 = clopper_pearson(25, 50, 0.95)
         assert lo99[0] < lo95[0] and lo99[1] > lo95[1]
+
+    @staticmethod
+    def _grid():
+        """(successes, samples) pairs: every x for n <= 120, and for larger n
+        seeded x plus 0, 1, n - 1 and n."""
+        for n in range(1, 121):
+            for x in range(n + 1):
+                yield x, n
+        for n in (200, 500, 2000, 20000, 10**6):
+            seeded = random.Random(n).sample(range(2, n - 1), 40)
+            for x in sorted({0, 1, n - 1, n, *seeded}):
+                yield x, n
+
+    @pytest.mark.parametrize("confidence", [0.99, 0.95, 0.9, 0.5])
+    def test_bit_identical_to_scipy_stats_beta_ppf(self, confidence):
+        # the formulas clopper_pearson used before it called betaincinv,
+        # vectorised; scipy.stats is imported by this test only
+        from scipy.stats import beta
+
+        x, n = (np.array(col) for col in zip(*self._grid()))
+        alpha = 1.0 - confidence
+        with np.errstate(invalid="ignore"):
+            want_lo = np.where(x == 0, 0.0, beta.ppf(alpha / 2, x, n - x + 1))
+            want_hi = np.where(x == n, 1.0, beta.ppf(1 - alpha / 2, x + 1, n - x))
+        got = np.array(
+            [clopper_pearson(int(s), int(m), confidence) for s, m in zip(x, n)]
+        )
+        # compare bit patterns, so equal-but-different floats cannot pass
+        assert np.array_equal(got[:, 0].view(np.uint64), want_lo.view(np.uint64))
+        assert np.array_equal(got[:, 1].view(np.uint64), want_hi.view(np.uint64))
 
 
 class TestXYDecompose:
