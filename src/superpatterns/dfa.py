@@ -363,8 +363,8 @@ def build_two_track_dfa(k: int) -> WeightedDfa:
 
 
 # Largest max_len * (largest finite step cost) the packed histograms of
-# _injective_cost_layers take on; past it an integer would hold mostly
-# empty digits, and the sparse {cost: count} dicts are cheaper.
+# _cost_layers take on; past it an integer would hold mostly empty
+# digits, and the sparse {cost: count} dicts are cheaper.
 _PACKED_MAX_TOTAL = 1 << 10
 
 
@@ -375,6 +375,72 @@ def _largest_finite_cost(dfa: Dfa) -> int:
         (c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY),
         default=0,
     )
+
+
+def _whole_budget(budget):
+    """A budget as the largest total it admits, or None for every total.
+    Totals are whole numbers or INFINITY, so a real budget admits those up
+    to its floor (a negative one admits none) and INFINITY admits all."""
+    if budget is None or budget == INFINITY:
+        return None
+    return -1 if budget < 0 else math.floor(budget)
+
+
+class _SubsetRows:
+    """The edge rows of SubsetDfa(k) in _edge_rows' form, costs times
+    scale, computed from the rank formula at each lookup and never stored.
+    A subset state is its own index. Off the root a walk meets up to
+    C(k, l) states per layer: keeping a row of k edges for each of them
+    peaked at 21 MB (tracemalloc) at k = 64, start 1, L = 3, where the
+    whole DP peaks at 0.55 MB."""
+
+    __slots__ = ("k", "scale")
+
+    def __init__(self, k: int, scale: int):
+        self.k = k
+        self.scale = scale
+
+    def __getitem__(self, v: int) -> list:
+        # step_cost's ranks: letters outside v take 1..k-|v| in letter
+        # order, letters inside it k-|v|+1..k
+        k, scale = self.k, self.scale
+        inside = k - v.bit_count() + 1
+        below = 0
+        row = []
+        bit = 1
+        for t in range(1, k + 1):
+            if v & bit:
+                row.append((bit, bit, scale * (inside + below)))
+                below += 1
+            else:
+                row.append((bit, (bit << k) + bit, scale * (t - below)))
+            bit <<= 1
+        return row
+
+
+def _edge_rows(dfa: Dfa, start, scale: int) -> tuple:
+    """The subset DP's start key and edge rows, costs times scale.
+
+    A (state, letters read) pair is the integer key index << k | used, with
+    states indexed in dfa.states order (a SubsetDfa state is its own
+    index). rows[index] lists the state's edges in letter order as (bit,
+    key step, scale * cost): reading an unread letter t, bit = 1 << t-1,
+    from index i to successor index j moves the key by ((j - i) << k) +
+    bit, a negative step when j < i. INFINITY stays INFINITY.
+    """
+    k = dfa.alphabet_size
+    if isinstance(dfa, SubsetDfa):
+        return start << k, _SubsetRows(k, scale)
+    states = dfa.states
+    index = {v: i for i, v in enumerate(states)}
+    rows = [
+        tuple(
+            (1 << t, ((index[u] - i) << k) + (1 << t), scale * c)
+            for t, (u, c) in enumerate(zip(dfa.delta_row(v), dfa.cost_row(v)))
+        )
+        for i, v in enumerate(states)
+    ]
+    return index[start] << k, rows
 
 
 def _unpack(packed: int, width: int) -> Counter:
@@ -413,16 +479,35 @@ def _unpack_long(packed: int, width: int) -> Counter:
     return out
 
 
+def _packed_decoder(width: int, ceiling: int):
+    """decode((finite, infinite)) -> the Counter of a packed layer: the
+    histogram of finite totals in ascending order, then INFINITY with the
+    count of words that paid it (the digit sum of infinite). Past
+    _PACKED_MAX_TOTAL possible totals the histogram is read by
+    _unpack_long."""
+    unpack = _unpack if ceiling <= _PACKED_MAX_TOTAL else _unpack_long
+
+    def decode(layer) -> Counter:
+        finite, infinite = layer
+        out = unpack(finite, width)
+        lost = sum(_unpack(infinite, width).values())
+        if lost:
+            out[INFINITY] = lost
+        return out
+
+    return decode
+
+
 def _budget_mask(budget, ceiling: int, width: int):
     """The mask keeping digits 0..budget of a packed histogram, or None
-    when no total can pass the budget."""
+    when no total can pass the budget (a whole number or None)."""
     if budget is None or budget >= ceiling:
         return None
     return (1 << width * (budget + 1)) - 1 if budget >= 0 else 0
 
 
-def _subset_root_layers(k: int, max_len: int, budget=None) -> list:
-    """_injective_cost_layers of SubsetDfa(k) from the root, in closed form.
+def _subset_root_layers(k: int, max_len: int, budget=None) -> tuple:
+    """_cost_layers of SubsetDfa(k) from the root, in closed form.
 
     From the root, letter j of an injective word pays its rank among the
     k-j+1 letters not yet read, and over the words these ranks run through
@@ -430,120 +515,144 @@ def _subset_root_layers(k: int, max_len: int, budget=None) -> list:
     product prod (q + ... + q^m) over m = k-l+1..k (OEIS A008302; Knuth,
     TAOCP vol. 3, 5.1.1). Packed as in the DP, with the same width, each
     layer is one multiplication by q + ... + q^m, and a budget masks each
-    product (no factor lowers a total). Past _PACKED_MAX_TOTAL possible
-    totals the layers are decoded by _unpack_long.
+    product (no factor lowers a total).
     """
     width = math.perm(k, max_len).bit_length()
     ceiling = max_len * k
     mask = _budget_mask(budget, ceiling, width)
-    unpack = _unpack if ceiling <= _PACKED_MAX_TOTAL else _unpack_long
-    dists = [Counter({0: 1})]
+    layers = [(1, 0)]
     packed = 1
     for m in range(k, k - max_len, -1):
         packed *= ((1 << width * m) - 1) // ((1 << width) - 1) << width
         if mask is not None:
             packed &= mask
-        dists.append(unpack(packed, width))
-    return dists
+        layers.append((packed, 0))
+    return layers, _packed_decoder(width, ceiling)
 
 
-def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
-    """dists[l] = Counter {total cost: number of injective length-l words
-    paying it from start}, l = 0..max_len. With a budget, a prefix costing
-    more is dropped with its extensions (costs are non-negative).
+def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
+    """(layers, decode): decode(layers[l]) is the Counter {total cost:
+    number of injective length-l words paying it from start}, l =
+    0..max_len, finite totals ascending and INFINITY last. A budget admits
+    the totals up to its floor (_whole_budget); a prefix costing more is
+    dropped with its extensions (costs are non-negative).
 
     From the root of a SubsetDfa the layers are the closed-form Mahonian
     products of _subset_root_layers; every other start and automaton runs
-    the DP below.
+    the DP below. Both hand back packed layers, so a caller decodes only
+    the lengths it reads.
 
     Layered subset DP (Bellman 1962; Held & Karp 1962): a prefix's future
     depends only on (state, set of letters read), so each layer maps such
-    pairs, at most |V| * 2^k of them, to the cost histogram of the
-    prefixes reaching them; step and step_cost run once per (pair, unread
-    letter), not once per prefix.
+    pairs, at most |V| * 2^k of them, keyed by integers (_edge_rows), to
+    the cost histogram of the prefixes reaching them. Each state's edges
+    are read off its row once per call (the rank formula once per pair on
+    a SubsetDfa), never through step or step_cost.
 
     A histogram is one packed integer (Kronecker substitution): the count
     of prefixes with total c is digit c, width bits wide. No count exceeds
     perm(k, max_len) < 2^width, so digits never carry; paying c is a shift
     by width * c, merging two pairs is an add, and a budget is a mask.
-    Prefixes that paid INFINITY sit in a side dict keyed like the
-    frontier, whose values are the (unshifted) histograms they had when
-    they did. Each layer is decoded once. When max_len times the largest
-    finite step cost passes _PACKED_MAX_TOTAL, the integers would be
-    mostly empty digits and _injective_cost_layers_sparse runs instead.
+    A prefix that pays INFINITY leaves the frontier: with no budget, its
+    unshifted histogram joins the layer's infinite integer, and each later
+    layer multiplies that integer by the number of unread letters, since
+    every injective extension of such a prefix is infinite too. When
+    max_len times the largest finite step cost passes _PACKED_MAX_TOTAL,
+    the integers would be mostly empty digits and
+    _injective_cost_layers_sparse runs instead.
     """
     k = dfa.alphabet_size
+    budget = _whole_budget(budget)
     if isinstance(dfa, SubsetDfa) and start == 0:
         return _subset_root_layers(k, max_len, budget)
     ceiling = max_len * _largest_finite_cost(dfa)
     if ceiling > _PACKED_MAX_TOTAL:
-        return _injective_cost_layers_sparse(dfa, start, max_len, budget)
-    step, step_cost = dfa.step, dfa.step_cost
-    letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]
+        # the dict path's layers are Counters already
+        return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda layer: layer
     width = math.perm(k, max_len).bit_length()
     mask = _budget_mask(budget, ceiling, width)
-    dists = [Counter({0: 1})]
-    frontier = {(start, 0): 1}
-    infinite: dict = {}
+    key, rows = _edge_rows(dfa, start, width)
+    if isinstance(dfa, SubsetDfa):
+        finite, infinite = rows, None
+    else:
+        finite = [tuple(e for e in row if e[2] != INFINITY) for row in rows]
+        infinite = [tuple(e[:2] for e in row if e[2] == INFINITY) for row in rows]
+        if budget is not None or not any(infinite):
+            infinite = None
+    layers = [(1, 0)]
+    frontier = {key: 1}
+    lost = 0
     for length in range(1, max_len + 1):
-        last = length == max_len
         nxt: dict = {}
-        nxt_infinite: dict = {}
+        get = nxt.get
         layer = 0
-        for (v, used), packed in frontier.items():
-            for t, bit in letters:
-                if used & bit:
-                    continue
-                c = step_cost(v, t)
-                if c == INFINITY:
-                    if budget is None:
-                        key = (step(v, t), used | bit)
-                        nxt_infinite[key] = nxt_infinite.get(key, 0) + packed
-                    continue
-                out = packed << width * c
-                if mask is not None:
-                    out &= mask
-                    if not out:
-                        continue
-                if last:
-                    # fold straight into the result: last-layer (state,
-                    # set) pairs would hardly ever merge
-                    layer += out
-                    continue
-                key = (step(v, t), used | bit)
-                nxt[key] = nxt.get(key, 0) + out
-        for (v, used), packed in infinite.items():
-            for t, bit in letters:
-                if not used & bit:
-                    key = (step(v, t), used | bit)
-                    nxt_infinite[key] = nxt_infinite.get(key, 0) + packed
-        bucket = _unpack(layer + sum(nxt.values()), width)
-        lost = sum(_unpack(sum(nxt_infinite.values()), width).values())
-        if lost:
-            bucket[INFINITY] = lost
-        dists.append(bucket)
-        frontier, infinite = nxt, nxt_infinite
-    return dists
+        for key, packed in frontier.items():
+            row = finite[key >> k]
+            if length == max_len:
+                # fold straight into the result: last-layer pairs would
+                # hardly ever merge, and one mask at the end drops the
+                # same digits as one per edge
+                for bit, _, shift in row:
+                    if not key & bit:
+                        layer += packed << shift
+            elif mask is None:
+                for bit, step, shift in row:
+                    if not key & bit:
+                        key2 = key + step
+                        nxt[key2] = get(key2, 0) + (packed << shift)
+            else:
+                for bit, step, shift in row:
+                    if not key & bit:
+                        out = (packed << shift) & mask
+                        if out:
+                            key2 = key + step
+                            nxt[key2] = get(key2, 0) + out
+        if mask is not None:
+            layer &= mask
+        if infinite is not None:
+            lost *= k - length + 1
+            for key, packed in frontier.items():
+                for bit, _ in infinite[key >> k]:
+                    if not key & bit:
+                        lost += packed
+        layers.append((layer + sum(nxt.values()), lost))
+        frontier = nxt
+    return layers, _packed_decoder(width, ceiling)
+
+
+def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
+    """dists[l] = Counter {total cost: number of injective length-l words
+    paying it from start}, l = 0..max_len: every layer of _cost_layers,
+    decoded."""
+    layers, decode = _cost_layers(dfa, start, max_len, budget)
+    return [decode(layer) for layer in layers]
+
+
+def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
+    """_injective_cost_layers(dfa, start, length, budget)[length], with no
+    shorter layer decoded."""
+    layers, decode = _cost_layers(dfa, start, length, budget)
+    return decode(layers[-1])
 
 
 def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
-    of letters read), for automata whose finite costs are too wide to pack."""
+    of letters read), for automata whose finite costs are too wide to pack.
+    Keys and edge rows are _edge_rows'; INFINITY is a total like any other,
+    met in letter order."""
     k = dfa.alphabet_size
-    step, step_cost = dfa.step, dfa.step_cost
-    letters = [(t, 1 << (t - 1)) for t in range(1, k + 1)]
+    key, rows = _edge_rows(dfa, start, 1)
     dists = [Counter() for _ in range(max_len + 1)]
     dists[0][0] = 1
-    frontier = {(start, 0): {0: 1}}
+    frontier = {key: {0: 1}}
     for length in range(1, max_len + 1):
         bucket = dists[length]
         last = length == max_len
         nxt: dict = {}
-        for (v, used), hist in frontier.items():
-            for t, bit in letters:
-                if used & bit:
+        for key, hist in frontier.items():
+            for bit, step, c in rows[key >> k]:
+                if key & bit:
                     continue
-                c = step_cost(v, t)
                 if last:
                     # fold straight into the result: last-layer (state,
                     # set) pairs would hardly ever merge
@@ -552,16 +661,16 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
                         if budget is None or nt <= budget:
                             bucket[nt] += n
                     continue
-                key = (step(v, t), used | bit)
-                out = nxt.get(key)
+                key2 = key + step
+                out = nxt.get(key2)
                 if out is None:
-                    out = nxt[key] = {}
+                    out = nxt[key2] = {}
                 for total, n in hist.items():
                     nt = total + c
                     if budget is None or nt <= budget:
                         out[nt] = out.get(nt, 0) + n
                 if not out:
-                    del nxt[key]
+                    del nxt[key2]
         for hist in nxt.values():
             bucket.update(hist)
         frontier = nxt
@@ -570,31 +679,31 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
 
 def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> int:
     """How many permutations of [k], walked from the root, cost at most
-    budget.
+    budget (any real number or INFINITY; totals are whole, so a real
+    budget counts as its floor).
 
-    _injective_cost_layers (the Mahonian product on SubsetDfa, otherwise
-    the (state, letters read) DP, at most |V| * 2^k entries per layer)
-    drops prefixes over the budget, so tight budgets stay cheap. The cap
-    on k is unchanged.
-    """
-    k = dfa.alphabet_size
-    if k > max_k:
-        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    return sum(_injective_cost_layers(dfa, dfa.root, k, budget)[k].values())
-
-
-def perm_cost_census(dfa: Dfa, *, max_k: int = MAX_FACTORIAL_K) -> dict:
-    """Exact distribution {total cost: count} of root walk costs over all
-    permutations of [k]. Infinite totals are keyed by INFINITY. Computed
-    by _injective_cost_layers: on SubsetDfa the closed-form Mahonian
-    product prod (q + ... + q^m), m = 1..k, otherwise the (state, letters
-    read) DP, at most |V| * 2^k entries per layer; the cap on k is
+    _cost_layers (the Mahonian product on SubsetDfa, otherwise the (state,
+    letters read) DP, at most |V| * 2^k entries per layer) drops prefixes
+    over the budget, so tight budgets stay cheap. The cap on k is
     unchanged.
     """
     k = dfa.alphabet_size
     if k > max_k:
         raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    return dict(_injective_cost_layers(dfa, dfa.root, k)[k])
+    return sum(_last_cost_layer(dfa, dfa.root, k, budget).values())
+
+
+def perm_cost_census(dfa: Dfa, *, max_k: int = MAX_FACTORIAL_K) -> dict:
+    """Exact distribution {total cost: count} of root walk costs over all
+    permutations of [k]. Infinite totals are keyed by INFINITY. Computed
+    by _cost_layers: on SubsetDfa the closed-form Mahonian product
+    prod (q + ... + q^m), m = 1..k, otherwise the (state, letters read)
+    DP, at most |V| * 2^k entries per layer; the cap on k is unchanged.
+    """
+    k = dfa.alphabet_size
+    if k > max_k:
+        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
+    return dict(_last_cost_layer(dfa, dfa.root, k))
 
 
 def random_k_dfa(k: int, state_count: int, seed: int) -> WeightedDfa:

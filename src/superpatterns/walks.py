@@ -45,7 +45,9 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .dfa import SubsetDfa, _injective_cost_layers, is_k_dfa, letters_of, walk_cost
+from .dfa import (
+    SubsetDfa, _injective_cost_layers, _last_cost_layer, is_k_dfa, letters_of, walk_cost,
+)
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -218,10 +220,15 @@ def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = M
     Returns a list dists with dists[L] = Counter {total cost: number of
     injective length-L words paying it}. From the root of a SubsetDfa it
     is the closed-form product prod (q + ... + q^m) over m = k-L+1..k;
-    otherwise one layered DP over (state, set of letters read) with at
-    most |V| * 2^k entries per layer. The cap still counts the injective
-    words of lengths 1..max_len.
+    otherwise one layered DP over (state, set of letters read), integer
+    keyed, with at most |V| * 2^k entries per layer. The cap still counts
+    the injective words of lengths 1..max_len.
     """
+    _check_enumeration(dfa, start, max_len, max_words)
+    return _injective_cost_layers(dfa, start, max_len)
+
+
+def _check_enumeration(dfa, start, max_len: int, max_words: int) -> None:
     k = dfa.alphabet_size
     if not dfa.has_state(start):
         raise ValueError(f"unknown state {start!r}")
@@ -232,7 +239,6 @@ def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = M
         raise ResourceLimitError(
             f"enumerating {tree} injective words exceeds the cap {max_words}"
         )
-    return _injective_cost_layers(dfa, start, max_len)
 
 
 def _threshold(k: int, L: int, epsilon: float) -> Fraction:
@@ -257,7 +263,9 @@ def _cost_bound(k: int, L: int, epsilon: float, strict: bool) -> int:
 
 
 def _share_within(dfa, state, L: int, bound: int, max_words: int) -> Fraction:
-    dist = cost_distributions_by_length(dfa, state, L, max_words=max_words)[L]
+    # cost_distributions_by_length(...)[L], with no shorter length decoded
+    _check_enumeration(dfa, state, L, max_words)
+    dist = _last_cost_layer(dfa, state, L)
     hits = sum(c for cost, c in dist.items() if cost <= bound)
     return Fraction(hits, sum(dist.values()))
 

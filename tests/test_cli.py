@@ -1,14 +1,26 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpatterns.cli import main
+from superpatterns.dfa import (
+    INFINITY,
+    build_greedy_dfa,
+    build_subset_dfa,
+    build_two_track_dfa,
+    random_k_dfa,
+)
+from superpatterns.patterns import as_word
+
+from oracles import brute_injective_costs
 
 
 def run_cli(capsys, *argv):
@@ -679,10 +691,12 @@ def _cli_argv(draw):
 
 @st.composite
 def _exact_argv(draw):
-    """exact-p or dfa census argv on the subset or two-track automaton with
-    k <= 8: L from -1 to k+1, epsilons inside and outside [0, 1/2] (NaN and
-    infinities too), states, budgets and caps; the optional flags may be
-    missing."""
+    """exact-p or dfa census argv on the subset, two-track or random
+    automaton with k <= 8, or dfa census on a greedy automaton with its
+    infinite costs: L from -1 to k+1, epsilons inside and outside [0, 1/2]
+    (NaN and infinities too), states, budgets and caps; the optional flags
+    may be missing. Half the exact-p draws are in the domain on a
+    two-track or random automaton with k <= 6."""
     k = draw(st.integers(-1, 8))
     epsilon = draw(
         st.sampled_from([0.0, 0.1, 0.25, 0.35, 0.5])
@@ -694,11 +708,34 @@ def _exact_argv(draw):
         # the flag appears in odds of 4 draws
         return [name, *map(str, values)] if draw(st.integers(1, 4)) <= odds else []
 
-    automaton = ["--dfa", draw(st.sampled_from(["subset", "two-track"])), "--k", str(k)]
+    kind = draw(st.sampled_from(["subset", "two-track", "random"]))
+    automaton = ["--dfa", kind, "--k", str(k)]
+    if kind == "random":
+        automaton += flag("--states", draw(st.integers(-1, 6)))
+        automaton += flag("--dfa-seed", draw(st.integers(0, 99)), odds=2)
     automaton += flag("--max-k", draw(st.integers(0, 9)), odds=1)
     if draw(st.booleans()):
+        if draw(st.integers(1, 4)) == 1:
+            word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=9))
+            automaton = ["--dfa", "greedy", "--word", *map(str, word), *automaton[4:]]
         return [
             "dfa", "census", *automaton, *flag("--budget", draw(st.integers(-2, 70)), odds=2)
+        ]
+    if draw(st.integers(1, 4)) <= 2:
+        # in the domain on a table automaton with k <= 6, so every run
+        # checks the table DP against enumeration (see _check_exact_output)
+        if draw(st.booleans()):
+            k = 2 * draw(st.integers(1, 3))
+            table, states = ["two-track", "--k", str(k)], range(-k // 2, k // 2 + 1)
+        else:
+            k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+            table = ["random", "--k", str(k), "--states", str(n), "--dfa-seed", str(draw(st.integers(0, 99)))]
+            states = range(n)
+        return [
+            "exact-p", "--dfa", *table, f"--L={draw(st.integers(0, k))}",
+            f"--epsilon={draw(st.sampled_from([0.0, 0.1, 0.25, 0.35, 0.5]) | st.floats(0, 0.5))!r}",
+            *flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=2),
+            *flag("--state", draw(st.sampled_from(states)), odds=2),
         ]
     return [
         "exact-p", *automaton, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
@@ -707,6 +744,56 @@ def _exact_argv(draw):
         *flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=2),
         *flag("--state", draw(st.integers(-5, 2**max(k, 0))), odds=1),
     ]
+
+
+def _value(argv, name, default=None):
+    """The value after flag name in argv, or after --name= (a string)."""
+    for i, arg in enumerate(argv):
+        if arg == name:
+            return argv[i + 1]
+        if arg.startswith(name + "="):
+            return arg[len(name) + 1 :]
+    return default
+
+
+def _automaton_of(argv):
+    """The automaton an _exact_argv draw names, built without the CLI."""
+    kind, k = _value(argv, "--dfa"), _value(argv, "--k")
+    if kind == "greedy":
+        at = argv.index("--word") + 1
+        word = []
+        while at < len(argv) and not argv[at].startswith("--"):
+            word.append(int(argv[at]))
+            at += 1
+        return build_greedy_dfa(as_word(word))
+    if kind == "subset":
+        return build_subset_dfa(int(k))
+    if kind == "two-track":
+        return build_two_track_dfa(int(k))
+    return random_k_dfa(int(k), int(_value(argv, "--states")), int(_value(argv, "--dfa-seed", 0)))
+
+
+def _check_exact_output(argv, out):
+    """For k <= 6, the printed census or P(v, L, eps) against plain
+    enumeration (tests/oracles.py)."""
+    doc = json.loads(out)
+    if doc["k"] > 6:
+        return
+    dfa = _automaton_of(argv)
+    k = dfa.alphabet_size
+    if argv[0] == "dfa":
+        census = brute_injective_costs(dfa, dfa.root, k)
+        assert doc["census"] == [
+            {"cost": "inf" if c == INFINITY else c, "count": census[c]}
+            for c in sorted(census, key=lambda c: (c == INFINITY, c))
+        ], argv
+        return
+    L, state = doc["L"], doc["state"]
+    threshold = (Fraction(1, 2) - Fraction(_value(argv, "--epsilon"))) * k * L
+    strict = _value(argv, "--comparator", "lt") == "lt"
+    dist = brute_injective_costs(dfa, state, L)
+    hits = sum(n for c, n in dist.items() if (c < threshold if strict else c <= threshold))
+    assert Fraction(doc["p_numerator"], doc["p_denominator"]) == Fraction(hits, math.perm(k, L)), argv
 
 
 def _assert_cli_contract(argv):
@@ -735,6 +822,7 @@ def _assert_cli_contract(argv):
     else:
         assert out.getvalue() == ""
         assert len(err.getvalue().strip().splitlines()) == 1, argv
+    return rc, out.getvalue()
 
 
 class TestCliFuzz:
@@ -744,6 +832,8 @@ class TestCliFuzz:
         _assert_cli_contract(argv)
 
     @given(_exact_argv())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_exact_p_and_dfa_census(self, argv):
-        _assert_cli_contract(argv)
+        rc, out = _assert_cli_contract(argv)
+        if rc == 0:
+            _check_exact_output(argv, out)

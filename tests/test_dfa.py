@@ -641,6 +641,116 @@ class TestSubsetRootClosedForm:
         assert set(dists[1].values()) == {1}
 
 
+def renamed(dfa, name):
+    """dfa with every state v renamed name(v), rows and state order kept."""
+    return WeightedDfa(
+        dfa.alphabet_size,
+        name(dfa.root),
+        {name(v): tuple(map(name, dfa.delta_row(v))) for v in dfa.states},
+        {name(v): dfa.cost_row(v) for v in dfa.states},
+    )
+
+
+def ascending_then_infinity(dist):
+    finite = sorted(c for c in dist if c != INFINITY)
+    return list(dist) == finite + [INFINITY] * (INFINITY in dist)
+
+
+class TestIntegerKeyedKernel:
+    """The DP's integer keys and edge rows (dfa._edge_rows) and its
+    last-layer callers against plain enumeration (tests/oracles.py)."""
+
+    @pytest.mark.parametrize(
+        "rename", [lambda v: f"s{v}", lambda v: (v % 2, v), lambda v: -v - 1],
+        ids=["str", "tuple", "negative-int"],
+    )
+    def test_state_names_and_negative_key_steps(self, rename):
+        # greedy automata only move forward, and carry INFINITY
+        for base, goes_back in (
+            (random_k_dfa(5, 6, 3), True), (build_two_track_dfa(4), True), (greedy_with_infinity(), False),
+        ):
+            dfa = renamed(base, rename)
+            k = dfa.alphabet_size
+            _, rows = dfa_module._edge_rows(dfa, dfa.root, 1)
+            # a successor with a lower index than its state steps the key down
+            assert any(step < 0 for row in rows for _, step, _ in row) == goes_back
+            for start in dfa.states[:3]:
+                ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
+                for max_len in range(k + 1):
+                    for budget in (None, 0, 7, 10**9):
+                        want = [within(r, budget) for r in ref[: max_len + 1]]
+                        assert _injective_cost_layers(dfa, start, max_len, budget) == want
+                        sparse = dfa_module._injective_cost_layers_sparse
+                        assert sparse(dfa, start, max_len, budget) == want
+
+    def test_wide_subset_off_the_root_lists_no_states(self):
+        # past MAX_SUBSET_ENUM_K the states property raises, so this
+        # passes only if the DP never enumerates them
+        s = build_subset_dfa(30)
+        with pytest.raises(ResourceLimitError):
+            s.states
+        start = 0b1011 << 20 | 0b101
+        ref = [brute_injective_costs(s, start, L) for L in range(3)]
+        for budget in (None, 3, 31, 10**9):
+            want = [within(r, budget) for r in ref]
+            assert _injective_cost_layers(s, start, 2, budget) == want
+            assert dfa_module._injective_cost_layers_sparse(s, start, 2, budget) == want
+        for eps in (0.0, 0.25, 0.45):
+            bound = math.ceil((Fraction(1, 2) - Fraction(str(eps))) * 30 * 2) - 1
+            hits = sum(n for c, n in ref[2].items() if c <= bound)
+            assert exact_P(s, start, 2, eps) == Fraction(hits, 30 * 29)
+
+    @pytest.mark.parametrize(
+        "name,make,starts", TestPackedKernel.AUTOMATA, ids=[a[0] for a in TestPackedKernel.AUTOMATA]
+    )
+    def test_finite_costs_ascending_then_infinity(self, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        for start in starts:
+            for budget in (None, 0, 9, 10**9):
+                for dist in _injective_cost_layers(dfa, start, k, budget):
+                    assert ascending_then_infinity(dist), (name, start, budget)
+        assert ascending_then_infinity(perm_cost_census(dfa))
+
+    @pytest.mark.parametrize(
+        "name,make,starts", TestPackedKernel.AUTOMATA, ids=[a[0] for a in TestPackedKernel.AUTOMATA]
+    )
+    def test_last_layer_callers_read_the_decoded_layers(self, name, make, starts):
+        # perm_cost_census, cheap_perm_count and exact_P decode only the
+        # last layer; cost_distributions_by_length decodes them all
+        dfa = make()
+        k = dfa.alphabet_size
+        last = cost_distributions_by_length(dfa, dfa.root, k)[k]
+        assert list(perm_cost_census(dfa).items()) == list(last.items())
+        for budget in (-1, 0, 9, 14, 10**9):
+            assert cheap_perm_count(dfa, budget) == sum(within(last, budget).values())
+        if not is_k_dfa(dfa):
+            return
+        for L in range(k + 1):
+            bound = math.ceil((Fraction(1, 2) - Fraction("0.1")) * k * L) - 1
+            shares = {}
+            for start in dfa.states:
+                dist = cost_distributions_by_length(dfa, start, L)[L]
+                shares[start] = Fraction(sum(within(dist, bound).values()), sum(dist.values()))
+            for start in starts:
+                assert exact_P(dfa, start, L, 0.1) == shares[start]
+            assert exact_P_max(dfa, L, 0.1) == max(shares.values())
+
+    def test_real_and_infinite_budgets_agree_on_every_path(self):
+        # closed form (subset root), packed DP (its table copy, and the
+        # others) and the dict path; a real budget counts as its floor, and
+        # INFINITY admits every total, INFINITY itself included
+        sparse = dfa_module._injective_cost_layers_sparse
+        for dfa in (build_subset_dfa(4), subset_as_table(4), build_two_track_dfa(4), greedy_with_infinity()):
+            k = dfa.alphabet_size
+            census = brute_injective_costs(dfa, dfa.root, k)
+            for budget in (2.5, -0.5, math.inf, True, 6.5, 13.99):
+                want = within(census, None if budget == math.inf else math.floor(budget))
+                assert cheap_perm_count(dfa, budget) == sum(want.values()), (dfa, budget)
+                assert _injective_cost_layers(dfa, dfa.root, k, budget)[k] == want
+                assert sparse(dfa, dfa.root, k, budget)[k] == want
+
+
 class TestRandomKDfa:
     def test_always_k_dfa(self):
         for seed in range(30):
