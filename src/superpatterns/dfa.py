@@ -560,6 +560,15 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     max_len times the largest finite step cost passes _PACKED_MAX_TOTAL,
     the integers would be mostly empty digits and
     _injective_cost_layers_sparse runs instead.
+
+    The last layer is a fold: with no merging left to do, each pair one
+    letter short adds its histogram shifted by each unread edge. On a
+    table automaton, for short words (_complement_pays: 2(max_len - 1) <
+    k) and no INFINITY edge left, _last_two_by_complement takes the last
+    two layers at once and charges each pair for its max_len - 1 letters
+    read instead of its k - max_len + 1 unread edges. Otherwise the fold
+    runs edge by edge. Either way a budget masks the last layer once,
+    which drops the same digits as one mask per edge.
     """
     k = dfa.alphabet_size
     budget = _whole_budget(budget)
@@ -579,10 +588,22 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
         infinite = [tuple(e[:2] for e in row if e[2] == INFINITY) for row in rows]
         if budget is not None or not any(infinite):
             infinite = None
+    # the complement keeps weights per successor state: off the root of a
+    # SubsetDfa that is up to C(k, l) states, so it keeps the per-edge fold
+    complement = (
+        not isinstance(dfa, SubsetDfa) and infinite is None and _complement_pays(k, max_len)
+    )
     layers = [(1, 0)]
     frontier = {key: 1}
     lost = 0
     for length in range(1, max_len + 1):
+        if complement and length == max_len - 1:
+            shorter, last = _last_two_by_complement(dfa, width, frontier, finite)
+            if mask is not None:
+                shorter &= mask
+                last &= mask
+            layers += [(shorter, 0), (last, 0)]
+            break
         nxt: dict = {}
         get = nxt.get
         layer = 0
@@ -620,6 +641,61 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     return layers, _packed_decoder(width, ceiling)
 
 
+def _complement_pays(k: int, max_len: int) -> bool:
+    """Whether _cost_layers takes its last layer by complement: each pair
+    one letter short of max_len then pays for its max_len - 1 letters read
+    instead of its k - max_len + 1 unread edges."""
+    return 2 * (max_len - 1) < k
+
+
+def _last_two_by_complement(dfa: Dfa, width: int, frontier: dict, finite) -> tuple:
+    """(shorter, last): the packed histograms of the DP's last two layers,
+    grown from frontier, the layer before them, on a table automaton with
+    no INFINITY edge taken (none left, or a budget drops them).
+
+    With q = 2^width, a pair (v, U) one letter short adds packed * sum over
+    unread t of q^c(v, t) to the last layer. That is packed * (R_v - S),
+    with R_v the sum over v's finite edges and S the same sum over the
+    letters in U only, so it costs the letters read, not the letters left.
+    The pairs are never stored: each edge (u, T) -t-> (v, T + t) out of the
+    frontier adds q^c(u, t) * (R_v - S) to its source's sum, which is
+    multiplied by the source's packed once. R_v - S is the exact sum of
+    q^c over v's unread finite edges, so every product is a true histogram
+    whose digits count words and stay below 2^width: no digit carries.
+    Budgets are left to the caller's mask.
+    """
+    k = dfa.alphabet_size
+    letters = [1 << t for t in range(k)]
+    # for the frontier's states u, per edge u -t-> v: (bit, q^c(u, t), v's
+    # weights {bit: q^c(v, bit)} with 0 for INFINITY, R_v - q^c(v, t))
+    weights: dict = {}
+    folds: dict = {}
+    for u in {key >> k for key in frontier}:
+        fold = folds[u] = []
+        for bit, step, shift in finite[u]:
+            v = ((u << k) + step) >> k
+            if v not in weights:
+                w = dict.fromkeys(letters, 0)
+                for b, _, c in finite[v]:
+                    w[b] = 1 << c
+                weights[v] = w, sum(w.values())
+            w, total = weights[v]
+            fold.append((bit, 1 << shift, w, total - w[bit]))
+    shorter = last = 0
+    for key, packed in frontier.items():
+        read = [b for b in letters if key & b]
+        sums = rest = 0
+        for bit, x, w, unread in folds[key >> k]:
+            if not key & bit:
+                for b in read:
+                    unread -= w[b]
+                sums += x
+                rest += x * unread
+        shorter += packed * sums
+        last += packed * rest
+    return shorter, last
+
+
 def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """dists[l] = Counter {total cost: number of injective length-l words
     paying it from start}, l = 0..max_len: every layer of _cost_layers,
@@ -638,8 +714,9 @@ def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
 def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
     of letters read), for automata whose finite costs are too wide to pack.
-    Keys and edge rows are _edge_rows'; INFINITY is a total like any other,
-    met in letter order."""
+    Keys and edge rows are _edge_rows'; INFINITY is a total like any other.
+    Each Counter is sorted at the end, so its keys run as on the packed
+    paths."""
     k = dfa.alphabet_size
     key, rows = _edge_rows(dfa, start, 1)
     dists = [Counter() for _ in range(max_len + 1)]
@@ -674,7 +751,7 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
         for hist in nxt.values():
             bucket.update(hist)
         frontier = nxt
-    return dists
+    return [Counter(dict(sorted(dist.items()))) for dist in dists]
 
 
 def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> int:

@@ -592,15 +592,16 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
 # Monte-Carlo X sums and the concentration experiments
 
 
-def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
+def _x_ranks(dfa, perms: np.ndarray, tables=None) -> np.ndarray:
     """X_j of every row of perms walked from the root, shape (samples, k).
 
     On SubsetDfa the cost of reading t_j from the root's walk is its rank
     among the unread letters, so X is _subset_costs from the empty set;
-    otherwise one table walk of all rows at once."""
+    otherwise one table walk of all rows at once, through tables (from
+    _tables, built here when not given)."""
     if isinstance(dfa, SubsetDfa):
         return _subset_costs(dfa.alphabet_size, 0, perms)
-    index, cost, succ = _tables(dfa)
+    index, cost, succ = tables or _tables(dfa)
     letters = perms - 1
     at = np.full(len(perms), index[dfa.root])
     X = np.empty_like(perms)
@@ -611,11 +612,11 @@ def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
     return X
 
 
-def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
+def _min_t_counts(dfa, perms: np.ndarray, xs, cost=None) -> list[np.ndarray]:
     """For each x in xs, the (samples, k) matrix of T_{j, x}: the minimum
     over states of the number of letters before t_j costing at most x.
-    Non-subset automata stream over their states, so no states x samples
-    x k array is built."""
+    Non-subset automata stream over the rows of cost (_cost_matrix, built
+    here when not given), so no states x samples x k array is built."""
     k = perms.shape[1]
     if isinstance(dfa, SubsetDfa):  # sample-independent closed form
         return [
@@ -623,7 +624,7 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
             for x in xs
         ]
     T = [np.full(perms.shape, k) for _ in xs]
-    for row in _cost_matrix(dfa):
+    for row in _cost_matrix(dfa) if cost is None else cost:
         paid = row[perms - 1]
         for t, x in zip(T, xs):
             low = paid <= x
@@ -634,13 +635,19 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
 def sample_x_sums(dfa, samples: int, seed: int) -> np.ndarray:
     """Monte-Carlo samples of sum_j X_j over uniform random permutations:
     the row sums of _x_ranks over the rows of _sample_perm_matrix, the
-    pipeline concentration_experiment shares."""
+    pipeline concentration_experiment shares, drawn _BLOCK_ROWS rows at a
+    time so that no (samples, k) matrix is built."""
     if samples <= 0:
         raise ValueError("need at least one sample")
     if not is_k_dfa(dfa):
         raise ValueError("sample_x_sums needs a k-DFA")
-    perms = _sample_perm_matrix(dfa.alphabet_size, samples, seed)
-    return _x_ranks(dfa, perms).sum(axis=1)
+    k = dfa.alphabet_size
+    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
+    out = np.empty(samples, dtype=np.int64)
+    for lo in range(0, samples, _BLOCK_ROWS):
+        perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
+        out[lo : lo + len(perms)] = _x_ranks(dfa, perms, tables).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -696,7 +703,8 @@ def concentration_experiment(
 
     The X ranks of the rows of _sample_perm_matrix (as in sample_x_sums)
     and the T matrices of _min_t_counts feed one loop over window pairs
-    that scores all samples at once, for every kind of k-DFA.
+    that scores a block of _BLOCK_ROWS samples at once, for every kind of
+    k-DFA; the event counts are summed over the blocks as integers.
     """
     if M < 2:
         raise ValueError("need M >= 2")
@@ -707,27 +715,32 @@ def concentration_experiment(
     if not is_k_dfa(dfa):
         raise ValueError("concentration_experiment needs a k-DFA")
     k = dfa.alphabet_size
-    perms = _sample_perm_matrix(k, samples, seed)
-    X = _x_ranks(dfa, perms)
-    T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)])
-    con1 = {}
-    con2 = {}
+    events = []  # ((m1, m2), window columns, con1 threshold, con2 thresholds)
     for m1 in range(1, M):
         js = _window(k, M, m1)
         cols = np.array(js, dtype=np.intp) - 1
         for m2 in range(1, M):
             thr1 = (1 - epsilon_star) * (1 - m2 / M) * k / M
-            exceed = (X[:, cols] * M > m2 * (k - cols)).sum(axis=1)
-            con1[(m1, m2)] = int((exceed < thr1).sum()) / samples
             thr2 = [(1 - epsilon_star) * (m2 / M) * (j - 1) for j in js]
-            short = (T[m2 - 1][:, cols] < thr2).any(axis=1)
-            con2[(m1, m2)] = int(short.sum()) / samples
+            events.append(((m1, m2), cols, thr1, thr2))
+    hits1 = dict.fromkeys((key for key, *_ in events), 0)
+    hits2 = dict(hits1)
+    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
+    cost = None if tables is None else tables[1]
+    for lo in range(0, samples, _BLOCK_ROWS):
+        perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
+        X = _x_ranks(dfa, perms, tables)
+        T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)], cost)
+        for (m1, m2), cols, thr1, thr2 in events:
+            exceed = (X[:, cols] * M > m2 * (k - cols)).sum(axis=1)
+            hits1[(m1, m2)] += int((exceed < thr1).sum())
+            hits2[(m1, m2)] += int((T[m2 - 1][:, cols] < thr2).any(axis=1).sum())
     return ConcentrationReport(
         k=k,
         M=M,
         epsilon_star=float(epsilon_star),
         samples=samples,
         seed=seed,
-        con1=con1,
-        con2=con2,
+        con1={key: n / samples for key, n in hits1.items()},
+        con2={key: n / samples for key, n in hits2.items()},
     )

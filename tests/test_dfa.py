@@ -751,6 +751,125 @@ class TestIntegerKeyedKernel:
                 assert sparse(dfa, dfa.root, k, budget)[k] == want
 
 
+def both_folds(monkeypatch, dfa, start, max_len, budget=None):
+    """_injective_cost_layers with the last layer taken by complement
+    wherever the DP can (dfa._last_two_by_complement), then by the per-edge
+    fold everywhere."""
+    out = []
+    for complement in (True, False):
+        monkeypatch.setattr(dfa_module, "_complement_pays", lambda k, L, c=complement: c)
+        out.append(_injective_cost_layers(dfa, start, max_len, budget))
+    return out
+
+
+def weighted_zero_and_infinity():
+    # zero costs, INFINITY edges, and successors on both sides of a state
+    delta = {0: (2, 0, 1, 3, 2), 1: (0, 3, 1, 2, 0), 2: (1, 2, 3, 0, 0), 3: (3, 1, 0, 2, 1)}
+    cost = {
+        0: (0, 2, INFINITY, 1, 0),
+        1: (3, 0, 0, INFINITY, 1),
+        2: (1, 1, 2, 0, INFINITY),
+        3: (0, INFINITY, 4, 2, 2),
+    }
+    return WeightedDfa(5, 0, delta, cost)
+
+
+class TestComplementFold:
+    """The DP's last two layers taken by complement against the per-edge
+    fold, key order included, and against plain enumeration
+    (tests/oracles.py)."""
+
+    BUDGETS = (None, -1, 0, 2.5, 7, math.inf)
+    AUTOMATA = [
+        ("random", lambda: random_k_dfa(7, 6, 11), (0, 3, 5)),
+        ("negative-names", lambda: renamed(random_k_dfa(6, 5, 3), lambda v: -v - 1), (-1, -3)),
+        ("two-track", lambda: build_two_track_dfa(6), (0, -3, 2)),
+        ("weighted", weighted_zero_and_infinity, (0, 1, 3)),
+        ("greedy", greedy_with_infinity, (0, 2, 6)),
+        ("subset", lambda: build_subset_dfa(7), (0b1, 0b1010010, 0b1111110)),
+    ]
+
+    def test_taken_when_it_pays(self, monkeypatch):
+        calls = []
+        fold = dfa_module._last_two_by_complement
+        monkeypatch.setattr(
+            dfa_module, "_last_two_by_complement", lambda *args: calls.append(args) or fold(*args)
+        )
+        for dfa, start, max_len, budget, taken in (
+            (random_k_dfa(12, 20, 5), 3, 4, None, True),  # 2 * 3 < 12
+            # off the root of a SubsetDfa, rows come from the rank formula
+            # and the per-edge fold stores no weights per successor state
+            (build_subset_dfa(12), 0b101, 3, 20, False),
+            (random_k_dfa(8, 10, 2), 0, 5, None, False),  # 2 * 4 >= 8
+            (random_k_dfa(12, 20, 5), 3, 1, None, False),  # no layer before the last two
+            # INFINITY edges with no budget keep the per-edge fold; a budget
+            # drops those edges, so the complement serves again
+            (greedy_with_infinity(), 0, 2, None, False),
+            (greedy_with_infinity(), 0, 2, 9, True),
+        ):
+            calls.clear()
+            _injective_cost_layers(dfa, start, max_len, budget)
+            assert bool(calls) == taken, (dfa, start, max_len, budget)
+
+    @pytest.mark.parametrize("name,make,starts", AUTOMATA, ids=[a[0] for a in AUTOMATA])
+    def test_both_folds_match_the_oracle(self, monkeypatch, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        for start in starts:
+            ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
+            for max_len in range(k + 1):
+                for budget in self.BUDGETS:
+                    complement, per_edge = both_folds(monkeypatch, dfa, start, max_len, budget)
+                    assert [list(c.items()) for c in complement] == [
+                        list(c.items()) for c in per_edge
+                    ], (name, start, max_len, budget)
+                    # layer 0, the empty word, is {0: 1} under every budget
+                    assert complement[1:] == [within(r, budget) for r in ref[1 : max_len + 1]]
+
+    @pytest.mark.parametrize("k, start", [(40, 0b1), (40, 0b1011 << 20 | 0b101), (64, 0b11 << 60 | 0b1)])
+    def test_wide_subset_off_the_root(self, k, start):
+        # short words on a wide alphabet, where the complement would pay on
+        # a table automaton; the subset automaton keeps the per-edge fold
+        s = build_subset_dfa(k)
+        ref = [brute_injective_costs(s, start, L) for L in range(3)]
+        for max_len in (2, 3, 4):
+            if k == 64 and max_len == 4:
+                continue
+            for budget in (None, 2.5, 60) if max_len < 4 else (None,):
+                layers = _injective_cost_layers(s, start, max_len, budget)
+                assert layers[1:3] == [within(r, budget) for r in ref[1:]]
+                last = layers[-1]
+                assert ascending_then_infinity(last)
+                if budget is None:
+                    assert sum(last.values()) == math.perm(k, max_len)
+                else:
+                    assert max(last, default=0) <= budget
+
+    def test_callers_read_the_same_answers(self, monkeypatch):
+        # exact_P at short L, where the complement serves by default
+        for dfa in (random_k_dfa(10, 7, 4), build_two_track_dfa(10)):
+            answers = []
+            for complement in (True, False):
+                monkeypatch.setattr(dfa_module, "_complement_pays", lambda k, L, c=complement: c)
+                answers.append(
+                    [exact_P(dfa, v, L, eps) for v in dfa.states[:4] for L in (2, 3, 4) for eps in (0.0, 0.2)]
+                )
+            assert answers[0] == answers[1]
+
+
+class TestDictPathKeyOrder:
+    def test_census_ascending_then_infinity(self):
+        # finite costs too wide to pack: the dict path
+        wide = WeightedDfa(
+            4, 0, {0: (1, 0, 1, 0), 1: (0, 1, 1, 0)}, {0: (600, 1, INFINITY, 3), 1: (2, 5, 1, INFINITY)}
+        )
+        census = perm_cost_census(wide)
+        assert list(census) == [605, 609, INFINITY]
+        assert census == brute_injective_costs(wide, 0, 4)
+        for dist in dfa_module._injective_cost_layers_sparse(wide, 1, 4):
+            assert ascending_then_infinity(dist)
+
+
 class TestRandomKDfa:
     def test_always_k_dfa(self):
         for seed in range(30):

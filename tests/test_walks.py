@@ -378,6 +378,18 @@ class TestExactP:
             )
             assert exact_P(dfa, 0, L, eps) == Fraction(hits, len(words))
 
+    def test_short_walks_on_a_wide_alphabet(self):
+        # k = 40, L = 3: the DP takes its last layer by complement
+        for seed, start in ((1, 0), (2, 7)):
+            dfa = random_k_dfa(40, 10, seed)
+            costs = Counter(
+                walk_cost(dfa, start, w).total_cost for w in permutations(range(1, 41), 3)
+            )
+            for eps in (0.0, 0.3, 0.45):
+                thr = Fraction(1, 2) - Fraction(str(eps))
+                hits = sum(n for c, n in costs.items() if c < thr * 40 * 3)
+                assert exact_P(dfa, start, 3, eps) == Fraction(hits, 40 * 39 * 38)
+
     def test_prefix_monotonicity(self):
         # cost of a prefix never exceeds the full walk cost
         rng = random.Random(14)
@@ -698,6 +710,45 @@ class TestXStatistics:
         dfa = random_k_dfa(k, 5, 31)
         want = [sum(literal_x_ranks(dfa, stream_injective_word(seed, i, k, k))) for i in range(n)]
         assert list(sample_x_sums(dfa, n, seed)) == want
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 11])
+    def test_streamed_outputs_cross_block_boundaries(self, monkeypatch, n):
+        # blocks of 4 rows: sample_x_sums and concentration_experiment must
+        # read the same stream rows as with one block
+        k, seed = 5, 17
+        dfa = random_k_dfa(k, 4, 9)
+        words = [stream_injective_word(seed, i, k, k) for i in range(n)]
+        sums = [sum(literal_x_ranks(dfa, w)) for w in words]
+        whole = concentration_experiment(dfa, 3, 0.2, n, seed)
+        monkeypatch.setattr(W, "_BLOCK_ROWS", 4)
+        got = sample_x_sums(dfa, n, seed)
+        assert got.dtype == np.int64 and list(got) == sums
+        blocked = concentration_experiment(dfa, 3, 0.2, n, seed)
+        assert list(blocked.con1.items()) == list(whole.con1.items())
+        assert list(blocked.con2.items()) == list(whole.con2.items())
+
+    def test_tables_built_once_across_blocks(self, monkeypatch):
+        # three blocks of 4 rows, one _tables (and in it one _cost_matrix)
+        # per call
+        calls = Counter()
+        for name in ("_tables", "_cost_matrix"):
+            build = getattr(W, name)
+            monkeypatch.setattr(W, name, lambda dfa, n=name, f=build: calls.update([n]) or f(dfa))
+        monkeypatch.setattr(W, "_BLOCK_ROWS", 4)
+        dfa = random_k_dfa(5, 4, 9)
+        sample_x_sums(dfa, 11, 3)
+        assert calls == {"_tables": 1, "_cost_matrix": 1}
+        concentration_experiment(dfa, 3, 0.2, 11, 3)
+        assert calls == {"_tables": 2, "_cost_matrix": 2}
+
+    def test_sample_x_sums_at_the_block_size(self):
+        k, seed = 9, 4
+        dfa = build_subset_dfa(k)
+        for n in (W._BLOCK_ROWS - 1, W._BLOCK_ROWS, W._BLOCK_ROWS + 1):
+            got = sample_x_sums(dfa, n, seed)
+            assert got.shape == (n,)
+            for i in (0, n - 2, n - 1):
+                assert got[i] == sum(literal_x_ranks(dfa, stream_injective_word(seed, i, k, k)))
 
     def test_sample_x_sums_agree_across_paths(self):
         k, n, seed = 6, 50, 21
