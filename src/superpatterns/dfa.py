@@ -80,11 +80,38 @@ class WalkTrace:
     total_cost: ExtCost
 
 
+class _Plan:
+    """What the kernels read of one WeightedDfa, each part built on its
+    first use and kept, since the automaton never changes:
+
+    - index: {state: row number}, in states order, shared by the DP's
+      integer keys and walks._tables;
+    - k_dfa: is_k_dfa's verdict;
+    - largest: _largest_finite_cost;
+    - rows: {digit width: _Rows}, the DP's edge rows (_edge_rows) and the
+      constants of _last_two_by_complement, at most |V| * k entries each;
+    - tables: walks._tables' read-only numpy arrays.
+
+    A part is stored only once it is whole, so a reader in another thread
+    sees it missing (and builds an equal one) or complete.
+    """
+
+    __slots__ = ("index", "k_dfa", "largest", "rows", "tables")
+
+    def __init__(self, states):
+        self.index = {v: i for i, v in enumerate(states)}
+        self.k_dfa = self.largest = self.tables = None
+        self.rows = {}
+
+
 class WeightedDfa:
     """Immutable table-backed weighted DFA.
 
     delta and cost are given per state as length-k tuples indexed by
-    letter - 1.
+    letter - 1. The exact and Monte-Carlo kernels keep what they derive
+    from the tables (state index, k-DFA verdict, edge rows per digit
+    width, numpy tables) in one private _Plan, filled on first use, so
+    repeated queries on one automaton build each part once.
     """
 
     def __init__(self, alphabet_size: int, root, delta: dict, cost: dict):
@@ -108,6 +135,12 @@ class WeightedDfa:
         self.root = root
         self._delta = {v: tuple(row) for v, row in delta.items()}
         self._cost = {v: tuple(row) for v, row in cost.items()}
+        self._plan = None
+
+    def _kernel_plan(self) -> _Plan:
+        if self._plan is None:
+            self._plan = _Plan(self._delta)
+        return self._plan
 
     @property
     def states(self):
@@ -289,8 +322,11 @@ def is_k_dfa(dfa: Dfa) -> bool:
         # Rows are permutations by construction (ascending ranks within
         # and outside v partition [k]); asserted exhaustively in tests.
         return True
-    expected = list(range(1, dfa.alphabet_size + 1))
-    return all(sorted(dfa.cost_row(v)) == expected for v in dfa.states)
+    plan = dfa._kernel_plan()
+    if plan.k_dfa is None:
+        expected = list(range(1, dfa.alphabet_size + 1))
+        plan.k_dfa = all(sorted(dfa.cost_row(v)) == expected for v in dfa.states)
+    return plan.k_dfa
 
 
 def cheapen(dfa: Dfa) -> WeightedDfa:
@@ -371,23 +407,29 @@ _PACKED_MAX_TOTAL = 1 << 10
 def _largest_finite_cost(dfa: Dfa) -> int:
     if isinstance(dfa, SubsetDfa):
         return dfa.alphabet_size
-    return max(
-        (c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY),
-        default=0,
-    )
+    plan = dfa._kernel_plan()
+    if plan.largest is None:
+        plan.largest = max(
+            (c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY),
+            default=0,
+        )
+    return plan.largest
 
 
 def _whole_budget(budget):
     """A budget as the largest total it admits, or None for every total.
     Totals are whole numbers or INFINITY, so a real budget admits those up
-    to its floor (a negative one admits none) and INFINITY admits all."""
+    to its floor (a negative one admits none) and INFINITY admits all. A
+    NaN budget admits nothing meaningful and is refused."""
+    if budget != budget:
+        raise ValueError(f"budget must be a number or INFINITY, got {budget!r}")
     if budget is None or budget == INFINITY:
         return None
     return -1 if budget < 0 else math.floor(budget)
 
 
 class _SubsetRows:
-    """The edge rows of SubsetDfa(k) in _edge_rows' form, costs times
+    """The finite edge rows of SubsetDfa(k) in _Rows' form, costs times
     scale, computed from the rank formula at each lookup and never stored.
     A subset state is its own index. Off the root a walk meets up to
     C(k, l) states per layer: keeping a row of k edges for each of them
@@ -418,29 +460,64 @@ class _SubsetRows:
         return row
 
 
-def _edge_rows(dfa: Dfa, start, scale: int) -> tuple:
-    """The subset DP's start key and edge rows, costs times scale.
+class _Rows:
+    """Edge rows at one digit width, as the subset DP reads them.
+
+    finite[i] lists the finite edges of state i in letter order as (bit,
+    key step, width * cost), and infinite[i] its INFINITY edges as (bit,
+    key step, INFINITY); infinite is None when the automaton has none. On
+    a table automaton, folds and weights hold _last_two_by_complement's
+    constants per state, filled as frontiers reach the states.
+    """
+
+    __slots__ = ("finite", "infinite", "folds", "weights")
+
+    def __init__(self, finite, infinite):
+        self.finite = finite
+        self.infinite = infinite
+        self.folds: dict = {}
+        self.weights: dict = {}
+
+
+def _edge_rows(dfa: WeightedDfa, width: int) -> _Rows:
+    """Build the _Rows of a table automaton at digit width.
 
     A (state, letters read) pair is the integer key index << k | used, with
-    states indexed in dfa.states order (a SubsetDfa state is its own
-    index). rows[index] lists the state's edges in letter order as (bit,
-    key step, scale * cost): reading an unread letter t, bit = 1 << t-1,
-    from index i to successor index j moves the key by ((j - i) << k) +
-    bit, a negative step when j < i. INFINITY stays INFINITY.
+    index the plan's row number of the state. Reading an unread letter t,
+    bit = 1 << t-1, from index i to successor index j moves the key by
+    ((j - i) << k) + bit, a negative step when j < i. INFINITY stays
+    INFINITY.
     """
     k = dfa.alphabet_size
-    if isinstance(dfa, SubsetDfa):
-        return start << k, _SubsetRows(k, scale)
-    states = dfa.states
-    index = {v: i for i, v in enumerate(states)}
-    rows = [
-        tuple(
-            (1 << t, ((index[u] - i) << k) + (1 << t), scale * c)
+    index = dfa._kernel_plan().index
+    finite = []
+    infinite = []
+    for i, v in enumerate(index):
+        edges = [
+            (1 << t, ((index[u] - i) << k) + (1 << t), width * c)
             for t, (u, c) in enumerate(zip(dfa.delta_row(v), dfa.cost_row(v)))
-        )
-        for i, v in enumerate(states)
-    ]
-    return index[start] << k, rows
+        ]
+        finite.append(tuple(e for e in edges if e[2] != INFINITY))
+        infinite.append(tuple(e for e in edges if e[2] == INFINITY))
+    return _Rows(finite, infinite if any(infinite) else None)
+
+
+def _plan_rows(dfa: Dfa, width: int) -> _Rows:
+    """The edge rows at digit width: a table automaton's from its plan,
+    built there by _edge_rows once per width; a SubsetDfa's from the rank
+    formula (_SubsetRows), where a subset state is its own index."""
+    if isinstance(dfa, SubsetDfa):
+        return _Rows(_SubsetRows(dfa.alphabet_size, width), None)
+    rows = dfa._kernel_plan().rows
+    if width not in rows:
+        rows[width] = _edge_rows(dfa, width)
+    return rows[width]
+
+
+def _start_key(dfa: Dfa, start) -> int:
+    # the DP key of (start, no letter read)
+    index = start if isinstance(dfa, SubsetDfa) else dfa._kernel_plan().index[start]
+    return index << dfa.alphabet_size
 
 
 def _unpack(packed: int, width: int) -> Counter:
@@ -546,8 +623,9 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     depends only on (state, set of letters read), so each layer maps such
     pairs, at most |V| * 2^k of them, keyed by integers (_edge_rows), to
     the cost histogram of the prefixes reaching them. Each state's edges
-    are read off its row once per call (the rank formula once per pair on
-    a SubsetDfa), never through step or step_cost.
+    are read off its row (_plan_rows: kept per automaton and width on a
+    table automaton, the rank formula once per pair on a SubsetDfa),
+    never through step or step_cost.
 
     A histogram is one packed integer (Kronecker substitution): the count
     of prefixes with total c is digit c, width bits wide. No count exceeds
@@ -580,25 +658,21 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
         return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda layer: layer
     width = math.perm(k, max_len).bit_length()
     mask = _budget_mask(budget, ceiling, width)
-    key, rows = _edge_rows(dfa, start, width)
-    if isinstance(dfa, SubsetDfa):
-        finite, infinite = rows, None
-    else:
-        finite = [tuple(e for e in row if e[2] != INFINITY) for row in rows]
-        infinite = [tuple(e[:2] for e in row if e[2] == INFINITY) for row in rows]
-        if budget is not None or not any(infinite):
-            infinite = None
+    rows = _plan_rows(dfa, width)
+    finite = rows.finite
+    # a budget drops every INFINITY edge
+    infinite = rows.infinite if budget is None else None
     # the complement keeps weights per successor state: off the root of a
     # SubsetDfa that is up to C(k, l) states, so it keeps the per-edge fold
     complement = (
         not isinstance(dfa, SubsetDfa) and infinite is None and _complement_pays(k, max_len)
     )
     layers = [(1, 0)]
-    frontier = {key: 1}
+    frontier = {_start_key(dfa, start): 1}
     lost = 0
     for length in range(1, max_len + 1):
         if complement and length == max_len - 1:
-            shorter, last = _last_two_by_complement(dfa, width, frontier, finite)
+            shorter, last = _last_two_by_complement(k, rows, frontier)
             if mask is not None:
                 shorter &= mask
                 last &= mask
@@ -633,7 +707,7 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
         if infinite is not None:
             lost *= k - length + 1
             for key, packed in frontier.items():
-                for bit, _ in infinite[key >> k]:
+                for bit, _, _ in infinite[key >> k]:
                     if not key & bit:
                         lost += packed
         layers.append((layer + sum(nxt.values()), lost))
@@ -648,10 +722,11 @@ def _complement_pays(k: int, max_len: int) -> bool:
     return 2 * (max_len - 1) < k
 
 
-def _last_two_by_complement(dfa: Dfa, width: int, frontier: dict, finite) -> tuple:
+def _last_two_by_complement(k: int, rows: _Rows, frontier: dict) -> tuple:
     """(shorter, last): the packed histograms of the DP's last two layers,
     grown from frontier, the layer before them, on a table automaton with
-    no INFINITY edge taken (none left, or a budget drops them).
+    no INFINITY edge taken (none left, or a budget drops them); rows are
+    the automaton's _Rows at the digit width of frontier's histograms.
 
     With q = 2^width, a pair (v, U) one letter short adds packed * sum over
     unread t of q^c(v, t) to the last layer. That is packed * (R_v - S),
@@ -662,16 +737,16 @@ def _last_two_by_complement(dfa: Dfa, width: int, frontier: dict, finite) -> tup
     multiplied by the source's packed once. R_v - S is the exact sum of
     q^c over v's unread finite edges, so every product is a true histogram
     whose digits count words and stay below 2^width: no digit carries.
-    Budgets are left to the caller's mask.
+    Budgets are left to the caller's mask. The per-state constants depend
+    only on the state and the width, so they are kept in rows and a state
+    met again, in this call or a later one, reuses them.
     """
-    k = dfa.alphabet_size
     letters = [1 << t for t in range(k)]
+    finite, weights, folds = rows.finite, rows.weights, rows.folds
     # for the frontier's states u, per edge u -t-> v: (bit, q^c(u, t), v's
     # weights {bit: q^c(v, bit)} with 0 for INFINITY, R_v - q^c(v, t))
-    weights: dict = {}
-    folds: dict = {}
-    for u in {key >> k for key in frontier}:
-        fold = folds[u] = []
+    for u in {key >> k for key in frontier} - folds.keys():
+        fold = []
         for bit, step, shift in finite[u]:
             v = ((u << k) + step) >> k
             if v not in weights:
@@ -681,6 +756,7 @@ def _last_two_by_complement(dfa: Dfa, width: int, frontier: dict, finite) -> tup
                 weights[v] = w, sum(w.values())
             w, total = weights[v]
             fold.append((bit, 1 << shift, w, total - w[bit]))
+        folds[u] = fold
     shorter = last = 0
     for key, packed in frontier.items():
         read = [b for b in letters if key & b]
@@ -714,20 +790,24 @@ def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
 def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
     of letters read), for automata whose finite costs are too wide to pack.
-    Keys and edge rows are _edge_rows'; INFINITY is a total like any other.
-    Each Counter is sorted at the end, so its keys run as on the packed
-    paths."""
+    Keys and edge rows are the packed DP's at width 1 (_plan_rows);
+    INFINITY is a total like any other. Each Counter is sorted at the end,
+    so its keys run as on the packed paths."""
     k = dfa.alphabet_size
-    key, rows = _edge_rows(dfa, start, 1)
+    rows = _plan_rows(dfa, 1)
+    finite, infinite = rows.finite, rows.infinite
     dists = [Counter() for _ in range(max_len + 1)]
     dists[0][0] = 1
-    frontier = {key: {0: 1}}
+    frontier = {_start_key(dfa, start): {0: 1}}
     for length in range(1, max_len + 1):
         bucket = dists[length]
         last = length == max_len
         nxt: dict = {}
         for key, hist in frontier.items():
-            for bit, step, c in rows[key >> k]:
+            edges = finite[key >> k]
+            if infinite is not None:
+                edges = edges + infinite[key >> k]
+            for bit, step, c in edges:
                 if key & bit:
                     continue
                 if last:

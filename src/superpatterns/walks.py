@@ -19,7 +19,12 @@ where [m] = {1..m}; so E[sum_j X_j] = sum_{m=1..k} (m+1)/2 = (k^2+3k)/4
 exactly.
 
 X and T have one definition each: the scalar xy_decompose and t_statistic
-are views of the matrix kernels _x_ranks and _cost_matrix.
+are views of the matrix kernels _x_ranks and _cost_matrix. A table
+automaton's numpy tables (_tables: state index, cost and successor
+matrices) are built once per automaton and kept, read-only, in its plan
+with the k-DFA verdict (dfa._Plan), so every call and every sample block
+on it reads the same arrays; SubsetDfa keeps nothing and walks by its rank
+formula.
 
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
 counter-mode stream keyed by (seed, i) (counter-based generation as in
@@ -357,16 +362,25 @@ def _sample_perm_matrix(
 
 
 def _cost_matrix(dfa) -> np.ndarray:
-    """cost[V, k]: row i is the cost row of state i of dfa.states."""
+    """Build cost[V, k]: row i is the cost row of state i of dfa.states. A
+    table automaton's is built once, by _tables; a SubsetDfa's (2^k x k)
+    on every call, since it keeps no per-automaton data."""
     return np.array([dfa.cost_row(v) for v in dfa.states], dtype=np.int64)
 
 
 def _tables(dfa):
     """The dense tables of a table-backed automaton: ({state: row},
-    _cost_matrix(dfa), succ[V, k]), successors given as row numbers."""
-    index = {v: i for i, v in enumerate(dfa.states)}
-    succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index], dtype=np.intp)
-    return index, _cost_matrix(dfa), succ
+    _cost_matrix(dfa), succ[V, k]), successors given as row numbers. Built
+    on the first call and kept in the automaton's plan, with its state
+    index; both arrays are read-only, since every later call shares them."""
+    plan = dfa._kernel_plan()
+    if plan.tables is None:
+        index = plan.index
+        cost = _cost_matrix(dfa)
+        succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index], dtype=np.intp)
+        cost.flags.writeable = succ.flags.writeable = False
+        plan.tables = index, cost, succ
+    return plan.tables
 
 
 def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
@@ -410,14 +424,13 @@ def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk_totals(dfa, start, words: np.ndarray, tables) -> np.ndarray:
+def _walk_totals(dfa, start, words: np.ndarray) -> np.ndarray:
     """Total cost of every row of words (letters, shape (rows, L)) walked
-    from start: through tables (from _tables), or, for SubsetDfa
-    (tables None), the row sums of _subset_costs, which needs no state
-    list and works at any k."""
-    if tables is None:
+    from start: through _tables, or, for SubsetDfa, the row sums of
+    _subset_costs, which needs no state list and works at any k."""
+    if isinstance(dfa, SubsetDfa):
         return _subset_costs(dfa.alphabet_size, start, words).sum(axis=1)
-    index, cost, succ = tables
+    index, cost, succ = _tables(dfa)
     total = np.zeros(len(words), dtype=np.int64)
     at = np.full(len(words), index[start])
     for t in (words - 1).T:
@@ -499,12 +512,11 @@ def estimate_P(
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}")
     bound = _cost_bound(k, L, epsilon, strict)
-    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
     hits = 0
     for lo in range(0, samples, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, samples - lo)
         words = _sample_perm_matrix(k, rows, seed, L, first=lo)[:, :L]
-        hits += int((_walk_totals(dfa, state, words, tables) <= bound).sum())
+        hits += int((_walk_totals(dfa, state, words) <= bound).sum())
     lo, hi = clopper_pearson(hits, samples, confidence)
     return EstimateReport(
         estimate=hits / samples,
@@ -570,7 +582,8 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     For each state v, counts the prefix letters whose cost at v is at most
     x — the number of cost values <= x that a walk sitting at v could no
     longer pay when reading fresh letters. Returns ({state: count}, min),
-    read off the prefix columns of _cost_matrix, as _min_t_counts does.
+    read off the prefix columns of the cost matrix (_tables' on a table
+    automaton), as _min_t_counts does.
     """
     if not is_k_dfa(dfa):
         raise ValueError("t_statistic needs a k-DFA")
@@ -584,7 +597,8 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     if x < 0:
         raise ValueError("x must be non-negative")
     columns = np.array(letters, dtype=np.intp) - 1
-    counts = (_cost_matrix(dfa)[:, columns] <= x).sum(axis=1).tolist()
+    cost = _cost_matrix(dfa) if isinstance(dfa, SubsetDfa) else _tables(dfa)[1]
+    counts = (cost[:, columns] <= x).sum(axis=1).tolist()
     return dict(zip(dfa.states, counts)), min(counts)
 
 
@@ -592,16 +606,15 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
 # Monte-Carlo X sums and the concentration experiments
 
 
-def _x_ranks(dfa, perms: np.ndarray, tables=None) -> np.ndarray:
+def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
     """X_j of every row of perms walked from the root, shape (samples, k).
 
     On SubsetDfa the cost of reading t_j from the root's walk is its rank
     among the unread letters, so X is _subset_costs from the empty set;
-    otherwise one table walk of all rows at once, through tables (from
-    _tables, built here when not given)."""
+    otherwise one table walk of all rows at once, through _tables."""
     if isinstance(dfa, SubsetDfa):
         return _subset_costs(dfa.alphabet_size, 0, perms)
-    index, cost, succ = tables or _tables(dfa)
+    index, cost, succ = _tables(dfa)
     letters = perms - 1
     at = np.full(len(perms), index[dfa.root])
     X = np.empty_like(perms)
@@ -612,11 +625,11 @@ def _x_ranks(dfa, perms: np.ndarray, tables=None) -> np.ndarray:
     return X
 
 
-def _min_t_counts(dfa, perms: np.ndarray, xs, cost=None) -> list[np.ndarray]:
+def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
     """For each x in xs, the (samples, k) matrix of T_{j, x}: the minimum
     over states of the number of letters before t_j costing at most x.
-    Non-subset automata stream over the rows of cost (_cost_matrix, built
-    here when not given), so no states x samples x k array is built."""
+    Non-subset automata stream over the rows of _tables' cost matrix, so
+    no states x samples x k array is built."""
     k = perms.shape[1]
     if isinstance(dfa, SubsetDfa):  # sample-independent closed form
         return [
@@ -624,7 +637,7 @@ def _min_t_counts(dfa, perms: np.ndarray, xs, cost=None) -> list[np.ndarray]:
             for x in xs
         ]
     T = [np.full(perms.shape, k) for _ in xs]
-    for row in _cost_matrix(dfa) if cost is None else cost:
+    for row in _tables(dfa)[1]:
         paid = row[perms - 1]
         for t, x in zip(T, xs):
             low = paid <= x
@@ -642,11 +655,10 @@ def sample_x_sums(dfa, samples: int, seed: int) -> np.ndarray:
     if not is_k_dfa(dfa):
         raise ValueError("sample_x_sums needs a k-DFA")
     k = dfa.alphabet_size
-    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
     out = np.empty(samples, dtype=np.int64)
     for lo in range(0, samples, _BLOCK_ROWS):
         perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
-        out[lo : lo + len(perms)] = _x_ranks(dfa, perms, tables).sum(axis=1)
+        out[lo : lo + len(perms)] = _x_ranks(dfa, perms).sum(axis=1)
     return out
 
 
@@ -725,12 +737,10 @@ def concentration_experiment(
             events.append(((m1, m2), cols, thr1, thr2))
     hits1 = dict.fromkeys((key for key, *_ in events), 0)
     hits2 = dict(hits1)
-    tables = None if isinstance(dfa, SubsetDfa) else _tables(dfa)
-    cost = None if tables is None else tables[1]
     for lo in range(0, samples, _BLOCK_ROWS):
         perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
-        X = _x_ranks(dfa, perms, tables)
-        T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)], cost)
+        X = _x_ranks(dfa, perms)
+        T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)])
         for (m1, m2), cols, thr1, thr2 in events:
             exceed = (X[:, cols] * M > m2 * (k - cols)).sum(axis=1)
             hits1[(m1, m2)] += int((exceed < thr1).sum())

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -365,6 +367,14 @@ class TestCheapPermCount:
         with pytest.raises(ResourceLimitError):
             cheap_perm_count(build_subset_dfa(12), 5)
 
+    def test_nan_budget_is_refused_on_every_path(self):
+        # the closed form (subset root), the packed DP and the dict path
+        for dfa in (build_subset_dfa(4), build_two_track_dfa(4), wide_with_infinity()):
+            with pytest.raises(ValueError, match="budget must be a number"):
+                cheap_perm_count(dfa, float("nan"))
+            with pytest.raises(ValueError, match="budget must be a number"):
+                _injective_cost_layers(dfa, dfa.root, 2, math.nan)
+
 
 class TestInjectiveCostLayers:
     """The (state, letters read) subset DP against plain enumeration."""
@@ -671,9 +681,11 @@ class TestIntegerKeyedKernel:
         ):
             dfa = renamed(base, rename)
             k = dfa.alphabet_size
-            _, rows = dfa_module._edge_rows(dfa, dfa.root, 1)
+            rows = dfa_module._edge_rows(dfa, 1)
+            edges = [e for part in (rows.finite, rows.infinite or ()) for row in part for e in row]
+            assert len(edges) == k * len(dfa.states)
             # a successor with a lower index than its state steps the key down
-            assert any(step < 0 for row in rows for _, step, _ in row) == goes_back
+            assert any(step < 0 for _, step, _ in edges) == goes_back
             for start in dfa.states[:3]:
                 ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
                 for max_len in range(k + 1):
@@ -855,6 +867,152 @@ class TestComplementFold:
                     [exact_P(dfa, v, L, eps) for v in dfa.states[:4] for L in (2, 3, 4) for eps in (0.0, 0.2)]
                 )
             assert answers[0] == answers[1]
+
+
+def wide_with_infinity():
+    # finite costs too wide to pack past one letter (the dict path), and
+    # INFINITY edges
+    return WeightedDfa(
+        4, 0, {0: (1, 0, 1, 0), 1: (0, 1, 1, 0)}, {0: (600, 1, INFINITY, 3), 1: (2, 5, 1, INFINITY)}
+    )
+
+
+def fresh(dfa):
+    """An equal automaton whose plan is still empty."""
+    return WeightedDfa(
+        dfa.alphabet_size,
+        dfa.root,
+        {v: dfa.delta_row(v) for v in dfa.states},
+        {v: dfa.cost_row(v) for v in dfa.states},
+    )
+
+
+def items(dists):
+    return [list(d.items()) for d in dists]
+
+
+class TestKernelPlan:
+    """One automaton answering many interleaved queries, each against a
+    fresh equal automaton (key order included) and against plain
+    enumeration (tests/oracles.py): nothing the plan keeps (edge rows per
+    digit width, complement constants, verdicts) may leak between
+    queries."""
+
+    BUDGETS = (None, -1, 0, 2.5, math.inf)
+    AUTOMATA = [
+        # k = 7: L = 6 and 7 share a digit width, every other L has its own
+        ("random", lambda: random_k_dfa(7, 6, 11), (0, 3, 5)),
+        ("str-names", lambda: renamed(random_k_dfa(6, 5, 3), lambda v: f"s{v}"), ("s0", "s4", "s2")),
+        ("negative-names", lambda: renamed(build_two_track_dfa(6), lambda v: -v - 10), (-10, -7, -13)),
+        ("weighted", weighted_zero_and_infinity, (0, 1, 3)),
+        ("greedy", greedy_with_infinity, (0, 2, 6)),
+        ("wide", wide_with_infinity, (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("name,make,starts", AUTOMATA, ids=[a[0] for a in AUTOMATA])
+    def test_interleaved_layers(self, monkeypatch, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        ref = {start: [brute_injective_costs(dfa, start, L) for L in range(k + 1)] for start in starts}
+        queries = [
+            (start, max_len, budget, complement)
+            for start in starts
+            for max_len in range(k + 1)
+            for budget in self.BUDGETS
+            for complement in (True, False)
+        ]
+        random.Random(name).shuffle(queries)
+        for start, max_len, budget, complement in queries:
+            # both folds, forced wherever the DP can take the complement
+            monkeypatch.setattr(dfa_module, "_complement_pays", lambda k, L, c=complement: c)
+            got = _injective_cost_layers(dfa, start, max_len, budget)
+            want = _injective_cost_layers(fresh(dfa), start, max_len, budget)
+            assert items(got) == items(want), (name, start, max_len, budget, complement)
+            assert got[1:] == [within(r, budget) for r in ref[start][1 : max_len + 1]]
+            assert all(ascending_then_infinity(d) for d in got)
+            sparse = dfa_module._injective_cost_layers_sparse(dfa, start, max_len, budget)
+            assert items(sparse) == items(got)
+
+    def test_widths_keep_their_own_rows(self):
+        # one entry per digit width the queries used, none for another
+        dfa = random_k_dfa(7, 6, 11)
+        widths = set()
+        for max_len in (2, 5, 3, 7, 6, 2):
+            _injective_cost_layers(dfa, 3, max_len)
+            widths.add(math.perm(7, max_len).bit_length())
+        assert set(dfa._plan.rows) == widths == {6, 8, 12, 13}
+        for width, rows in dfa._plan.rows.items():
+            assert rows.finite == dfa_module._edge_rows(dfa, width).finite
+
+    def test_interleaved_callers(self):
+        for dfa, starts in (
+            (random_k_dfa(6, 7, 5), (0, 4, 6)),
+            (renamed(build_two_track_dfa(6), lambda v: f"t{v}"), ("t0", "t-3", "t2")),
+            (cheapen(greedy_with_infinity()), (0, 3)),
+        ):
+            k = dfa.alphabet_size
+            census = brute_injective_costs(dfa, dfa.root, k)
+            for L in (2, k, 1, 3):
+                for eps in (0.0, 0.15, 0.3):
+                    for start in starts:
+                        assert exact_P(dfa, start, L, eps) == exact_P(fresh(dfa), start, L, eps)
+                    assert exact_P_max(dfa, L, eps) == exact_P_max(fresh(dfa), L, eps)
+                for budget in self.BUDGETS:
+                    assert cheap_perm_count(dfa, budget) == sum(within(census, budget).values())
+                assert list(perm_cost_census(dfa).items()) == list(perm_cost_census(fresh(dfa)).items())
+                assert perm_cost_census(dfa) == census
+                for start in starts:
+                    assert items(cost_distributions_by_length(dfa, start, L)) == items(
+                        cost_distributions_by_length(fresh(dfa), start, L)
+                    )
+
+    def test_k_dfa_verdict_and_largest_cost(self):
+        greedy = greedy_with_infinity()
+        for dfa, verdict in ((greedy, False), (cheapen(greedy), True), (build_two_track_dfa(4), True)):
+            for _ in range(2):
+                assert is_k_dfa(dfa) == verdict
+                assert dfa_module._largest_finite_cost(dfa) == max(
+                    c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY
+                )
+
+    def test_threads_share_one_automaton(self):
+        # more threads than cores, switching every microsecond, each
+        # round on an automaton whose plan is empty: a part published
+        # before it is whole (complement constants filled in place) gave
+        # some thread a wrong answer in 2 to 23 of 40 rounds
+        base = random_k_dfa(16, 40, 4)
+        queries = [(start, 3) for start in range(0, 40, 3)]
+        want = {q: _injective_cost_layers(fresh(base), *q) for q in queries}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                shared = fresh(base)
+                wrong = []
+
+                def work():
+                    for q in queries:
+                        if _injective_cost_layers(shared, *q) != want[q]:
+                            wrong.append(q)
+
+                threads = [threading.Thread(target=work) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_subset_automaton_keeps_nothing(self):
+        s = build_subset_dfa(6)
+        for start in (0, 0b101):
+            _injective_cost_layers(s, start, 4, 9)
+            exact_P(s, start, 3, 0.1)
+        cheap_perm_count(s, 10)
+        assert is_k_dfa(s)
+        assert vars(s) == {"alphabet_size": 6, "root": 0}
 
 
 class TestDictPathKeyOrder:

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 from superpatterns.bounds import forL_bound
+import superpatterns.dfa as D
 import superpatterns.walks as W
 from superpatterns.dfa import (
     build_greedy_dfa,
@@ -271,7 +272,7 @@ class TestSubsetCostKernel:
         # the row sums of _x_ranks to _walk_totals
         s = build_subset_dfa(k)
         perms = _sample_perm_matrix(k, 300, seed=k)
-        totals = _walk_totals(s, s.root, perms, None)
+        totals = _walk_totals(s, s.root, perms)
         assert totals.tolist() == [sum(literal_x_ranks(s, p)) for p in perms.tolist()]
 
 
@@ -389,6 +390,23 @@ class TestExactP:
                 thr = Fraction(1, 2) - Fraction(str(eps))
                 hits = sum(n for c, n in costs.items() if c < thr * 40 * 3)
                 assert exact_P(dfa, start, 3, eps) == Fraction(hits, 40 * 39 * 38)
+
+    def test_exact_P_max_builds_rows_once_per_width(self, monkeypatch):
+        # every start of every exact_P_max call reads one set of edge rows
+        # per (automaton, digit width); the answers equal the max of exact_P
+        # over fresh automata, which share nothing with dfa
+        def fresh():
+            return random_k_dfa(6, 30, 2)
+
+        dfa = fresh()
+        queries = [(2, 0.1), (3, 0.0), (2, 0.3), (6, 0.2), (3, 0.25)]
+        want = [max(exact_P(fresh(), v, L, eps) for v in dfa.states) for L, eps in queries]
+        builds = Counter()
+        build = D._edge_rows
+        monkeypatch.setattr(D, "_edge_rows", lambda d, width: builds.update([(id(d), width)]) or build(d, width))
+        assert [exact_P_max(dfa, L, eps) for L, eps in queries] == want
+        widths = {math.perm(6, L).bit_length() for L, _ in queries}
+        assert builds == {(id(dfa), width): 1 for width in widths}
 
     def test_prefix_monotonicity(self):
         # cost of a prefix never exceeds the full walk cost
@@ -728,18 +746,40 @@ class TestXStatistics:
         assert list(blocked.con2.items()) == list(whole.con2.items())
 
     def test_tables_built_once_across_blocks(self, monkeypatch):
-        # three blocks of 4 rows, one _tables (and in it one _cost_matrix)
-        # per call
-        calls = Counter()
-        for name in ("_tables", "_cost_matrix"):
-            build = getattr(W, name)
-            monkeypatch.setattr(W, name, lambda dfa, n=name, f=build: calls.update([n]) or f(dfa))
+        # three blocks of 4 rows per call, and several calls: one
+        # _cost_matrix (inside the one _tables build) per automaton, and
+        # every block of every call reads the same arrays
+        builds = Counter()
+        seen = []
+        build, read = W._cost_matrix, W._tables
+        monkeypatch.setattr(W, "_cost_matrix", lambda dfa: builds.update([id(dfa)]) or build(dfa))
+        monkeypatch.setattr(W, "_tables", lambda dfa: seen.append(read(dfa)) or seen[-1])
         monkeypatch.setattr(W, "_BLOCK_ROWS", 4)
         dfa = random_k_dfa(5, 4, 9)
         sample_x_sums(dfa, 11, 3)
-        assert calls == {"_tables": 1, "_cost_matrix": 1}
+        assert builds == {id(dfa): 1} and len(seen) == 3
         concentration_experiment(dfa, 3, 0.2, 11, 3)
-        assert calls == {"_tables": 2, "_cost_matrix": 2}
+        estimate_P(dfa, 2, 4, 0.1, 11, 3)
+        xy_decompose(dfa, (2, 4, 1, 5, 3))
+        t_statistic(dfa, (1, 3), 2)
+        assert builds == {id(dfa): 1}
+        assert all(t is seen[0] for t in seen) and len(seen) > 3
+        # an equal automaton is another object with its own plan
+        fresh = random_k_dfa(5, 4, 9)
+        sample_x_sums(fresh, 11, 3)
+        assert builds == {id(dfa): 1, id(fresh): 1}
+        assert seen[-1] is not seen[0]
+
+    def test_cached_tables_are_read_only(self):
+        dfa = random_k_dfa(5, 4, 9)
+        sample_x_sums(dfa, 3, 1)
+        index, cost, succ = W._tables(dfa)
+        for table in (cost, succ):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+        assert cost.tolist() == [list(dfa.cost_row(v)) for v in dfa.states]
+        assert succ.tolist() == [[index[u] for u in dfa.delta_row(v)] for v in dfa.states]
+        assert list(sample_x_sums(dfa, 3, 1)) == list(sample_x_sums(random_k_dfa(5, 4, 9), 3, 1))
 
     def test_sample_x_sums_at_the_block_size(self):
         k, seed = 9, 4
