@@ -52,6 +52,8 @@ def _emit(payload: dict, fmt: str = "json") -> None:
 
 def _read_word(args) -> P.Word:
     if getattr(args, "word_file", None):
+        if args.word is not None:
+            raise ValueError("give --word or --word-file, not both")
         with open(args.word_file) as fh:
             return P.parse_word(fh.read())
     if getattr(args, "word", None) is None:
@@ -61,6 +63,8 @@ def _read_word(args) -> P.Word:
 
 def _read_perm(args) -> P.Permutation:
     if getattr(args, "perm_file", None):
+        if args.perm is not None:
+            raise ValueError("give --perm or --perm-file, not both")
         with open(args.perm_file) as fh:
             return P.parse_permutation(fh.read())
     if getattr(args, "perm", None) is None:
@@ -207,6 +211,10 @@ def _cmd_census(args, caps):
 def _cmd_superpattern(args, caps):
     caps = _effective_caps(args, caps)
     if args.word is not None or args.word_file is not None:
+        if args.search_r is not None or args.n_max is not None:
+            raise ValueError(
+                "give --word or --word-file (check) or --search-r and --n-max (search), not both"
+            )
         sigma = _read_word(args)
         ok = P.is_superpattern(sigma, args.k, max_k=caps["max_k"])
         _emit(

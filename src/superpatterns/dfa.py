@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CheapeningError, ResourceLimitError
-from .patterns import MAX_FACTORIAL_K, as_word
+from .patterns import MAX_FACTORIAL_K, _integral_letters, as_word
 
 __all__ = [
     "INFINITY",
@@ -64,7 +64,7 @@ def letters_of(w) -> tuple[int, ...]:
         return tuple(w.letters)
     if hasattr(w, "images"):
         return tuple(w.images)
-    return tuple(int(x) for x in w)
+    return _integral_letters(w)
 
 
 @dataclass(frozen=True)

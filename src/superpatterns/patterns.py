@@ -88,14 +88,6 @@ class Word:
         """The letter values that actually occur, ascending."""
         return tuple(sorted(set(self.letters)))
 
-    def reversed(self) -> "Word":
-        return Word(self.letters[::-1], self.alphabet_size)
-
-    def rotated(self, i: int) -> "Word":
-        """The rotation starting at 1-based position i+1."""
-        i %= max(len(self.letters), 1)
-        return Word(self.letters[i:] + self.letters[:i], self.alphabet_size)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -122,9 +114,6 @@ class Permutation:
     def __iter__(self):
         return iter(self.images)
 
-    def reversed(self) -> "Permutation":
-        return Permutation(self.images[::-1])
-
 
 def as_word(sigma, alphabet_size: Optional[int] = None) -> Word:
     """Coerce a Word or a plain sequence of letters to a Word.
@@ -138,7 +127,7 @@ def as_word(sigma, alphabet_size: Optional[int] = None) -> Word:
                 f"word declares r={sigma.alphabet_size}, caller wants r={alphabet_size}"
             )
         return sigma
-    letters = tuple(int(x) for x in sigma)
+    letters = _integral_letters(sigma)
     if alphabet_size is None:
         alphabet_size = max(letters, default=1)
     return Word(letters, alphabet_size)
@@ -147,7 +136,17 @@ def as_word(sigma, alphabet_size: Optional[int] = None) -> Word:
 def as_permutation(tau) -> Permutation:
     if isinstance(tau, Permutation):
         return tau
-    return Permutation(tuple(int(x) for x in tau))
+    return Permutation(_integral_letters(tau))
+
+
+def _integral_letters(xs) -> tuple[int, ...]:
+    """The letters of xs as ints, refusing any that int() would truncate."""
+    xs = tuple(xs)
+    out = tuple(map(int, xs))
+    if out != xs:
+        x = next(x for x, i in zip(xs, out) if i != x)
+        raise ValueError(f"letter {x!r} is not an integer")
+    return out
 
 
 def _positions_by_letter(letters: Sequence[int]) -> dict:
@@ -167,15 +166,27 @@ def _greedy_on_values(occ: dict, values: Sequence[int]) -> Optional[tuple[int, .
     indices = []
     i = 0
     for v in values:
-        ps = occ.get(v)
-        if ps is None:
-            return None
+        ps = occ.get(v, ())
         at = bisect_right(ps, i)
         if at == len(ps):
             return None
         i = ps[at]
         indices.append(i)
     return tuple(indices)
+
+
+def _embeddings(sigma, taus):
+    """For each tau in taus, then each k-subset Y of sigma's letter values
+    in lexicographic order: the greedy embedding of tau relabeled onto Y,
+    when there is one."""
+    sigma = as_word(sigma)
+    values = sigma.distinct_letters()
+    occ = _positions_by_letter(sigma.letters)
+    for images in taus:
+        for Y in combinations(values, len(images)):
+            emb = _greedy_on_values(occ, [Y[t - 1] for t in images])
+            if emb is not None:
+                yield emb
 
 
 def is_pattern(sigma, tau) -> bool:
@@ -186,20 +197,7 @@ def is_pattern(sigma, tau) -> bool:
     >>> is_pattern((1, 2, 3, 2), (2, 1, 3))
     False
     """
-    sigma = as_word(sigma)
-    tau = as_permutation(tau)
-    k = tau.k
-    if k == 0:
-        return True
-    values = sigma.distinct_letters()
-    if len(values) < k:
-        return False
-    occ = _positions_by_letter(sigma.letters)
-    for Y in combinations(values, k):
-        wanted = tuple(Y[t - 1] for t in tau.images)
-        if _greedy_on_values(occ, wanted) is not None:
-            return True
-    return False
+    return next(_embeddings(sigma, [as_permutation(tau).images]), None) is not None
 
 
 def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -211,22 +209,7 @@ def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
     >>> find_embedding((2, 5, 1, 4, 3), (3, 1, 2))
     (2, 3, 4)
     """
-    sigma = as_word(sigma)
-    tau = as_permutation(tau)
-    k = tau.k
-    if k == 0:
-        return ()
-    values = sigma.distinct_letters()
-    if len(values) < k:
-        return None
-    occ = _positions_by_letter(sigma.letters)
-    best = None
-    for Y in combinations(values, k):
-        wanted = tuple(Y[t - 1] for t in tau.images)
-        emb = _greedy_on_values(occ, wanted)
-        if emb is not None and (best is None or emb < best):
-            best = emb
-    return best
+    return min(_embeddings(sigma, [as_permutation(tau).images]), default=None)
 
 
 def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -295,14 +278,9 @@ def pattern_set(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> set:
             f"pattern_set with k={k} exceeds the k! cap (max_k={max_k})"
         )
     sigma = as_word(sigma)
-    if k == 0:
-        return {Permutation(())}
-    values = sigma.distinct_letters()
-    if len(values) < k:
-        return set()
     occ = _positions_by_letter(sigma.letters)
     out: set[tuple[int, ...]] = set()
-    for Y in combinations(values, k):
+    for Y in combinations(sigma.distinct_letters(), k):
         occ_by_rank = [None] + [occ[y] for y in Y]
         out |= _patterns_of_relabeled(occ_by_rank, k)
     return {Permutation(t) for t in out}
@@ -374,43 +352,44 @@ def f_oracle(
     return best, Word(witness, k)
 
 
-def _circular_words(sigma, bidirectional: bool) -> list:
-    """The distinct rotations of sigma and, if bidirectional, of its reversal."""
-    sigma = as_word(sigma)
-    bases = [sigma, sigma.reversed()] if bidirectional else [sigma]
-    turns = range(max(len(sigma), 1))
-    return list({w.letters: w for w in (b.rotated(i) for b in bases for i in turns)}.values())
+def _dihedral_orbit(images: tuple, bidirectional: bool) -> set:
+    """The rotations of a one-line notation and, if bidirectional, of its
+    reversal. tau is a pattern of a rotation of sigma iff a rotation of tau
+    is a pattern of sigma: a wrapping occurrence is two blocks that sigma
+    holds in the other order. Reversal commutes with rotation and with
+    taking patterns."""
+    bases = (images, images[::-1]) if bidirectional else (images,)
+    return {b[i:] + b[:i] for b in bases for i in range(max(len(b), 1))}
 
 
 def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
     """Whether tau is a pattern of some rotation of sigma (or, with
-    bidirectional=True, of some rotation of sigma's reversal). Stops at the
-    first hit; circular_pattern_set answers every tau of one length.
+    bidirectional=True, of its reversal): whether a member of tau's
+    _dihedral_orbit is a pattern of sigma. Stops at the first hit;
+    circular_pattern_set answers every tau of one length.
 
     >>> circular_contains((1, 2, 3), (3, 2, 1), False)
     False
     >>> circular_contains((1, 2, 3), (3, 2, 1), True)
     True
     """
-    words = _circular_words(sigma, bidirectional)
-    tau = as_permutation(tau)
-    return any(is_pattern(w, tau) for w in words)
+    orbit = _dihedral_orbit(as_permutation(tau).images, bidirectional)
+    return next(_embeddings(sigma, orbit), None) is not None
 
 
 def circular_pattern_set(
     sigma, k: int, bidirectional: bool = False, *, max_k: int = MAX_FACTORIAL_K
 ) -> set:
-    """The permutations of [k] circular_contains finds in sigma: the union
-    of pattern_set, with its domain and cap, over _circular_words.
+    """The permutations of [k] circular_contains finds in sigma:
+    pattern_set, with its domain and cap, closed under _dihedral_orbit.
 
     >>> sorted(p.images for p in circular_pattern_set((1, 2, 3), 3))
     [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
     >>> len(circular_pattern_set((1, 2, 3), 3, True))
     6
     """
-    return set().union(
-        *(pattern_set(w, k, max_k=max_k) for w in _circular_words(sigma, bidirectional))
-    )
+    found = pattern_set(sigma, k, max_k=max_k)
+    return {Permutation(t) for p in found for t in _dihedral_orbit(p.images, bidirectional)}
 
 
 def ascent_count(tau) -> int:

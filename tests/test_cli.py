@@ -390,6 +390,24 @@ class TestExitCodes:
             assert (rc, out) == (1, "")
             assert err == "error: k must be non-negative\n"
 
+    @pytest.mark.parametrize("argv, names", [
+        (["superpattern", "--word", "1", "2", "1", "--k", "2", "--search-r", "3", "--n-max", "4"],
+         ["--word", "--search-r"]),
+        (["superpattern", "--word", "1", "2", "1", "--k", "2", "--n-max", "4"], ["--word", "--n-max"]),
+        (["census", "--word", "3", "3", "3", "--word-file", "{path}", "--k", "2"],
+         ["--word", "--word-file"]),
+        (["contains", "--word", "1", "2", "--perm", "1", "--perm-file", "{path}"],
+         ["--perm", "--perm-file"]),
+    ])
+    def test_refuses_flags_it_would_ignore(self, capsys, tmp_path, argv, names):
+        path = tmp_path / "input.txt"
+        path.write_text("1 2\n")
+        argv = [str(path) if a == "{path}" else a for a in argv]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert len(err.strip().splitlines()) == 1
+        assert all(name in err for name in names)
+
     def test_bcp_refuses_perm_with_k(self, capsys):
         rc, out, err = run_cli(
             capsys, "bcp", "--word", "1", "2", "--perm", "1", "2", "--k", "3"

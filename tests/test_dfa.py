@@ -121,6 +121,12 @@ class TestWalkCost:
         with pytest.raises(ValueError):
             walk_cost(a, 0, (3,))
 
+    def test_non_integral_letter_refused(self):
+        # int() would truncate the walk to 1 2, of total cost 2
+        with pytest.raises(ValueError, match="not an integer"):
+            walk_cost(build_subset_dfa(3), 0, (1.5, 2.2))
+        assert walk_cost(build_subset_dfa(3), 0, (1.0, 2.0)).total_cost == 2
+
     def test_additivity_random(self):
         rng = random.Random(11)
         for _ in range(50):

@@ -10,6 +10,7 @@ from superpatterns.errors import AlphabetMismatchError, ResourceLimitError
 from superpatterns.patterns import (
     Permutation,
     Word,
+    as_permutation,
     as_word,
     ascent_count,
     circular_contains,
@@ -60,6 +61,17 @@ class TestTypes:
         assert as_word([2, 5, 1, 4, 3]).alphabet_size == 5
         assert as_word([]).alphabet_size == 1
 
+    def test_non_integral_letters_refused(self):
+        # int() would truncate these to 1, 2 and 2, 1
+        with pytest.raises(ValueError, match="not an integer"):
+            as_word((1.5, 2.9))
+        with pytest.raises(ValueError, match="not an integer"):
+            is_pattern((2.9, 1.5), (2, 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            as_permutation((2.7, 1.2))
+        assert as_word((1.0, 2.0)) == Word((1, 2), 2)
+        assert as_permutation((2.0, 1)).images == (2, 1)
+
 
 class TestIsPattern:
     def test_worked_containment_example(self):
@@ -95,10 +107,13 @@ class TestIsPattern:
 
     def test_embedding_is_lex_least(self):
         rng = random.Random(40)
-        for _ in range(200):
-            n = rng.randint(0, 7)
-            letters = tuple(rng.randint(1, 4) for _ in range(n))
-            for tau in perms(3):
+        cases = [(tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 7))), 3) for _ in range(200)]
+        cases += [
+            (tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 8))), k)
+            for k in range(5) for _ in range(40)
+        ]
+        for letters, k in cases:
+            for tau in perms(k):
                 embs = brute_embeddings(letters, tau)
                 got = find_embedding(letters, tau)
                 if embs:
@@ -281,10 +296,15 @@ class TestCircular:
 
     def test_matches_rotation_oracle(self):
         rng = random.Random(2024)
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            letters = tuple(rng.randint(1, 3) for _ in range(n))
-            for tau in perms(3):
+        cases = [(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6))), 3) for _ in range(60)]
+        # words on [5] can hold more values than tau has
+        cases += [
+            (tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 7))), k)
+            for k in range(1, 5) for _ in range(30)
+        ]
+        for letters, k in cases:
+            n = len(letters)
+            for tau in perms(k):
                 rots = [letters[i:] + letters[:i] for i in range(n)]
                 expect = any(brute_is_pattern(w, tau) for w in rots)
                 assert circular_contains(letters, tau, False) == expect
