@@ -72,6 +72,7 @@ class Word:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be a positive integer")
+        object.__setattr__(self, "letters", _integral_letters(self.letters))
         for x in self.letters:
             if not (1 <= x <= self.alphabet_size):
                 raise ValueError(

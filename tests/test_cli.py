@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -504,6 +505,110 @@ class TestTextFormat:
         )
         assert rc == 0
         assert "count: 2" in out
+
+
+# stdout of every bound and of every automaton builder (through walk and dfa
+# census), in json and text, with the files the argvs name as {word}/{dfa}
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def _with_files(tmp_path, line):
+    paths = {}
+    for name, text in GOLDEN["files"].items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    return [arg.format(**paths) for arg in line.split()]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("line", sorted(GOLDEN["stdout"]))
+    def test_stdout_byte_for_byte(self, capsys, tmp_path, line):
+        rc, out, err = run_cli(capsys, *_with_files(tmp_path, line))
+        assert (rc, err) == (0, "")
+        assert out == GOLDEN["stdout"][line]
+
+
+# a value for each flag an automaton builder may read
+_BUILDER_FLAGS = {
+    "--word": "1 2", "--word-file": "{word}", "--r": "4", "--k": "3",
+    "--states": "4", "--dfa-seed": "1", "--in": "{dfa}",
+}
+# kind: (the argv that builds it, the flags it reads)
+_BUILDERS = {
+    "greedy": ("--word 1 2 3 2", "--word --word-file --r"),
+    "subset": ("--k 3", "--k"),
+    "two-track": ("--k 4", "--k"),
+    "random": ("--k 3 --states 4 --dfa-seed 2", "--k --states --dfa-seed"),
+    "file": ("--in {dfa}", "--in"),
+}
+# a value for each flag of bounds, and the optional flags each bound reads
+_BOUND_FLAGS = {
+    "--k": "3", "--L": "3", "--n": "4", "--r": "3", "--M": "4", "--epsilon": "0.1",
+    "--epsilon-star": "0.3", "--alpha": "0.5", "--f": "2", "--log-f": "1",
+}
+_BOUND_OPTIONAL = {"birthday": ["--alpha"], "infeasibility": ["--log-f"], "gupta": ["--log-f"]}
+
+
+class TestUnreadFlags:
+    """A flag that the named builder or bound does not read is refused
+    with one line naming it, never dropped."""
+
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind, (_, reads) in _BUILDERS.items() for flag in _BUILDER_FLAGS
+        if flag not in reads.split()
+    ])
+    def test_builder_refuses_a_flag_it_does_not_read(self, capsys, tmp_path, kind, flag):
+        line = f"walk --dfa {kind} {_BUILDERS[kind][0]} --walk-word 1 2"
+        rc, _, _ = run_cli(capsys, *_with_files(tmp_path, line))
+        assert rc == 0
+        line += f" {flag} {_BUILDER_FLAGS[flag]}"
+        rc, out, err = run_cli(capsys, *_with_files(tmp_path, line))
+        assert (rc, out) == (1, "")
+        assert err == f"error: --dfa {kind} does not read {flag}\n"
+
+    def test_positional_builder_refuses_too(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "dfa", "census", "subset", "--k", "3", "--states", "4", "--dfa-seed", "3"
+        )
+        assert (rc, out, err) == (1, "", "error: --dfa subset does not read --states\n")
+
+    @pytest.mark.parametrize("bound, flag", [
+        (bound, flag) for bound, given in sorted(TestBoundsCommands.REQUIRED.items())
+        for flag in _BOUND_FLAGS if flag not in given + _BOUND_OPTIONAL.get(bound, [])
+    ])
+    def test_bound_refuses_a_flag_it_does_not_read(self, capsys, bound, flag):
+        argv = ["bounds", bound, *TestBoundsCommands.REQUIRED[bound], flag, _BOUND_FLAGS[flag]]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: bounds {bound} does not read {flag}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "contains --word-file {word} --r 9 --perm 1 2",
+        "census --word-file {word} --r 9 --k 2",
+        "bcp --word-file {word} --r 9 --k 2",
+        "superpattern --word-file {word} --r 9 --k 2",
+        "walk greedy --word-file {word} --r 9 --walk-word 1",
+    ])
+    def test_r_with_word_file_is_refused(self, capsys, tmp_path, argv):
+        # the file's r= header gives the alphabet
+        rc, out, err = run_cli(capsys, *_with_files(tmp_path, argv))
+        assert (rc, out) == (1, "")
+        assert err == "error: give --r or --word-file, not both: the file's r= header is its alphabet\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("walk --walk-word 1", "no automaton named: use --dfa or a builder argument"),
+        ("walk subset --walk-word 1", "--dfa subset needs --k"),
+        ("walk two-track --walk-word 1", "--dfa two-track needs --k"),
+        ("walk random --k 3 --walk-word 1", "--dfa random needs --k and --states"),
+        ("walk random --states 3 --walk-word 1", "--dfa random needs --k and --states"),
+        ("walk file --walk-word 1", "--dfa file needs --in PATH"),
+        ("walk greedy --walk-word 1", "need --word or --word-file"),
+        ("bounds infeasibility --k 3 --n 4", "bounds infeasibility needs --r"),
+        ("bounds gupta --k 3 --n 4", "need --f or --log-f"),
+    ])
+    def test_missing_flag_messages(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestCapFlags:

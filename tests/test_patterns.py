@@ -72,6 +72,16 @@ class TestTypes:
         assert as_word((1.0, 2.0)) == Word((1, 2), 2)
         assert as_permutation((2.0, 1)).images == (2, 1)
 
+    def test_word_constructor_refuses_non_integral_letters(self):
+        # as_word returns a Word as it is, so the constructor checks too
+        with pytest.raises(ValueError, match="letter 1.5 is not an integer"):
+            Word((1.5, 2), 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            is_pattern(Word((2, 1.5), 3), (2, 1))
+        word = Word([1.0, 2], 2)
+        assert word.letters == (1, 2)
+        assert all(type(x) is int for x in word.letters)
+
 
 class TestIsPattern:
     def test_worked_containment_example(self):
