@@ -128,9 +128,9 @@ def as_word(sigma, alphabet_size: Optional[int] = None) -> Word:
                 f"word declares r={sigma.alphabet_size}, caller wants r={alphabet_size}"
             )
         return sigma
-    letters = _integral_letters(sigma)
+    letters = tuple(sigma)
     if alphabet_size is None:
-        alphabet_size = max(letters, default=1)
+        alphabet_size = int(max(letters, default=1))
     return Word(letters, alphabet_size)
 
 

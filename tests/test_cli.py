@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superpatterns import cli
 from superpatterns.cli import main
 from superpatterns.dfa import (
     INFINITY,
@@ -757,11 +758,18 @@ def _cli_argv(draw):
     if command == "bounds":
         bound = draw(st.sampled_from(sorted(TestBoundsCommands.REQUIRED)))
         uses = TestBoundsCommands.REQUIRED[bound][::2]
+        values = dict.fromkeys(("--k", "--L", "--n", "--r", "--M"), small)
+        floats = ("--epsilon", "--epsilon-star", "--alpha", "--f", "--log-f")
+        values.update(dict.fromkeys(floats, _FLOATS))
+        needs, takes, _ = cli._BOUNDS[bound]
+        reads = [cli._flag(dest) for dest in needs + takes]
         argv = [command, bound]
-        for name in ("--k", "--L", "--n", "--r", "--M"):
-            argv += number(name, small, odds=needed if name in uses else 1)
-        for name in ("--epsilon", "--epsilon-star", "--alpha", "--f", "--log-f"):
-            argv += number(name, _FLOATS, odds=needed if name in uses else 1)
+        # the flags the bound reads; in one draw in 8, one it does not read, which is refused
+        for name in reads:
+            argv += number(name, values[name], odds=needed if name in uses else 1)
+        if draw(st.integers(1, 8)) == 1:
+            name = draw(st.sampled_from(sorted(set(values) - set(reads))))
+            argv += number(name, values[name], odds=4)
         return argv
 
     argv = [command]
@@ -774,12 +782,24 @@ def _cli_argv(draw):
             argv.append(kind)  # the positional builder
         else:
             argv += flag("--dfa", kind)
-        argv += flag("--states", draw(small)) + flag("--dfa-seed", draw(small), odds=1)
-        argv += flag("--in", "no-such-automaton.json", odds=1)
-    # a superpattern search needs --word to be missing
-    argv += flag("--word", *word, odds=1 if command == "superpattern" else needed)
-    if command != "contains":
-        argv += flag("--k", k)
+        # the flags the builder reads, each in its odds of 4 draws; in one
+        # draw in 8, one flag that only other builders read, which is refused
+        values = {
+            "word": (word, needed), "k": ([k], needed), "states": ([draw(small)], needed),
+            "dfa_seed": ([draw(small)], 1), "in_path": (["no-such-automaton.json"], 1),
+        }
+        needs, takes, _ = cli._BUILDERS[kind]
+        for dest in needs + takes:
+            if dest in values:
+                argv += flag(cli._flag(dest), *values[dest][0], odds=values[dest][1])
+        if draw(st.integers(1, 8)) == 1:
+            dest = draw(st.sampled_from(sorted(set(values) - set(needs + takes))))
+            argv += flag(cli._flag(dest), *values[dest][0], odds=4)
+    else:
+        # a superpattern search needs --word to be missing
+        argv += flag("--word", *word, odds=1 if command == "superpattern" else needed)
+        if command != "contains":
+            argv += flag("--k", k)
 
     if command == "decompose":
         return argv + flag("--perm", *perm)
@@ -836,13 +856,15 @@ def _exact_argv(draw):
     if kind == "random":
         automaton += flag("--states", draw(st.integers(-1, 6)))
         automaton += flag("--dfa-seed", draw(st.integers(0, 99)), odds=2)
-    automaton += flag("--max-k", draw(st.integers(0, 9)), odds=1)
+    caps = flag("--max-k", draw(st.integers(0, 9)), odds=1)
     if draw(st.booleans()):
         if draw(st.integers(1, 4)) == 1:
+            # the greedy builder reads only its word
             word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=9))
-            automaton = ["--dfa", "greedy", "--word", *map(str, word), *automaton[4:]]
+            automaton = ["--dfa", "greedy", "--word", *map(str, word)]
         return [
-            "dfa", "census", *automaton, *flag("--budget", draw(st.integers(-2, 70)), odds=2)
+            "dfa", "census", *automaton, *caps,
+            *flag("--budget", draw(st.integers(-2, 70)), odds=2),
         ]
     if draw(st.integers(1, 4)) <= 2:
         # in the domain on a table automaton with k <= 6, so every run
@@ -861,7 +883,7 @@ def _exact_argv(draw):
             *flag("--state", draw(st.sampled_from(states)), odds=2),
         ]
     return [
-        "exact-p", *automaton, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
+        "exact-p", *automaton, *caps, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
         # --name=value, so a negative value is not read as a flag
         f"--L={draw(st.integers(-1, max(k, 0) + 1))}", f"--epsilon={epsilon!r}",
         *flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=2),
