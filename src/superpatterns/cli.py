@@ -160,7 +160,10 @@ def _add_threads_flag(sp):
 
 
 def _build_dfa(args):
-    kind = getattr(args, "builder", None) or args.dfa
+    builder = getattr(args, "builder", None)
+    if builder is not None and args.dfa is not None:
+        raise ValueError("give a builder argument or --dfa, not both")
+    kind = builder or args.dfa
     if kind is None:
         raise ValueError("no automaton named: use --dfa or a builder argument")
     needs, _, build = _BUILDERS[kind]
@@ -239,6 +242,8 @@ def _cmd_superpattern(args, caps):
         raise ValueError(
             "need --word or --word-file for a check, or --search-r and --n-max for a search"
         )
+    if args.r is not None:
+        raise ValueError("superpattern --search-r does not read --r: --search-r is the alphabet size")
     rows = P.exhaustive_f_search(
         args.k, args.search_r, args.n_max,
         max_words=caps["max_enum"], max_k=caps["max_k"],
@@ -264,20 +269,14 @@ def _cmd_f_oracle(args, caps):
     }
 
 
-def _cmd_dfa(args, caps):
-    dfa = _build_dfa(args)
-    if args.action in ("build", "dot"):
-        fmt = "dot" if args.action == "dot" else args.format
-        _emit_dfa(dfa, fmt, args.include_infinite)
-        return None
-    if args.action == "cost":
-        if args.walk_word is None:
-            raise ValueError("dfa cost needs --walk-word")
-        # the walk's start, word and total: no states or step costs
-        walk = _cmd_walk(args, caps, dfa)
-        keys = ("start", "walk_word", "total_cost")
-        return {"command": "dfa cost", **{key: walk[key] for key in keys}}
-    # census
+def _dfa_cost(args, caps, dfa):
+    # the walk's start, word and total: no states or step costs
+    walk = _cmd_walk(args, caps, dfa)
+    keys = ("start", "walk_word", "total_cost")
+    return {"command": "dfa cost", **{key: walk[key] for key in keys}}
+
+
+def _dfa_census(args, caps, dfa):
     census = D.perm_cost_census(dfa, max_k=caps["max_k"])
     payload = {
         "command": "dfa census",
@@ -293,6 +292,29 @@ def _cmd_dfa(args, caps):
             n for c, n in census.items() if c <= args.budget
         )
     return payload
+
+
+# action: (flags it needs, other flags it takes, run); dfa build with
+# --format dot runs as dot
+_ACTIONS = {
+    "build": ((), (), lambda args, caps, dfa: _emit_dfa(dfa, args.format, False)),
+    "dot": (
+        (), ("include_infinite",),
+        lambda args, caps, dfa: _emit_dfa(dfa, "dot", bool(args.include_infinite)),
+    ),
+    "cost": (("walk_word",), ("start",), _dfa_cost),
+    "census": ((), ("budget", "max_k"), _dfa_census),
+}
+
+
+def _cmd_dfa(args, caps):
+    dfa = _build_dfa(args)
+    action = "dot" if args.action == "build" and args.format == "dot" else args.action
+    needs, _, run = _ACTIONS[action]
+    if any(getattr(args, dest) is None for dest in needs):
+        raise ValueError(f"dfa {action} needs {' and '.join(map(_flag, needs))}")
+    _refuse_unread(args, f"dfa {args.action}", _ACTIONS, action)
+    return run(args, caps, dfa)
 
 
 def _cmd_cheapen(args, caps):
@@ -398,6 +420,8 @@ def _cmd_bcp(args, caps):
 
 
 def _log_f_arg(args) -> float:
+    if args.f is not None and args.log_f is not None:
+        raise ValueError("give --f or --log-f, not both")
     if args.f is not None:
         if not 0 <= args.f < math.inf:
             raise ValueError("--f must be a finite non-negative number")
@@ -507,7 +531,7 @@ def build_parser() -> _Parser:
         help="automaton kind (alternative to --dfa)",
     )
     _add_dfa_flags(sp)
-    sp.add_argument("--include-infinite", action="store_true")
+    sp.add_argument("--include-infinite", action="store_true", default=None)
     sp.add_argument("--walk-word", type=int, nargs="+")
     sp.add_argument("--start", type=int)
     sp.add_argument("--budget", type=int)

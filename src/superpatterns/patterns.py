@@ -150,44 +150,59 @@ def _integral_letters(xs) -> tuple[int, ...]:
     return out
 
 
-def _positions_by_letter(letters: Sequence[int]) -> dict:
-    """1-based occurrence lists per letter value, in increasing order."""
+def _occurrence_lists(letters: Sequence[int]) -> list:
+    """The 1-based occurrence lists of the word's distinct values, by
+    ascending value: list j holds the positions of the (j+1)-th smallest."""
     occ: dict[int, list[int]] = {}
     for i, x in enumerate(letters, start=1):
         occ.setdefault(x, []).append(i)
-    return occ
+    return [occ[v] for v in sorted(occ)]
 
 
-def _greedy_on_values(occ: dict, values: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Leftmost embedding reading the given letter values in order.
-
-    Returns the 1-based index sequence, or None if some value has no
-    occurrence after the previous index.
-    """
-    indices = []
-    i = 0
-    for v in values:
-        ps = occ.get(v, ())
-        at = bisect_right(ps, i)
-        if at == len(ps):
-            return None
-        i = ps[at]
-        indices.append(i)
-    return tuple(indices)
-
-
-def _embeddings(sigma, taus):
-    """For each tau in taus, then each k-subset Y of sigma's letter values
-    in lexicographic order: the greedy embedding of tau relabeled onto Y,
-    when there is one."""
-    sigma = as_word(sigma)
-    values = sigma.distinct_letters()
-    occ = _positions_by_letter(sigma.letters)
+def _contains_any(lists: list, taus) -> bool:
+    """Whether some tau in taus embeds: whether, for some k-subset Y of the
+    occurrence lists, the greedy leftmost-next-occurrence scan reading
+    Y[tau_1 - 1], Y[tau_2 - 1], ... finds a position in each."""
     for images in taus:
-        for Y in combinations(values, len(images)):
-            emb = _greedy_on_values(occ, [Y[t - 1] for t in images])
-            if emb is not None:
-                yield emb
+        ranks = [t - 1 for t in images]
+        for Y in combinations(lists, len(ranks)):
+            i = 0
+            for t in ranks:
+                ps = Y[t]
+                at = bisect_right(ps, i)
+                if at == len(ps):
+                    break
+                i = ps[at]
+            else:
+                return True
+    return False
+
+
+def _least_embedding(lists: list, images: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The lexicographically least embedding of tau, or None: the least of
+    the greedy embeddings that _contains_any's scan finds. A subset whose
+    first position, the first occurrence of its value for tau_1, comes
+    after the best one's is skipped unscanned."""
+    ranks = [t - 1 for t in images]
+    head = ranks[0] if ranks else 0
+    best = None
+    pos = [0] * len(ranks)
+    for Y in combinations(lists, len(ranks)):
+        if best is not None and Y[head][0] > best[0]:
+            continue
+        i = d = 0
+        for t in ranks:
+            ps = Y[t]
+            at = bisect_right(ps, i)
+            if at == len(ps):
+                break
+            i = pos[d] = ps[at]
+            d += 1
+        else:
+            emb = tuple(pos)
+            if best is None or emb < best:
+                best = emb
+    return best
 
 
 def is_pattern(sigma, tau) -> bool:
@@ -198,7 +213,8 @@ def is_pattern(sigma, tau) -> bool:
     >>> is_pattern((1, 2, 3, 2), (2, 1, 3))
     False
     """
-    return next(_embeddings(sigma, [as_permutation(tau).images]), None) is not None
+    images = as_permutation(tau).images
+    return _contains_any(_occurrence_lists(as_word(sigma).letters), [images])
 
 
 def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -210,7 +226,8 @@ def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
     >>> find_embedding((2, 5, 1, 4, 3), (3, 1, 2))
     (2, 3, 4)
     """
-    return min(_embeddings(sigma, [as_permutation(tau).images]), default=None)
+    images = as_permutation(tau).images
+    return _least_embedding(_occurrence_lists(as_word(sigma).letters), images)
 
 
 def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -232,8 +249,8 @@ def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
             f"greedy embedding needs a word over [k]: "
             f"r={sigma.alphabet_size} but k={tau.k}"
         )
-    occ = _positions_by_letter(sigma.letters)
-    return _greedy_on_values(occ, tau.images)
+    # the one k-subset of a word that uses every letter of [k], else none
+    return _least_embedding(_occurrence_lists(sigma.letters), tau.images)
 
 
 def _patterns_of_relabeled(occ_by_rank: list, k: int) -> set:
@@ -279,11 +296,9 @@ def pattern_set(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> set:
             f"pattern_set with k={k} exceeds the k! cap (max_k={max_k})"
         )
     sigma = as_word(sigma)
-    occ = _positions_by_letter(sigma.letters)
     out: set[tuple[int, ...]] = set()
-    for Y in combinations(sigma.distinct_letters(), k):
-        occ_by_rank = [None] + [occ[y] for y in Y]
-        out |= _patterns_of_relabeled(occ_by_rank, k)
+    for Y in combinations(_occurrence_lists(sigma.letters), k):
+        out |= _patterns_of_relabeled([None, *Y], k)
     return {Permutation(t) for t in out}
 
 
@@ -317,9 +332,7 @@ def _canonical_words(n: int, max_letters: int):
 
 def _count_patterns_full_alphabet(letters: Sequence[int], k: int) -> int:
     """Pattern count of a word over [k] that uses all k letters."""
-    occ = _positions_by_letter(letters)
-    occ_by_rank = [None] + [occ[t] for t in range(1, k + 1)]
-    return len(_patterns_of_relabeled(occ_by_rank, k))
+    return len(_patterns_of_relabeled([None, *_occurrence_lists(letters)], k))
 
 
 def f_oracle(
@@ -375,7 +388,7 @@ def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
     True
     """
     orbit = _dihedral_orbit(as_permutation(tau).images, bidirectional)
-    return next(_embeddings(sigma, orbit), None) is not None
+    return _contains_any(_occurrence_lists(as_word(sigma).letters), orbit)
 
 
 def circular_pattern_set(

@@ -262,9 +262,16 @@ def _cost_bound(k: int, L: int, epsilon: float, strict: bool) -> int:
     if not (0 <= epsilon <= 0.5):
         raise ValueError(f"need 0 <= epsilon <= 1/2, got {epsilon!r}")
     if isinstance(epsilon, float):
-        epsilon = Fraction(repr(float(epsilon)))
-    thr = _threshold(k, L, epsilon)
-    return math.ceil(thr) - 1 if strict else math.floor(thr)
+        # repr is the shortest decimal: digits, a point, an exponent
+        mantissa, _, exp = repr(float(epsilon)).partition("e")
+        whole, _, frac = mantissa.partition(".")
+        p, shift = int(whole + frac), int(exp or 0) - len(frac)
+        p, q = (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
+    else:
+        p, q = Fraction(epsilon).as_integer_ratio()
+    # (1/2 - p/q) k L = num / den, den > 0
+    num, den = (q - 2 * p) * k * L, 2 * q
+    return -(-num // den) - 1 if strict else num // den
 
 
 def _share_within(dfa, state, L: int, bound: int, max_words: int) -> Fraction:

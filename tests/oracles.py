@@ -2,7 +2,9 @@
 
 The pattern oracles go through index subsets and literal order-isomorphism,
 deliberately avoiding the value-subset/greedy reduction and the automaton
-machinery used by the library itself. The stream oracles re-derive the
+machinery used by the library itself; subset_greedy_embeddings is that
+reduction as the library first wrote it, the reference definition of the
+occurrence-list loops that replaced it. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
 without the subset DP; the Mahonian oracle convolves the subset
@@ -10,6 +12,7 @@ automaton's rank distributions term by term, without packed integers; and
 the X-rank and T-count oracles read ranks and counts off cost rows.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from hashlib import blake2b
 from itertools import combinations, permutations
@@ -59,6 +62,43 @@ def brute_embeddings(letters, tau):
         for idx in combinations(range(len(letters)), k)
         if order_isomorphic([letters[i] for i in idx], tau)
     )
+
+
+def _positions_by_letter(letters):
+    """1-based occurrence lists per letter value, in increasing order."""
+    occ = {}
+    for i, x in enumerate(letters, start=1):
+        occ.setdefault(x, []).append(i)
+    return occ
+
+
+def _greedy_on_values(occ, values):
+    """Leftmost embedding reading the given letter values in order, or None
+    if some value has no occurrence after the previous index."""
+    indices = []
+    i = 0
+    for v in values:
+        ps = occ.get(v, ())
+        at = bisect_right(ps, i)
+        if at == len(ps):
+            return None
+        i = ps[at]
+        indices.append(i)
+    return tuple(indices)
+
+
+def subset_greedy_embeddings(letters, taus):
+    """For each tau in taus, then each k-subset Y of the word's letter
+    values in lexicographic order: the greedy embedding of tau relabeled
+    onto Y, when there is one. tau is a pattern iff this yields anything,
+    and its least member is the lexicographically least embedding."""
+    occ = _positions_by_letter(letters)
+    values = sorted(occ)
+    for images in taus:
+        for Y in combinations(values, len(images)):
+            emb = _greedy_on_values(occ, [Y[t - 1] for t in images])
+            if emb is not None:
+                yield emb
 
 
 def brute_is_superpattern(letters, k):

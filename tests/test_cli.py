@@ -548,6 +548,19 @@ _BOUND_FLAGS = {
     "--epsilon-star": "0.3", "--alpha": "0.5", "--f": "2", "--log-f": "1",
 }
 _BOUND_OPTIONAL = {"birthday": ["--alpha"], "infeasibility": ["--log-f"], "gupta": ["--log-f"]}
+# a value for each flag that some dfa action reads; action: (the argv
+# that runs it on an automaton, the flags it reads)
+_DFA_ACTION_FLAGS = {
+    "--walk-word": "--walk-word 1 2", "--start": "--start 1", "--budget": "--budget 4",
+    "--include-infinite": "--include-infinite", "--max-k": "--max-k 5",
+}
+_DFA_ACTIONS = {
+    "build": ("build subset --k 3", ""),
+    "build --format dot": ("build subset --k 3 --format dot", "--include-infinite"),
+    "dot": ("dot subset --k 3", "--include-infinite"),
+    "cost": ("cost subset --k 3 --walk-word 3 1", "--walk-word --start"),
+    "census": ("census subset --k 3", "--budget --max-k"),
+}
 
 
 class TestUnreadFlags:
@@ -595,6 +608,41 @@ class TestUnreadFlags:
         rc, out, err = run_cli(capsys, *_with_files(tmp_path, argv))
         assert (rc, out) == (1, "")
         assert err == "error: give --r or --word-file, not both: the file's r= header is its alphabet\n"
+
+    @pytest.mark.parametrize("action, flag", [
+        (action, flag) for action, (_, reads) in _DFA_ACTIONS.items() for flag in _DFA_ACTION_FLAGS
+        if flag not in reads.split()
+    ])
+    def test_dfa_action_refuses_a_flag_it_does_not_read(self, capsys, action, flag):
+        line = f"dfa {_DFA_ACTIONS[action][0]}"
+        rc, _, _ = run_cli(capsys, *line.split())
+        assert rc == 0
+        rc, out, err = run_cli(capsys, *line.split(), *_DFA_ACTION_FLAGS[flag].split())
+        assert (rc, out) == (1, "")
+        assert err == f"error: dfa {line.split()[1]} does not read {flag}\n"
+
+    def test_dfa_build_as_dot_reads_include_infinite(self, capsys):
+        argv = ["dfa", "build", "greedy", "--word", "1", "2", "1", "--format", "dot"]
+        rc, plain, _ = run_cli(capsys, *argv)
+        rc2, out, err = run_cli(capsys, *argv, "--include-infinite")
+        assert (rc, rc2, err) == (0, 0, "")
+        assert out == run_cli(capsys, "dfa", "dot", *argv[2:-2], "--include-infinite")[1]
+        assert out != plain
+
+    @pytest.mark.parametrize("argv, message", [
+        ("walk subset --dfa greedy --k 3 --walk-word 1", "give a builder argument or --dfa, not both"),
+        ("dfa census subset --dfa subset --k 3", "give a builder argument or --dfa, not both"),
+        ("cheapen two-track --dfa two-track --k 3", "give a builder argument or --dfa, not both"),
+        ("bounds gupta --k 3 --n 4 --f 2 --log-f 9", "give --f or --log-f, not both"),
+        ("bounds infeasibility --k 3 --r 3 --n 4 --f 2 --log-f 0.5", "give --f or --log-f, not both"),
+        (
+            "superpattern --search-r 2 --n-max 4 --k 2 --r 7",
+            "superpattern --search-r does not read --r: --search-r is the alphabet size",
+        ),
+    ])
+    def test_pairs_of_which_one_would_be_dropped(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         ("walk --walk-word 1", "no automaton named: use --dfa or a builder argument"),
@@ -804,10 +852,23 @@ def _cli_argv(draw):
     if command == "decompose":
         return argv + flag("--perm", *perm)
     if command == "dfa":
-        argv += flag("--walk-word", *perm, odds=needed if argv[1] == "cost" else 1)
-        argv += flag("--start", draw(small), odds=1)
-        argv += flag("--budget", draw(st.integers(-2, 30)), odds=1)
-        argv += flag("--include-infinite", odds=1) + flag("--max-k", draw(small), odds=1)
+        # the flags the action reads (from cli._ACTIONS, where build written
+        # as DOT is dot); in one draw in 8, one that only other actions read
+        action = argv[1]
+        if action == "build" and draw(st.booleans()):
+            argv += ["--format", "dot"]
+            action = "dot"
+        values = {
+            "walk_word": (perm, needed), "start": ([draw(small)], 1),
+            "budget": ([draw(st.integers(-2, 30))], 1), "include_infinite": ([], 2),
+            "max_k": ([draw(small)], 1),
+        }
+        needs, takes, _ = cli._ACTIONS[action]
+        for dest in needs + takes:
+            argv += flag(cli._flag(dest), *values[dest][0], odds=values[dest][1])
+        if draw(st.integers(1, 8)) == 1:
+            dest = draw(st.sampled_from(sorted(set(values) - set(needs + takes))))
+            argv += flag(cli._flag(dest), *values[dest][0], odds=4)
         return argv
     if command == "cheapen":
         return argv + flag("--include-infinite", odds=2)
@@ -823,7 +884,9 @@ def _cli_argv(draw):
         return argv + flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=1)
     if command == "contains":
         return argv + flag("--perm", *perm) + flag("--r", draw(small), odds=1)
-    argv += flag("--r", draw(small), odds=1) + flag("--max-k", draw(small), odds=1)
+    # a superpattern search reads its alphabet from --search-r, not --r
+    reads_r = command != "superpattern" or "--word" in argv
+    argv += flag("--r", draw(small), odds=1 if reads_r else 0) + flag("--max-k", draw(small), odds=1)
     if command == "superpattern":
         argv += number("--search-r", st.integers(-1, 4)) + number("--n-max", st.integers(-1, 6))
         return argv + number("--max-enum", st.integers(0, 5000), odds=1)
@@ -943,15 +1006,15 @@ def _check_exact_output(argv, out):
 
 def _assert_cli_contract(argv):
     """Exit 0, 1 or 2, no traceback; on success one JSON document (a DOT
-    graph for dfa dot) and nothing on stderr, otherwise nothing on stdout
-    and one line on stderr."""
+    graph for dfa dot and dfa build --format dot) and nothing on stderr,
+    otherwise nothing on stdout and one line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     if rc == 0:
-        if argv[:2] == ["dfa", "dot"]:
+        if argv[:2] == ["dfa", "dot"] or argv[:2] == ["dfa", "build"] and "dot" in argv:
             assert out.getvalue().startswith("digraph {") and out.getvalue().endswith("}\n")
         else:
             doc = json.loads(out.getvalue())

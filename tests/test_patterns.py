@@ -35,6 +35,7 @@ from oracles import (
     brute_is_pattern,
     brute_is_superpattern,
     brute_pattern_set,
+    subset_greedy_embeddings,
 )
 
 
@@ -293,6 +294,13 @@ class TestCountingReduction:
             assert len(pattern_set(as_word(letters, r), k)) <= bound
 
 
+def brute_circular_contains(letters, tau, bidirectional):
+    """Whether tau is a pattern of a rotation of the word or, when
+    bidirectional, of its reversal."""
+    bases = [letters, letters[::-1]] if bidirectional else [letters]
+    return any(brute_is_pattern(w[i:] + w[:i], tau) for w in bases for i in range(max(len(w), 1)))
+
+
 class TestCircular:
     def test_rotation_equals_pattern(self):
         assert circular_contains((1, 2), (2, 1), False)
@@ -313,15 +321,10 @@ class TestCircular:
             for k in range(1, 5) for _ in range(30)
         ]
         for letters, k in cases:
-            n = len(letters)
             for tau in perms(k):
-                rots = [letters[i:] + letters[:i] for i in range(n)]
-                expect = any(brute_is_pattern(w, tau) for w in rots)
-                assert circular_contains(letters, tau, False) == expect
-                rev = letters[::-1]
-                rots += [rev[i:] + rev[:i] for i in range(n)]
-                expect_bi = any(brute_is_pattern(w, tau) for w in rots)
-                assert circular_contains(letters, tau, True) == expect_bi
+                for bidirectional in (False, True):
+                    expect = brute_circular_contains(letters, tau, bidirectional)
+                    assert circular_contains(letters, tau, bidirectional) == expect
 
 
 def brute_circular_pattern_set(letters, k, bidirectional):
@@ -363,6 +366,82 @@ class TestCircularPatternSet:
         with pytest.raises(ResourceLimitError):
             circular_pattern_set((1, 2), 3, True, max_k=2)
         assert len(circular_pattern_set((1, 2), 11, max_k=11)) == 0
+
+
+def reference_contains(letters, taus):
+    # the empty embedding () is falsy, so any() would miss it
+    return next(subset_greedy_embeddings(letters, taus), None) is not None
+
+
+def rotations(tau, bidirectional):
+    bases = [tau, tau[::-1]] if bidirectional else [tau]
+    return {b[i:] + b[:i] for b in bases for i in range(max(len(b), 1))}
+
+
+class TestOccurrenceKernel:
+    """is_pattern, find_embedding, circular_contains, greedy_embed and
+    pattern_set against subset_greedy_embeddings, the value-subset greedy
+    search they replaced, and against the index-subset oracles."""
+
+    @given(st.integers(1, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_containment_matches_the_reference(self, r, data):
+        letters = tuple(data.draw(st.lists(st.integers(1, r), max_size=9)))
+        k = data.draw(st.integers(0, 5))
+        tau = tuple(data.draw(st.permutations(range(1, k + 1))))
+        word = Word(letters, r)
+        reference = list(subset_greedy_embeddings(letters, [tau]))
+        brute = brute_embeddings(letters, tau)
+        assert is_pattern(word, tau) == bool(reference) == brute_is_pattern(letters, tau)
+        assert find_embedding(word, tau) == min(reference, default=None)
+        assert find_embedding(word, tau) == (brute[0] if brute else None)
+        for bidirectional in (False, True):
+            orbit = rotations(tau, bidirectional)
+            got = circular_contains(word, tau, bidirectional)
+            assert got == reference_contains(letters, orbit)
+            assert got == brute_circular_contains(letters, tau, bidirectional)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_embed_and_pattern_set_match_the_reference(self, k, data):
+        # over [k] there is one k-subset of values, or none if a letter is missing
+        letters = tuple(data.draw(st.lists(st.integers(1, k), max_size=10)))
+        tau = tuple(data.draw(st.permutations(range(1, k + 1))))
+        want = next(subset_greedy_embeddings(letters, [tau]), None)
+        assert greedy_embed(Word(letters, k), tau) == want
+        r = data.draw(st.integers(k, 7))
+        letters = tuple(data.draw(st.lists(st.integers(1, r), max_size=8)))
+        j = data.draw(st.integers(0, 4))
+        got = {p.images for p in pattern_set(Word(letters, r), j)}
+        assert got == {t for t in perms(j) if reference_contains(letters, [t])}
+        assert got == brute_pattern_set(letters, j)
+
+    def test_value_gaps_and_repeats(self):
+        word = Word((2, 5, 5, 9), 9)
+        assert find_embedding(word, (1, 2)) == (1, 2)
+        assert find_embedding(word, (1, 2, 3)) == (1, 2, 4)
+        assert not is_pattern(word, (2, 1))
+        assert circular_contains(word, (2, 1))
+        assert {p.images for p in pattern_set(word, 2)} == {(1, 2)}
+        assert find_embedding((3, 3, 1, 3, 1), (2, 1)) == (1, 3)
+        assert greedy_embed(Word((2, 2, 1, 1, 2), 2), (1, 2)) == (3, 5)
+
+    def test_k_zero_and_k_above_the_distinct_letters(self):
+        word = Word((4, 1, 4, 1), 4)
+        assert is_pattern(word, ()) and circular_contains(word, (), True)
+        assert find_embedding(word, ()) == ()
+        assert {p.images for p in pattern_set(word, 0)} == {()}
+        for tau in perms(3):
+            assert not is_pattern(word, tau)
+            assert find_embedding(word, tau) is None
+            assert not circular_contains(word, tau, True)
+        assert pattern_set(word, 3) == set()
+        assert greedy_embed(Word((1, 1, 3), 3), (1, 2, 3)) is None
+
+    def test_least_embedding_is_not_the_first_subsets(self):
+        # values {1, 2} come first and embed 12 at (3, 4); values {2, 3} embed it at (1, 2)
+        assert next(subset_greedy_embeddings((2, 3, 1, 2), [(1, 2)])) == (3, 4)
+        assert find_embedding((2, 3, 1, 2), (1, 2)) == (1, 2)
 
 
 class TestAscents:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -427,11 +428,12 @@ class TestEpsilonDomain:
     )
     def test_outside_closed_half_rejected(self, eps):
         s = build_subset_dfa(3)
-        with pytest.raises(ValueError):
+        message = rf"^need 0 <= epsilon <= 1/2, got {re.escape(repr(eps))}$"
+        with pytest.raises(ValueError, match=message):
             exact_P(s, 0, 3, eps)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             exact_P_max(s, 3, eps)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             estimate_P(s, 0, 3, eps, 10, seed=1)
 
 
@@ -443,6 +445,21 @@ class TestEpsilonTies:
         for eps in (0.1, Fraction(1, 10)):
             assert exact_P(s, 0, 5, eps, strict=False) == Fraction(71, 120)
             assert exact_P(s, 0, 5, eps, strict=True) == Fraction(49, 120)
+
+    @pytest.mark.parametrize("eps", [
+        0.0, 0.5, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4, 1e-05, 1.5e-10, 5e-324,
+        1 / 3, 0.30000000000000004, 0.49999999999999994, -0.0,
+        0, Fraction(0), Fraction(1, 2), Fraction(1, 10), Fraction(1, 3), Fraction(7, 40),
+    ])
+    def test_cost_bound_is_the_fraction_definition(self, eps):
+        # the comparator's integer bound against (1/2 - eps)kL in Fractions,
+        # a float read as its shortest decimal; the grid's kL hit the ties
+        exact = Fraction(repr(eps)) if isinstance(eps, float) else Fraction(eps)
+        for k in range(15):
+            for L in range(k + 1):
+                thr = (Fraction(1, 2) - exact) * k * L
+                assert W._cost_bound(k, L, eps, True) == math.ceil(thr) - 1
+                assert W._cost_bound(k, L, eps, False) == math.floor(thr)
 
 
 class TestCostDistributionsByLength:
