@@ -59,12 +59,29 @@ def _flag(dest: str) -> str:
     return "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
 
 
-def _refuse_unread(args, what: str, table: dict, name: str) -> None:
-    """Refuse a flag that some entry of table reads but entry name does not."""
-    reads = table[name][0] + table[name][1]
-    for dest in (dest for needs, takes, _ in table.values() for dest in needs + takes):
-        if dest not in reads and getattr(args, dest) is not None:
+def _check_flags(args, what: str, table: dict, name: str) -> None:
+    """Refuse each flag that table[name] = (flags it needs, other flags it
+    takes, ...) needs and args lack, then each that only other entries read."""
+    needs, takes = table[name][:2]
+    missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"{what} needs {' and '.join(missing)}")
+    for dest in (dest for entry in table.values() for dest in entry[0] + entry[1]):
+        if dest not in needs + takes and getattr(args, dest) is not None:
             raise ValueError(f"{what} does not read {_flag(dest)}")
+
+
+def _run_mode(args, caps):
+    """Run the mode of args.command (_MODES) that the first given flag of
+    one of its entries chooses, in table order, naming it by that flag."""
+    command, table = args.command, _MODES[args.command]
+    for mode, (needs, takes, run) in table.items():
+        for dest in needs + takes:
+            if getattr(args, dest) is not None:
+                _check_flags(args, f"{command} {_flag(dest)}", table, mode)
+                return {"command": command, **run(args, caps)}
+    firsts = [_flag((needs + takes)[0]) for needs, takes, _ in table.values()]
+    raise ValueError(f"{command} needs {' or '.join(firsts)}")
 
 
 def _read_input(args, name: str, parse, coerce):
@@ -100,14 +117,11 @@ def _add_word_flags(sp, perm: bool = False):
 
 
 def _load_dfa(args):
-    if args.in_path is None:
-        raise ValueError("--dfa file needs --in PATH")
     with open(args.in_path) as fh:
         return D.dfa_from_json(fh.read())
 
 
-# kind: (flags it needs, other flags it takes, build); greedy and file
-# check their own inputs
+# kind: (flags it needs, other flags it takes, build); greedy checks its own word
 _BUILDERS = {
     "greedy": ((), ("word", "word_file", "r"), lambda args: D.build_greedy_dfa(_read_word(args))),
     "subset": (("k",), (), lambda args: D.build_subset_dfa(args.k)),
@@ -116,16 +130,12 @@ _BUILDERS = {
         ("k", "states"), ("dfa_seed",),
         lambda args: D.random_k_dfa(args.k, args.states, args.dfa_seed or 0),
     ),
-    "file": ((), ("in_path",), _load_dfa),
+    "file": (("in_path",), (), _load_dfa),
 }
 
 
 def _add_dfa_flags(sp):
-    sp.add_argument(
-        "--dfa",
-        choices=list(_BUILDERS),
-        help="which automaton to build or load",
-    )
+    sp.add_argument("--dfa", choices=list(_BUILDERS), help="which automaton to build or load")
     sp.add_argument("--word", type=int, nargs="+", help="word for --dfa greedy")
     sp.add_argument("--word-file")
     sp.add_argument("--r", type=int, help="alphabet size for --dfa greedy")
@@ -140,15 +150,12 @@ def _add_format(sp, dot: bool = False):
     sp.add_argument("--format", choices=choices, default="json")
 
 
-def _add_cap_flags(sp, enum: bool = False):
-    sp.add_argument(
-        "--max-k", type=int,
-        help="override the k! enumeration guard for this run",
-    )
-    if enum:
+def _add_cap_flags(sp, *caps):
+    # only the caps the command reads: max_k is the k! guard, max_enum the word/walk one
+    for cap in caps:
+        guard = "k!" if cap == "max_k" else "word/walk"
         sp.add_argument(
-            "--max-enum", type=int,
-            help="override the word/walk enumeration guard for this run",
+            _flag(cap), type=int, help=f"override the {guard} enumeration guard for this run"
         )
 
 
@@ -166,14 +173,11 @@ def _build_dfa(args):
     kind = builder or args.dfa
     if kind is None:
         raise ValueError("no automaton named: use --dfa or a builder argument")
-    needs, _, build = _BUILDERS[kind]
-    if any(getattr(args, dest) is None for dest in needs):
-        raise ValueError(f"--dfa {kind} needs {' and '.join(map(_flag, needs))}")
-    _refuse_unread(args, f"--dfa {kind}", _BUILDERS, kind)
-    return build(args)
+    _check_flags(args, f"--dfa {kind}", _BUILDERS, kind)
+    return _BUILDERS[kind][2](args)
 
 
-def _emit_dfa(dfa, fmt: str, include_infinite: bool) -> None:
+def _emit_dfa(dfa, fmt: str, include_infinite: bool = False) -> None:
     if fmt == "dot":
         sys.stdout.write(D.dfa_to_dot(dfa, include_infinite=include_infinite))
     elif fmt == "text":
@@ -224,32 +228,22 @@ def _cmd_census(args, caps):
     return payload
 
 
-def _cmd_superpattern(args, caps):
-    if args.word is not None or args.word_file is not None:
-        if args.search_r is not None or args.n_max is not None:
-            raise ValueError(
-                "give --word or --word-file (check) or --search-r and --n-max (search), not both"
-            )
-        sigma = _read_word(args)
-        return {
-            "command": "superpattern",
-            "mode": "check",
-            "word": list(sigma.letters),
-            "k": args.k,
-            "superpattern": P.is_superpattern(sigma, args.k, max_k=caps["max_k"]),
-        }
-    if args.search_r is None or args.n_max is None:
-        raise ValueError(
-            "need --word or --word-file for a check, or --search-r and --n-max for a search"
-        )
-    if args.r is not None:
-        raise ValueError("superpattern --search-r does not read --r: --search-r is the alphabet size")
+def _superpattern_check(args, caps):
+    sigma = _read_word(args)
+    return {
+        "mode": "check",
+        "word": list(sigma.letters),
+        "k": args.k,
+        "superpattern": P.is_superpattern(sigma, args.k, max_k=caps["max_k"]),
+    }
+
+
+def _superpattern_search(args, caps):
     rows = P.exhaustive_f_search(
         args.k, args.search_r, args.n_max,
         max_words=caps["max_enum"], max_k=caps["max_k"],
     )
     return {
-        "command": "superpattern",
         "mode": "search",
         "k": args.k,
         "r": args.search_r,
@@ -288,16 +282,14 @@ def _dfa_census(args, caps, dfa):
     }
     if args.budget is not None:
         payload["budget"] = args.budget
-        payload["count_within_budget"] = sum(
-            n for c, n in census.items() if c <= args.budget
-        )
+        payload["count_within_budget"] = sum(n for c, n in census.items() if c <= args.budget)
     return payload
 
 
 # action: (flags it needs, other flags it takes, run); dfa build with
 # --format dot runs as dot
 _ACTIONS = {
-    "build": ((), (), lambda args, caps, dfa: _emit_dfa(dfa, args.format, False)),
+    "build": ((), (), lambda args, caps, dfa: _emit_dfa(dfa, args.format)),
     "dot": (
         (), ("include_infinite",),
         lambda args, caps, dfa: _emit_dfa(dfa, "dot", bool(args.include_infinite)),
@@ -310,15 +302,13 @@ _ACTIONS = {
 def _cmd_dfa(args, caps):
     dfa = _build_dfa(args)
     action = "dot" if args.action == "build" and args.format == "dot" else args.action
-    needs, _, run = _ACTIONS[action]
-    if any(getattr(args, dest) is None for dest in needs):
-        raise ValueError(f"dfa {action} needs {' and '.join(map(_flag, needs))}")
-    _refuse_unread(args, f"dfa {args.action}", _ACTIONS, action)
-    return run(args, caps, dfa)
+    _check_flags(args, f"dfa {args.action}", _ACTIONS, action)
+    return _ACTIONS[action][2](args, caps, dfa)
 
 
 def _cmd_cheapen(args, caps):
-    _emit_dfa(D.cheapen(_build_dfa(args)), args.format, args.include_infinite)
+    # every cheapened row is a permutation of [k]: no infinite edge to draw
+    _emit_dfa(D.cheapen(_build_dfa(args)), args.format)
 
 
 def _cmd_walk(args, caps, dfa=None):
@@ -385,31 +375,26 @@ def _cmd_concentration(args, caps):
     if args.threads < 1:
         raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)
-    rep = S.concentration_experiment(
-        dfa, args.M, args.epsilon_star, args.samples, args.seed
-    )
+    rep = S.concentration_experiment(dfa, args.M, args.epsilon_star, args.samples, args.seed)
     return {"command": "concentration", **rep.to_json_dict(), **_con(args)}
 
 
-def _cmd_bcp(args, caps):
+def _bcp_check(args, caps):
     sigma = _read_word(args)
-    if args.perm is not None or args.perm_file is not None:
-        if args.k is not None:
-            raise ValueError("give --perm (single check) or --k (full census), not both")
-        tau = _read_perm(args)
-        return {
-            "command": "bcp",
-            "word": list(sigma.letters),
-            "perm": list(tau.images),
-            "bidirectional": args.bidirectional,
-            "contains": P.circular_contains(sigma, tau, args.bidirectional),
-        }
-    if args.k is None:
-        raise ValueError("need --perm (single check) or --k (full census)")
+    tau = _read_perm(args)
+    return {
+        "word": list(sigma.letters),
+        "perm": list(tau.images),
+        "bidirectional": args.bidirectional,
+        "contains": P.circular_contains(sigma, tau, args.bidirectional),
+    }
+
+
+def _bcp_census(args, caps):
+    sigma = _read_word(args)
     pats = P.circular_pattern_set(sigma, args.k, args.bidirectional, max_k=caps["max_k"])
     total = math.factorial(args.k)
     return {
-        "command": "bcp",
         "word": list(sigma.letters),
         "k": args.k,
         "bidirectional": args.bidirectional,
@@ -417,6 +402,20 @@ def _cmd_bcp(args, caps):
         "total": total,
         "superpattern": len(pats) == total,
     }
+
+
+# command: {mode: (flags it needs, other flags it takes, run)}; the first given
+# flag of a mode chooses it; a search reads its alphabet from --search-r, not --r
+_MODES = {
+    "superpattern": {
+        "check": ((), ("word", "word_file", "r"), _superpattern_check),
+        "search": (("search_r", "n_max"), ("max_enum",), _superpattern_search),
+    },
+    "bcp": {
+        "check": ((), ("perm", "perm_file"), _bcp_check),
+        "census": (("k",), ("max_k",), _bcp_census),
+    },
+}
 
 
 def _log_f_arg(args) -> float:
@@ -480,10 +479,7 @@ _BOUNDS = {
 def _cmd_bounds(args, caps):
     which = args.bound
     needs, _, results = _BOUNDS[which]
-    missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
-    if missing:
-        raise ValueError(f"bounds {which} needs {' '.join(missing)}")
-    _refuse_unread(args, f"bounds {which}", _BOUNDS, which)
+    _check_flags(args, f"bounds {which}", _BOUNDS, which)
     echo = {dest: getattr(args, dest) for dest in needs}
     return {"command": "bounds", "bound": which, **echo, **results(args)}
 
@@ -509,14 +505,14 @@ def build_parser() -> _Parser:
     _add_word_flags(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--list", action="store_true", help="also list the patterns")
-    _add_cap_flags(sp)
+    _add_cap_flags(sp, "max_k")
 
-    sp = _command(sub, "superpattern", _cmd_superpattern, "check a word / search minimal length")
+    sp = _command(sub, "superpattern", _run_mode, "check a word / search minimal length")
     _add_word_flags(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--search-r", type=int, help="alphabet size for search mode")
     sp.add_argument("--n-max", type=int, help="largest length for search mode")
-    _add_cap_flags(sp, enum=True)
+    _add_cap_flags(sp, "max_k", "max_enum")
 
     sp = _command(sub, "f-oracle", _cmd_f_oracle, "max pattern count over words in [k]^n")
     sp.add_argument("--k", type=int, required=True)
@@ -535,12 +531,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--walk-word", type=int, nargs="+")
     sp.add_argument("--start", type=int)
     sp.add_argument("--budget", type=int)
-    _add_cap_flags(sp)
+    _add_cap_flags(sp, "max_k")
 
     sp = _command(sub, "cheapen", _cmd_cheapen, "dominated permutation cost rows")
     sp.add_argument("builder", nargs="?", choices=list(_BUILDERS))
     _add_dfa_flags(sp)
-    sp.add_argument("--include-infinite", action="store_true")
 
     sp = _command(sub, "walk", _cmd_walk, "full walk trace")
     sp.add_argument("builder", nargs="?", choices=list(_BUILDERS))
@@ -554,7 +549,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--state", type=int)
     sp.add_argument("--comparator", choices=["lt", "le"], default="lt")
-    _add_cap_flags(sp, enum=True)
+    _add_cap_flags(sp, "max_enum")
 
     sp = _command(sub, "estimate-p", _cmd_estimate_p, "Monte-Carlo low-cost walk probability")
     _add_dfa_flags(sp)
@@ -579,11 +574,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     _add_threads_flag(sp)
 
-    sp = _command(sub, "bcp", _cmd_bcp, "bi-directional circular pattern checks")
+    sp = _command(sub, "bcp", _run_mode, "bi-directional circular pattern checks")
     _add_word_flags(sp, perm=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--bidirectional", action="store_true")
-    _add_cap_flags(sp)
+    _add_cap_flags(sp, "max_k")
 
     sp = _command(sub, "bounds", _cmd_bounds, "closed-form constants and predicates")
     sp.add_argument("bound", choices=list(_BOUNDS))

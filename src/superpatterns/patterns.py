@@ -70,7 +70,11 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
+        r = self.alphabet_size
+        if type(r) is not int:
+            (r,) = _integral_letters((r,), "alphabet size")
+            object.__setattr__(self, "alphabet_size", r)
+        if r < 1:
             raise ValueError("alphabet_size must be a positive integer")
         object.__setattr__(self, "letters", _integral_letters(self.letters))
         for x in self.letters:
@@ -84,10 +88,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def distinct_letters(self) -> tuple[int, ...]:
-        """The letter values that actually occur, ascending."""
-        return tuple(sorted(set(self.letters)))
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,13 @@ def as_permutation(tau) -> Permutation:
     return Permutation(_integral_letters(tau))
 
 
-def _integral_letters(xs) -> tuple[int, ...]:
+def _integral_letters(xs, what: str = "letter") -> tuple[int, ...]:
     """The letters of xs as ints, refusing any that int() would truncate."""
     xs = tuple(xs)
     out = tuple(map(int, xs))
     if out != xs:
         x = next(x for x, i in zip(xs, out) if i != x)
-        raise ValueError(f"letter {x!r} is not an integer")
+        raise ValueError(f"{what} {x!r} is not an integer")
     return out
 
 

@@ -54,6 +54,7 @@ from .dfa import (
     SubsetDfa, _injective_cost_layers, _last_cost_layer, is_k_dfa, letters_of, walk_cost,
 )
 from .errors import ResourceLimitError
+from .patterns import MAX_ENUM_WORDS, _integral_letters
 
 __all__ = [
     "CounterRng",
@@ -73,8 +74,6 @@ __all__ = [
     "ConcentrationReport",
     "concentration_experiment",
 ]
-
-MAX_INJECTIVE_ENUM = 10**7
 
 # Rows the batched sampler hashes, shuffles and walks at a time: a fixed
 # size keeps its temporaries, and so peak memory, flat in the sample count.
@@ -155,9 +154,11 @@ class PermutationalWord:
     alphabet_size: int
 
     def __post_init__(self):
-        k = self.alphabet_size
+        (k,) = _integral_letters((self.alphabet_size,), "alphabet size")
         if k < 0:
             raise ValueError("alphabet_size must be non-negative")
+        object.__setattr__(self, "alphabet_size", k)
+        object.__setattr__(self, "letters", _integral_letters(self.letters))
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"{self.letters!r} repeats a letter")
         for x in self.letters:
@@ -219,7 +220,7 @@ def restriction(w, E) -> PermutationalWord:
 # Exact evaluation
 
 
-def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = MAX_INJECTIVE_ENUM):
+def cost_distributions_by_length(dfa, start, max_len: int, *, max_words: int = MAX_ENUM_WORDS):
     """Cost distribution of every injective walk from start, per length.
 
     Returns a list dists with dists[L] = Counter {total cost: number of
@@ -289,7 +290,7 @@ def exact_P(
     epsilon: float,
     *,
     strict: bool = True,
-    max_words: int = MAX_INJECTIVE_ENUM,
+    max_words: int = MAX_ENUM_WORDS,
 ) -> Fraction:
     """Exact P(state, L, eps) as a fraction.
 
@@ -308,7 +309,7 @@ def exact_P_max(
     epsilon: float,
     *,
     strict: bool = True,
-    max_words: int = MAX_INJECTIVE_ENUM,
+    max_words: int = MAX_ENUM_WORDS,
 ) -> Fraction:
     """max over states of exact_P (the form the walk bounds are stated for)."""
     if not is_k_dfa(dfa):

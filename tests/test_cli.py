@@ -459,13 +459,11 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_superpattern_without_a_mode_names_the_search_flags(self, capsys):
+        rc, out, err = run_cli(capsys, "superpattern", "--k", "3")
+        assert (rc, out, err) == (1, "", "error: superpattern needs --word or --search-r\n")
         # --r is the alphabet of --word, not the search alphabet
         rc, out, err = run_cli(capsys, "superpattern", "--k", "3", "--r", "4", "--n-max", "6")
-        assert (rc, out) == (1, "")
-        assert err == (
-            "error: need --word or --word-file for a check, "
-            "or --search-r and --n-max for a search\n"
-        )
+        assert (rc, out, err) == (1, "", "error: superpattern --r does not read --n-max\n")
         rc, out, _ = run_cli(capsys, "superpattern", "--k", "3", "--search-r", "4", "--n-max", "6")
         assert rc == 0
         assert json.loads(out)["minimal_length"] == 6
@@ -563,6 +561,31 @@ _DFA_ACTIONS = {
 }
 
 
+# a value for each flag that some mode of superpattern or bcp reads, and
+# command: (the argv every mode shares, {mode: (the argv that runs it, the
+# flags it reads)}); check is tried first, so a check flag chooses check
+_MODE_FLAGS = {
+    "--word": "1 2 1", "--word-file": "{word}", "--r": "2", "--search-r": "2", "--n-max": "3",
+    "--max-enum": "50", "--perm": "2 1", "--perm-file": "{perm}", "--k": "2", "--max-k": "5",
+}
+_MODES = {
+    "superpattern": ("--k 2", {
+        "check": ("--word 1 2 1", "--word --word-file --r"),
+        "search": ("--search-r 2 --n-max 3", "--search-r --n-max --max-enum"),
+    }),
+    "bcp": ("--word 1 2", {
+        "check": ("--perm 2 1", "--perm --perm-file"),
+        "census": ("--k 2", "--k --max-k"),
+    }),
+}
+
+
+def _with_perm_file(tmp_path, line):
+    perm = tmp_path / "perm.txt"
+    perm.write_text("2 1\n")
+    return _with_files(tmp_path, line.replace("{perm}", str(perm)))
+
+
 class TestUnreadFlags:
     """A flag that the named builder or bound does not read is refused
     with one line naming it, never dropped."""
@@ -629,16 +652,49 @@ class TestUnreadFlags:
         assert out == run_cli(capsys, "dfa", "dot", *argv[2:-2], "--include-infinite")[1]
         assert out != plain
 
+    @pytest.mark.parametrize("command, mode, flag", [
+        (command, mode, flag) for command, (_, modes) in _MODES.items() for mode in modes
+        for other, (_, flags) in modes.items() if other != mode for flag in flags.split()
+    ])
+    def test_mode_refuses_a_flag_it_does_not_read(self, capsys, tmp_path, command, mode, flag):
+        common, modes = _MODES[command]
+        line = f"{command} {common} {modes[mode][0]}"
+        rc, _, _ = run_cli(capsys, *_with_perm_file(tmp_path, line))
+        assert rc == 0
+        rc, out, err = run_cli(capsys, *_with_perm_file(tmp_path, f"{line} {flag} {_MODE_FLAGS[flag]}"))
+        assert (rc, out) == (1, "")
+        # the refusal names the flag that chose the mode: a check flag
+        # chooses check even after the flags of the other mode
+        chooser, refused = modes[mode][0].split()[0], flag
+        if mode != "check":
+            chooser, refused = flag, chooser
+        assert err == f"error: {command} {chooser} does not read {refused}\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        ("superpattern --word 1 2 1 --k 2 --max-enum 5", "error: superpattern --word does not read --max-enum"),
+        ("bcp --word 1 2 3 --perm 1 2 --max-k 1", "error: bcp --perm does not read --max-k"),
+        # exact-p reads no k! cap, and a cheapened automaton has no infinite
+        # edge: those two flags are gone
+        (
+            "exact-p --dfa subset --k 3 --L 3 --epsilon 0.1 --max-k 1",
+            "superpatterns: error: unrecognized arguments: --max-k 1",
+        ),
+        (
+            "cheapen greedy --word 1 2 3 2 --include-infinite",
+            "superpatterns: error: unrecognized arguments: --include-infinite",
+        ),
+    ])
+    def test_flags_that_used_to_be_dropped(self, capsys, argv, err):
+        # each of these argvs once exited 0 with its last flag ignored
+        assert run_cli(capsys, *argv.split()) == (1, "", err + "\n")
+
     @pytest.mark.parametrize("argv, message", [
         ("walk subset --dfa greedy --k 3 --walk-word 1", "give a builder argument or --dfa, not both"),
         ("dfa census subset --dfa subset --k 3", "give a builder argument or --dfa, not both"),
         ("cheapen two-track --dfa two-track --k 3", "give a builder argument or --dfa, not both"),
         ("bounds gupta --k 3 --n 4 --f 2 --log-f 9", "give --f or --log-f, not both"),
         ("bounds infeasibility --k 3 --r 3 --n 4 --f 2 --log-f 0.5", "give --f or --log-f, not both"),
-        (
-            "superpattern --search-r 2 --n-max 4 --k 2 --r 7",
-            "superpattern --search-r does not read --r: --search-r is the alphabet size",
-        ),
+        ("superpattern --search-r 2 --n-max 4 --k 2 --r 7", "superpattern --r does not read --search-r"),
     ])
     def test_pairs_of_which_one_would_be_dropped(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, *argv.split())
@@ -648,16 +704,76 @@ class TestUnreadFlags:
         ("walk --walk-word 1", "no automaton named: use --dfa or a builder argument"),
         ("walk subset --walk-word 1", "--dfa subset needs --k"),
         ("walk two-track --walk-word 1", "--dfa two-track needs --k"),
-        ("walk random --k 3 --walk-word 1", "--dfa random needs --k and --states"),
-        ("walk random --states 3 --walk-word 1", "--dfa random needs --k and --states"),
-        ("walk file --walk-word 1", "--dfa file needs --in PATH"),
+        ("walk random --walk-word 1", "--dfa random needs --k and --states"),
+        ("walk random --k 3 --walk-word 1", "--dfa random needs --states"),
+        ("walk random --states 3 --walk-word 1", "--dfa random needs --k"),
+        ("walk file --walk-word 1", "--dfa file needs --in"),
         ("walk greedy --walk-word 1", "need --word or --word-file"),
         ("bounds infeasibility --k 3 --n 4", "bounds infeasibility needs --r"),
+        ("bounds forL --k 3", "bounds forL needs --L and --epsilon"),
         ("bounds gupta --k 3 --n 4", "need --f or --log-f"),
+        ("bcp --word 1 2", "bcp needs --perm or --k"),
+        ("bcp --word 1 2 --max-k 3", "bcp --max-k needs --k"),
+        ("superpattern --k 2 --n-max 3", "superpattern --n-max needs --search-r"),
     ])
     def test_missing_flag_messages(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, *argv.split())
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+_WORD_FLAGS = "--word --word-file --r"
+_AUTOMATON_FLAGS = "--dfa --word --word-file --r --k --states --dfa-seed --in"
+# command: {what reads them: its optional flags}; every subcommand also
+# takes --format, which the printer reads
+_READ_BY = {
+    "contains": {"the word": _WORD_FLAGS, "the permutation": "--perm --perm-file"},
+    "census": {"the word": _WORD_FLAGS, "pattern_set": "--k --list --max-k"},
+    "superpattern": {
+        "both modes": "--k --max-k", "check": _WORD_FLAGS, "search": "--search-r --n-max --max-enum",
+    },
+    "f-oracle": {"f_oracle": "--k --n --max-k --max-n"},
+    "dfa": {
+        "the builders": _AUTOMATON_FLAGS, "cost": "--walk-word --start",
+        "census": "--budget --max-k", "dot": "--include-infinite",
+    },
+    "cheapen": {"the builders": _AUTOMATON_FLAGS},
+    "walk": {"the builders": _AUTOMATON_FLAGS, "walk_cost": "--walk-word --start"},
+    "exact-p": {"the builders": _AUTOMATON_FLAGS, "exact_P": "--L --epsilon --state --comparator --max-enum"},
+    "estimate-p": {
+        "the builders": _AUTOMATON_FLAGS,
+        "estimate_P": "--L --epsilon --samples --seed --state --comparator --threads",
+    },
+    "decompose": {"the builders": _AUTOMATON_FLAGS, "xy_decompose": "--perm --perm-file"},
+    "concentration": {
+        "the builders": _AUTOMATON_FLAGS,
+        "concentration_experiment": "--M --epsilon-star --samples --seed --threads",
+    },
+    "bcp": {
+        "both modes": f"{_WORD_FLAGS} --bidirectional", "check": "--perm --perm-file",
+        "census": "--k --max-k",
+    },
+    "bounds": {"the bounds": "--k --L --n --r --M --epsilon --epsilon-star --alpha --f --log-f"},
+}
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestEveryFlagIsRead:
+    def test_every_optional_flag_has_a_reader(self):
+        assert sorted(_subparsers()) == sorted(_READ_BY)
+        for command, sp in _subparsers().items():
+            flags = {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+            read = {f for group in _READ_BY[command].values() for f in group.split()}
+            assert flags == read | {"--help", "--format"}, command
+
+    @pytest.mark.parametrize("command", sorted(_READ_BY))
+    def test_help_exits_0(self, capsys, command):
+        rc, out, err = run_cli(capsys, command, "--help")
+        assert (rc, err) == (0, "")
+        assert out.startswith(f"usage: superpatterns {command}")
 
 
 class TestCapFlags:
@@ -819,6 +935,29 @@ def _cli_argv(draw):
             name = draw(st.sampled_from(sorted(set(values) - set(reads))))
             argv += number(name, values[name], odds=4)
         return argv
+    if command in cli._MODES:
+        # the flags every mode reads, then the flags of one mode (from
+        # cli._MODES), each in its odds of 4 draws; in one draw in 8, one
+        # flag that only the other mode reads, which is refused
+        modes = cli._MODES[command]
+        if command == "superpattern":
+            argv = [command, *flag("--k", k), *flag("--max-k", draw(small), odds=1)]
+        else:
+            argv = [command, *flag("--word", *word), *flag("--bidirectional", odds=2)]
+        values = {
+            "word": (word, needed), "r": ([draw(small)], 1), "search_r": ([draw(st.integers(-1, 4))], needed),
+            "n_max": ([draw(st.integers(-1, 6))], needed), "max_enum": ([draw(st.integers(0, 5000))], 1),
+            "perm": (perm, needed), "k": ([k], needed), "max_k": ([draw(small)], 1),
+        }
+        needs, takes, _ = modes[draw(st.sampled_from(sorted(modes)))]
+        for dest in needs + takes:
+            if dest in values:
+                argv += flag(cli._flag(dest), *values[dest][0], odds=values[dest][1])
+        if draw(st.integers(1, 8)) == 1:
+            others = {dest for n, t, _ in modes.values() for dest in n + t} - set(needs + takes)
+            dest = draw(st.sampled_from(sorted(others & set(values))))
+            argv += flag(cli._flag(dest), *values[dest][0], odds=4)
+        return argv
 
     argv = [command]
     if command == "dfa":
@@ -844,8 +983,7 @@ def _cli_argv(draw):
             dest = draw(st.sampled_from(sorted(set(values) - set(needs + takes))))
             argv += flag(cli._flag(dest), *values[dest][0], odds=4)
     else:
-        # a superpattern search needs --word to be missing
-        argv += flag("--word", *word, odds=1 if command == "superpattern" else needed)
+        argv += flag("--word", *word)
         if command != "contains":
             argv += flag("--k", k)
 
@@ -871,7 +1009,7 @@ def _cli_argv(draw):
             argv += flag(cli._flag(dest), *values[dest][0], odds=4)
         return argv
     if command == "cheapen":
-        return argv + flag("--include-infinite", odds=2)
+        return argv
     if command == "walk":
         return argv + flag("--walk-word", *perm) + flag("--start", draw(small), odds=1)
     if command in ("estimate-p", "concentration"):
@@ -884,14 +1022,7 @@ def _cli_argv(draw):
         return argv + flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=1)
     if command == "contains":
         return argv + flag("--perm", *perm) + flag("--r", draw(small), odds=1)
-    # a superpattern search reads its alphabet from --search-r, not --r
-    reads_r = command != "superpattern" or "--word" in argv
-    argv += flag("--r", draw(small), odds=1 if reads_r else 0) + flag("--max-k", draw(small), odds=1)
-    if command == "superpattern":
-        argv += number("--search-r", st.integers(-1, 4)) + number("--n-max", st.integers(-1, 6))
-        return argv + number("--max-enum", st.integers(0, 5000), odds=1)
-    if command == "bcp":
-        return argv + flag("--perm", *perm, odds=1) + flag("--bidirectional", odds=2)
+    argv += flag("--r", draw(small), odds=1) + flag("--max-k", draw(small), odds=1)
     return argv + flag("--list", odds=2)
 
 
@@ -919,14 +1050,13 @@ def _exact_argv(draw):
     if kind == "random":
         automaton += flag("--states", draw(st.integers(-1, 6)))
         automaton += flag("--dfa-seed", draw(st.integers(0, 99)), odds=2)
-    caps = flag("--max-k", draw(st.integers(0, 9)), odds=1)
     if draw(st.booleans()):
         if draw(st.integers(1, 4)) == 1:
             # the greedy builder reads only its word
             word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=9))
             automaton = ["--dfa", "greedy", "--word", *map(str, word)]
         return [
-            "dfa", "census", *automaton, *caps,
+            "dfa", "census", *automaton, *flag("--max-k", draw(st.integers(0, 9)), odds=1),
             *flag("--budget", draw(st.integers(-2, 70)), odds=2),
         ]
     if draw(st.integers(1, 4)) <= 2:
@@ -946,7 +1076,8 @@ def _exact_argv(draw):
             *flag("--state", draw(st.sampled_from(states)), odds=2),
         ]
     return [
-        "exact-p", *automaton, *caps, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
+        # exact-p reads the word-enumeration cap only
+        "exact-p", *automaton, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
         # --name=value, so a negative value is not read as a flag
         f"--L={draw(st.integers(-1, max(k, 0) + 1))}", f"--epsilon={epsilon!r}",
         *flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=2),

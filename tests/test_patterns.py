@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superpatterns.dfa import build_greedy_dfa
 from superpatterns.errors import AlphabetMismatchError, ResourceLimitError
 from superpatterns.patterns import (
     Permutation,
@@ -82,6 +83,19 @@ class TestTypes:
         word = Word([1.0, 2], 2)
         assert word.letters == (1, 2)
         assert all(type(x) is int for x in word.letters)
+
+    @pytest.mark.parametrize("r", [3.5, "3", 2.0000001])
+    def test_word_constructor_refuses_a_non_integral_alphabet_size(self, r):
+        # build_greedy_dfa on such a word once raised TypeError
+        with pytest.raises(ValueError, match=f"alphabet size {r!r} is not an integer"):
+            Word((1, 2, 1), r)
+        with pytest.raises(ValueError, match="is not an integer"):
+            build_greedy_dfa(Word((1, 2, 1), r))
+
+    def test_integral_alphabet_size_is_an_int(self):
+        word = Word((1, 2), 3.0)
+        assert (word.alphabet_size, type(word.alphabet_size)) == (3, int)
+        assert word == Word((1, 2), 3)
 
 
 class TestIsPattern:

@@ -310,6 +310,15 @@ class TestRestriction:
         with pytest.raises(IndexError):
             restriction(PermutationalWord((2, 1), 2), (3,))
 
+    def test_non_integral_letter_or_alphabet_size_refused(self):
+        # 1 <= 1.5 <= 2 held, so both used to be accepted
+        with pytest.raises(ValueError, match="letter 1.5 is not an integer"):
+            PermutationalWord((1.5,), 2)
+        with pytest.raises(ValueError, match="alphabet size 2.5 is not an integer"):
+            PermutationalWord((1,), 2.5)
+        word = PermutationalWord((2.0, 1), 2.0)
+        assert (word.letters, word.alphabet_size) == ((2, 1), 2)
+
     def test_exact_uniformity_k4(self):
         # over all 24 inputs, w|_{2,4} hits each of the 12 injective pairs
         # exactly twice
