@@ -20,6 +20,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import CheapeningError, ResourceLimitError
@@ -80,38 +81,18 @@ class WalkTrace:
     total_cost: ExtCost
 
 
-class _Plan:
-    """What the kernels read of one WeightedDfa, each part built on its
-    first use and kept, since the automaton never changes:
-
-    - index: {state: row number}, in states order, shared by the DP's
-      integer keys and walks._tables;
-    - k_dfa: is_k_dfa's verdict;
-    - largest: _largest_finite_cost;
-    - rows: {digit width: _Rows}, the DP's edge rows (_edge_rows) and the
-      constants of _last_two_by_complement, at most |V| * k entries each;
-    - tables: walks._tables' read-only numpy arrays.
-
-    A part is stored only once it is whole, so a reader in another thread
-    sees it missing (and builds an equal one) or complete.
-    """
-
-    __slots__ = ("index", "k_dfa", "largest", "rows", "tables")
-
-    def __init__(self, states):
-        self.index = {v: i for i, v in enumerate(states)}
-        self.k_dfa = self.largest = self.tables = None
-        self.rows = {}
-
-
 class WeightedDfa:
     """Immutable table-backed weighted DFA.
 
     delta and cost are given per state as length-k tuples indexed by
-    letter - 1. The exact and Monte-Carlo kernels keep what they derive
-    from the tables (state index, k-DFA verdict, edge rows per digit
-    width, numpy tables) in one private _Plan, filled on first use, so
-    repeated queries on one automaton build each part once.
+    letter - 1. What the exact and Monte-Carlo kernels derive from the
+    tables is built on first use and kept, since the automaton never
+    changes, so repeated queries on one automaton build each part once:
+    the state index (_index), the k-DFA verdict (_k_dfa), the largest
+    finite cost (_largest), the DP's edge rows per digit width (_rows) and
+    the numpy tables (_tables). A part is stored only once it is whole, so
+    a reader in another thread sees it missing (and builds an equal one)
+    or complete.
     """
 
     def __init__(self, alphabet_size: int, root, delta: dict, cost: dict):
@@ -135,12 +116,35 @@ class WeightedDfa:
         self.root = root
         self._delta = {v: tuple(row) for v, row in delta.items()}
         self._cost = {v: tuple(row) for v, row in cost.items()}
-        self._plan = None
+        # {digit width: _Rows}, filled by _dp_rows
+        self._rows: dict = {}
 
-    def _kernel_plan(self) -> _Plan:
-        if self._plan is None:
-            self._plan = _Plan(self._delta)
-        return self._plan
+    @cached_property
+    def _index(self) -> dict:
+        # {state: row number}, in states order: the DP's keys and _tables' rows
+        return {v: i for i, v in enumerate(self._delta)}
+
+    @cached_property
+    def _k_dfa(self) -> bool:
+        expected = list(range(1, self.alphabet_size + 1))
+        return all(sorted(row) == expected for row in self._cost.values())
+
+    @cached_property
+    def _largest(self) -> int:
+        return max((c for row in self._cost.values() for c in row if c != INFINITY), default=0)
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(cost[V, k], succ[V, k]): row i holds the cost row of state i of
+        states and its successors as row numbers. Both arrays are
+        read-only, since every caller shares them. numpy is imported here,
+        so exact and pattern code never loads it."""
+        import numpy as np
+
+        cost = np.array([self._cost[v] for v in self._index], dtype=np.int64)
+        succ = np.array([[self._index[u] for u in self._delta[v]] for v in self._index], dtype=np.intp)
+        cost.flags.writeable = succ.flags.writeable = False
+        return cost, succ
 
     @property
     def states(self):
@@ -228,9 +232,21 @@ class SubsetDfa:
         return tuple(v | (1 << t) for t in range(self.alphabet_size))
 
     def cost_row(self, v: int) -> tuple:
-        return tuple(
-            self.step_cost(v, t) for t in range(1, self.alphabet_size + 1)
-        )
+        # step_cost's ranks in one pass: letters outside v take 1..k-|v| in
+        # letter order, letters inside it k-|v|+1..k
+        k = self.alphabet_size
+        inside = k - v.bit_count() + 1
+        below = 0
+        row = []
+        bit = 1
+        for t in range(1, k + 1):
+            if v & bit:
+                row.append(inside + below)
+                below += 1
+            else:
+                row.append(t - below)
+            bit <<= 1
+        return tuple(row)
 
     def min_t_statistic(self, prefix_len: int, x: float) -> int:
         """min over all states of #{prefix letters with cost <= x}.
@@ -322,11 +338,7 @@ def is_k_dfa(dfa: Dfa) -> bool:
         # Rows are permutations by construction (ascending ranks within
         # and outside v partition [k]); asserted exhaustively in tests.
         return True
-    plan = dfa._kernel_plan()
-    if plan.k_dfa is None:
-        expected = list(range(1, dfa.alphabet_size + 1))
-        plan.k_dfa = all(sorted(dfa.cost_row(v)) == expected for v in dfa.states)
-    return plan.k_dfa
+    return dfa._k_dfa
 
 
 def cheapen(dfa: Dfa) -> WeightedDfa:
@@ -405,15 +417,7 @@ _PACKED_MAX_TOTAL = 1 << 10
 
 
 def _largest_finite_cost(dfa: Dfa) -> int:
-    if isinstance(dfa, SubsetDfa):
-        return dfa.alphabet_size
-    plan = dfa._kernel_plan()
-    if plan.largest is None:
-        plan.largest = max(
-            (c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY),
-            default=0,
-        )
-    return plan.largest
+    return dfa.alphabet_size if isinstance(dfa, SubsetDfa) else dfa._largest
 
 
 def _whole_budget(budget):
@@ -429,35 +433,30 @@ def _whole_budget(budget):
 
 
 class _SubsetRows:
-    """The finite edge rows of SubsetDfa(k) in _Rows' form, costs times
-    scale, computed from the rank formula at each lookup and never stored.
-    A subset state is its own index. Off the root a walk meets up to
-    C(k, l) states per layer: keeping a row of k edges for each of them
-    peaked at 21 MB (tracemalloc) at k = 64, start 1, L = 3, where the
-    whole DP peaks at 0.55 MB."""
+    """The finite edge rows of a SubsetDfa in _Rows' form, costs times
+    scale, read off its cost_row at each lookup and never stored. A subset
+    state is its own index. Off the root a walk meets up to C(k, l) states
+    per layer: keeping a row of k edges for each of them peaked at 21 MB
+    (tracemalloc) at k = 64, start 1, L = 3, where the whole DP peaks at
+    0.55 MB."""
 
-    __slots__ = ("k", "scale")
+    __slots__ = ("cost_row", "scale", "moves")
 
-    def __init__(self, k: int, scale: int):
-        self.k = k
+    def __init__(self, dfa: SubsetDfa, scale: int):
+        k = dfa.alphabet_size
+        self.cost_row = dfa.cost_row
         self.scale = scale
+        # (bit, key step) per letter, bit = 1 << t-1: read outside the
+        # state, the letter adds bit to the state and to the letters read
+        self.moves = [(1 << t, (1 << t << k) + (1 << t)) for t in range(k)]
 
     def __getitem__(self, v: int) -> list:
-        # step_cost's ranks: letters outside v take 1..k-|v| in letter
-        # order, letters inside it k-|v|+1..k
-        k, scale = self.k, self.scale
-        inside = k - v.bit_count() + 1
-        below = 0
-        row = []
-        bit = 1
-        for t in range(1, k + 1):
-            if v & bit:
-                row.append((bit, bit, scale * (inside + below)))
-                below += 1
-            else:
-                row.append((bit, (bit << k) + bit, scale * (t - below)))
-            bit <<= 1
-        return row
+        # read inside v, a letter adds its bit to the letters read only
+        scale = self.scale
+        return [
+            (bit, bit if v & bit else step, scale * c)
+            for (bit, step), c in zip(self.moves, self.cost_row(v))
+        ]
 
 
 class _Rows:
@@ -483,13 +482,13 @@ def _edge_rows(dfa: WeightedDfa, width: int) -> _Rows:
     """Build the _Rows of a table automaton at digit width.
 
     A (state, letters read) pair is the integer key index << k | used, with
-    index the plan's row number of the state. Reading an unread letter t,
-    bit = 1 << t-1, from index i to successor index j moves the key by
-    ((j - i) << k) + bit, a negative step when j < i. INFINITY stays
+    index the state's row number (WeightedDfa._index). Reading an unread
+    letter t, bit = 1 << t-1, from index i to successor index j moves the
+    key by ((j - i) << k) + bit, a negative step when j < i. INFINITY stays
     INFINITY.
     """
     k = dfa.alphabet_size
-    index = dfa._kernel_plan().index
+    index = dfa._index
     finite = []
     infinite = []
     for i, v in enumerate(index):
@@ -502,30 +501,37 @@ def _edge_rows(dfa: WeightedDfa, width: int) -> _Rows:
     return _Rows(finite, infinite if any(infinite) else None)
 
 
-def _plan_rows(dfa: Dfa, width: int) -> _Rows:
-    """The edge rows at digit width: a table automaton's from its plan,
-    built there by _edge_rows once per width; a SubsetDfa's from the rank
-    formula (_SubsetRows), where a subset state is its own index."""
+def _dp_rows(dfa: Dfa, width: int) -> _Rows:
+    """The edge rows at digit width: a table automaton's kept in its
+    _rows, built there by _edge_rows once per width; a SubsetDfa's from
+    its cost rows (_SubsetRows), where a subset state is its own index."""
     if isinstance(dfa, SubsetDfa):
-        return _Rows(_SubsetRows(dfa.alphabet_size, width), None)
-    rows = dfa._kernel_plan().rows
-    if width not in rows:
-        rows[width] = _edge_rows(dfa, width)
-    return rows[width]
+        return _Rows(_SubsetRows(dfa, width), None)
+    if width not in dfa._rows:
+        dfa._rows[width] = _edge_rows(dfa, width)
+    return dfa._rows[width]
 
 
 def _start_key(dfa: Dfa, start) -> int:
     # the DP key of (start, no letter read)
-    index = start if isinstance(dfa, SubsetDfa) else dfa._kernel_plan().index[start]
+    index = start if isinstance(dfa, SubsetDfa) else dfa._index[start]
     return index << dfa.alphabet_size
 
 
-def _unpack(packed: int, width: int) -> Counter:
+def _unpack(packed: int, width: int, out=None, cost: int = 0) -> Counter:
     """The histogram a packed integer holds: digit c (width bits each,
-    least significant first) counts the words of total cost c."""
-    out = Counter()
+    least significant first) counts the words of total cost c, keys
+    ascending. Shifting the whole integer once per digit is quadratic in
+    the digit count, so an integer of more than _PACKED_MAX_TOTAL digits is
+    split in halves, each unpacked into out with the cost of its lowest
+    digit, and every level of the split touches each bit once."""
+    out = Counter() if out is None else out
+    digits = -(-packed.bit_length() // width)
+    if digits > _PACKED_MAX_TOTAL:
+        half = digits // 2
+        _unpack(packed & ((1 << width * half) - 1), width, out, cost)
+        return _unpack(packed >> width * half, width, out, cost + half)
     digit = (1 << width) - 1
-    cost = 0
     while packed:
         n = packed & digit
         if n:
@@ -535,38 +541,14 @@ def _unpack(packed: int, width: int) -> Counter:
     return out
 
 
-def _unpack_long(packed: int, width: int) -> Counter:
-    """_unpack for integers of more than _PACKED_MAX_TOTAL digits, in the
-    same key order. _unpack shifts the whole integer once per digit, which
-    is quadratic in the digit count; this splits it in halves until each
-    part has at most _PACKED_MAX_TOTAL digits, so every level of the split
-    touches each bit once."""
-    out = Counter()
-
-    def split(part: int, first: int, digits: int):
-        if digits <= _PACKED_MAX_TOTAL:
-            for cost, n in _unpack(part, width).items():
-                out[first + cost] = n
-            return
-        half = digits // 2
-        split(part & ((1 << width * half) - 1), first, half)
-        split(part >> width * half, first + half, digits - half)
-
-    split(packed, 0, -(-packed.bit_length() // width))
-    return out
-
-
-def _packed_decoder(width: int, ceiling: int):
+def _packed_decoder(width: int):
     """decode((finite, infinite)) -> the Counter of a packed layer: the
     histogram of finite totals in ascending order, then INFINITY with the
-    count of words that paid it (the digit sum of infinite). Past
-    _PACKED_MAX_TOTAL possible totals the histogram is read by
-    _unpack_long."""
-    unpack = _unpack if ceiling <= _PACKED_MAX_TOTAL else _unpack_long
+    count of words that paid it (the digit sum of infinite)."""
 
     def decode(layer) -> Counter:
         finite, infinite = layer
-        out = unpack(finite, width)
+        out = _unpack(finite, width)
         lost = sum(_unpack(infinite, width).values())
         if lost:
             out[INFINITY] = lost
@@ -604,7 +586,7 @@ def _subset_root_layers(k: int, max_len: int, budget=None) -> tuple:
         if mask is not None:
             packed &= mask
         layers.append((packed, 0))
-    return layers, _packed_decoder(width, ceiling)
+    return layers, _packed_decoder(width)
 
 
 def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
@@ -623,8 +605,8 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     depends only on (state, set of letters read), so each layer maps such
     pairs, at most |V| * 2^k of them, keyed by integers (_edge_rows), to
     the cost histogram of the prefixes reaching them. Each state's edges
-    are read off its row (_plan_rows: kept per automaton and width on a
-    table automaton, the rank formula once per pair on a SubsetDfa),
+    are read off its row (_dp_rows: kept per automaton and width on a
+    table automaton, its cost_row once per pair on a SubsetDfa),
     never through step or step_cost.
 
     A histogram is one packed integer (Kronecker substitution): the count
@@ -658,7 +640,7 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
         return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda layer: layer
     width = math.perm(k, max_len).bit_length()
     mask = _budget_mask(budget, ceiling, width)
-    rows = _plan_rows(dfa, width)
+    rows = _dp_rows(dfa, width)
     finite = rows.finite
     # a budget drops every INFINITY edge
     infinite = rows.infinite if budget is None else None
@@ -712,7 +694,7 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
                         lost += packed
         layers.append((layer + sum(nxt.values()), lost))
         frontier = nxt
-    return layers, _packed_decoder(width, ceiling)
+    return layers, _packed_decoder(width)
 
 
 def _complement_pays(k: int, max_len: int) -> bool:
@@ -790,11 +772,11 @@ def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
 def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
     of letters read), for automata whose finite costs are too wide to pack.
-    Keys and edge rows are the packed DP's at width 1 (_plan_rows);
+    Keys and edge rows are the packed DP's at width 1 (_dp_rows);
     INFINITY is a total like any other. Each Counter is sorted at the end,
     so its keys run as on the packed paths."""
     k = dfa.alphabet_size
-    rows = _plan_rows(dfa, 1)
+    rows = _dp_rows(dfa, 1)
     finite, infinite = rows.finite, rows.infinite
     dists = [Counter() for _ in range(max_len + 1)]
     dists[0][0] = 1

@@ -19,29 +19,27 @@ where [m] = {1..m}; so E[sum_j X_j] = sum_{m=1..k} (m+1)/2 = (k^2+3k)/4
 exactly.
 
 X and T have one definition each: the scalar xy_decompose and t_statistic
-are views of the matrix kernels _x_ranks and _cost_matrix. A table
-automaton's numpy tables (_tables: state index, cost and successor
-matrices) are built once per automaton and kept, read-only, in its plan
-with the k-DFA verdict (dfa._Plan), so every call and every sample block
-on it reads the same arrays; SubsetDfa keeps nothing and walks by its rank
-formula.
+are views of the matrix kernels _x_ranks and the cost matrix. A table
+automaton's numpy tables (WeightedDfa._tables: cost and successor
+matrices) are built once per automaton and kept, read-only, with its state
+index and k-DFA verdict, so every call and every sample block on it reads
+the same arrays; SubsetDfa keeps nothing and walks by its rank formula.
 
 Monte-Carlo reproducibility: every sample i draws from a BLAKE2b
 counter-mode stream keyed by (seed, i) (counter-based generation as in
 Salmon et al., SC'11) and shuffles by partial Fisher-Yates, so a fixed
-seed gives bit-identical estimates. CounterRng keys BLAKE2b with its
-(seed, stream) once and copies that state per block; _sample_perm_matrix
-takes its blocks from _stream_blocks, which keys BLAKE2b with the seed
-once and copies that state per stream and per block.
-_sample_perm_matrix draws blocks of _BLOCK_ROWS rows at once in numpy; a
-row whose stream rejects a word is redrawn by the scalar definition,
-_shuffled over CounterRng. Walks on the subset automaton (_subset_costs)
-keep the letters read as uint64 bit masks, so a step costs O(1) per row
-at any k.
+seed gives bit-identical estimates. Every stream is read through
+_stream_blocks, the one place BLAKE2b is keyed: CounterRng for one stream,
+and _perm_blocks for streams 0..samples-1 at once. _perm_blocks yields
+blocks of _BLOCK_ROWS rows drawn in numpy; a row whose stream rejects a
+word is redrawn by the scalar definition, _shuffled over CounterRng.
+Walks on the subset automaton (_subset_costs) keep the letters read as
+uint64 bit masks, so a step costs O(1) per row at any k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import asdict, dataclass
@@ -112,27 +110,18 @@ class CounterRng:
     The pair (seed, stream) names an independent, reproducible stream;
     sampling loops use one stream per sample index. Block c of the stream
     is the digest of seed || stream || c (see _stream_blocks), and its
-    eight little-endian 64-bit words are drawn last to first. The state
-    keyed with seed || stream is built once and copied per block; a single
-    stream needs no seed-level state of its own.
+    eight little-endian 64-bit words are drawn last to first.
     """
 
-    __slots__ = ("_key", "_state", "_counter", "_pool")
+    __slots__ = ("_blocks", "_pool")
 
     def __init__(self, seed: int, stream: int = 0):
-        self._key = seed.to_bytes(16, "little", signed=True) + stream.to_bytes(
-            16, "little"
-        )
-        self._state = blake2b(self._key, digest_size=64)
-        self._counter = 0
+        self._blocks = _stream_blocks(seed, (stream,), itertools.count())
         self._pool: list[int] = []
 
     def bits64(self) -> int:
         if not self._pool:
-            block = self._state.copy()
-            block.update(self._counter.to_bytes(8, "little"))
-            self._counter += 1
-            self._pool = list(_unpack_block(block.digest()))
+            self._pool = list(_unpack_block(next(self._blocks)))
         return self._pool.pop()
 
     def randrange(self, n: int) -> int:
@@ -177,7 +166,7 @@ def _shuffled(k: int, L: int, randrange) -> list[int]:
 
     Slot i swaps with slot i + randrange(k - i), for i = 0..L-1 in order.
     This is the definition every Monte-Carlo sample follows; the batched
-    _sample_perm_matrix reproduces it and falls back to it on rejection.
+    _perm_blocks reproduces it and falls back to it on rejection.
     """
     pool = list(range(1, k + 1))
     for i in range(L):
@@ -322,73 +311,55 @@ def exact_P_max(
 # Monte Carlo
 
 
-def _sample_perm_matrix(
-    k: int, samples: int, seed: int, L: int | None = None, first: int = 0
-) -> np.ndarray:
-    """Rows first..first+samples-1 of the seed's streams, each 1..k with
-    its first L slots (all k by default) shuffled: an int array of shape
-    (samples, k) whose row i equals _shuffled(k, L, CounterRng(seed,
-    first + i).randrange).
+def _perm_blocks(k: int, samples: int, seed: int, L: int | None = None):
+    """Rows 0..samples-1 of the seed's streams, each 1..k with its first L
+    slots (all k by default) shuffled, as int arrays of _BLOCK_ROWS rows
+    (the last may be shorter) and k columns: row i equals _shuffled(k, L,
+    CounterRng(seed, i).randrange).
 
-    Blocks of _BLOCK_ROWS rows are drawn at once: each row's ceil(L/8)
-    BLAKE2b blocks (from one _stream_blocks generator for the whole call,
-    the stream CounterRng defines) become one uint64 matrix; draw i of a
-    row is the i-th word CounterRng.bits64 would pop, mod n = k - i,
-    unless some word of the row falls at or above floor(2^64/n)*n for its
-    n, and the partial Fisher-Yates swaps run one column at a time for all
-    rows. A row with a rejected word is redrawn by _shuffled itself.
+    Every row's ceil(L/8) BLAKE2b blocks come from one _stream_blocks
+    generator, the stream CounterRng defines. Each block of rows is built
+    by _perm_block, so the suspended generator holds none of its digests:
+    a block's 64-byte digests would otherwise stay alive while the caller
+    walks the rows.
     """
     L = k if L is None else L
-    out = np.empty((samples, k), dtype=np.int64)
-    per_row = -(-L // 8)
-    blocks = _stream_blocks(seed, range(first, first + samples), range(per_row))
-    # draw i pops word 7 - i % 8 of block i // 8; the largest word it
-    # accepts, floor(2^64/n)*n - 1 for n = k - i, fits in 64 bits
-    column = [8 * (i // 8) + 7 - i % 8 for i in range(L)]
-    top = [np.uint64((1 << 64) // (k - i) * (k - i) - 1) for i in range(L)]
+    streams = range(samples)
+    blocks = _stream_blocks(seed, streams, range(-(-L // 8)))
     for lo in range(0, samples, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, samples)
-        # fromiter takes exactly count digests, copying each as it comes: a
-        # list of thousands of small bytes objects left about 2 MB of heap
-        # resident
-        digests = np.fromiter(blocks, dtype="S64", count=(hi - lo) * per_row)
-        words = digests.view("<u8").reshape(hi - lo, 8 * per_row)
-        pool = out[lo:hi]
-        pool[:] = np.arange(1, k + 1)
-        at = np.arange(hi - lo)
-        rejected = np.zeros(hi - lo, dtype=bool)
-        for i in range(L):
-            word = words[:, column[i]]
-            rejected |= word > top[i]
-            j = i + (word % np.uint64(k - i)).astype(np.intp)
-            slot = pool[:, i].copy()
-            pool[:, i] = pool[at, j]
-            pool[at, j] = slot
-        for r in np.flatnonzero(rejected):
-            pool[r] = _shuffled(k, L, CounterRng(seed, first + lo + int(r)).randrange)
-    return out
+        yield _perm_block(k, L, seed, streams[lo : lo + _BLOCK_ROWS], blocks)
 
 
-def _cost_matrix(dfa) -> np.ndarray:
-    """Build cost[V, k]: row i is the cost row of state i of dfa.states. A
-    table automaton's is built once, by _tables; a SubsetDfa's (2^k x k)
-    on every call, since it keeps no per-automaton data."""
-    return np.array([dfa.cost_row(v) for v in dfa.states], dtype=np.int64)
-
-
-def _tables(dfa):
-    """The dense tables of a table-backed automaton: ({state: row},
-    _cost_matrix(dfa), succ[V, k]), successors given as row numbers. Built
-    on the first call and kept in the automaton's plan, with its state
-    index; both arrays are read-only, since every later call shares them."""
-    plan = dfa._kernel_plan()
-    if plan.tables is None:
-        index = plan.index
-        cost = _cost_matrix(dfa)
-        succ = np.array([[index[u] for u in dfa.delta_row(v)] for v in index], dtype=np.intp)
-        cost.flags.writeable = succ.flags.writeable = False
-        plan.tables = index, cost, succ
-    return plan.tables
+def _perm_block(k: int, L: int, seed: int, streams: range, blocks) -> np.ndarray:
+    """The rows of _perm_blocks for streams, from the next len(streams) *
+    ceil(L/8) digests of blocks. The digests become one uint64 matrix;
+    draw i of a row is the i-th word CounterRng.bits64 would pop, mod n =
+    k - i, unless some word of the row falls at or above floor(2^64/n)*n
+    for its n, and the partial Fisher-Yates swaps run one column at a time
+    for all rows. A row with a rejected word is redrawn by _shuffled
+    itself."""
+    rows, per_row = len(streams), -(-L // 8)
+    # fromiter takes exactly count digests, copying each as it comes: a
+    # list of thousands of small bytes objects left about 2 MB of heap
+    # resident
+    digests = np.fromiter(blocks, dtype="S64", count=rows * per_row)
+    words = digests.view("<u8").reshape(rows, 8 * per_row)
+    pool = np.tile(np.arange(1, k + 1, dtype=np.int64), (rows, 1))
+    at = np.arange(rows)
+    rejected = np.zeros(rows, dtype=bool)
+    for i in range(L):
+        # draw i pops word 7 - i % 8 of block i // 8; the largest word it
+        # accepts, floor(2^64/n)*n - 1 for n = k - i, fits in 64 bits
+        n = k - i
+        word = words[:, 8 * (i // 8) + 7 - i % 8]
+        rejected |= word > np.uint64((1 << 64) // n * n - 1)
+        j = i + (word % np.uint64(n)).astype(np.intp)
+        slot = pool[:, i].copy()
+        pool[:, i] = pool[at, j]
+        pool[at, j] = slot
+    for r in np.flatnonzero(rejected):
+        pool[r] = _shuffled(k, L, CounterRng(seed, streams[r]).randrange)
+    return pool
 
 
 def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
@@ -434,13 +405,14 @@ def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
 
 def _walk_totals(dfa, start, words: np.ndarray) -> np.ndarray:
     """Total cost of every row of words (letters, shape (rows, L)) walked
-    from start: through _tables, or, for SubsetDfa, the row sums of
-    _subset_costs, which needs no state list and works at any k."""
+    from start: through the automaton's _tables, or, for SubsetDfa, the
+    row sums of _subset_costs, which needs no state list and works at any
+    k."""
     if isinstance(dfa, SubsetDfa):
         return _subset_costs(dfa.alphabet_size, start, words).sum(axis=1)
-    index, cost, succ = _tables(dfa)
+    cost, succ = dfa._tables
     total = np.zeros(len(words), dtype=np.int64)
-    at = np.full(len(words), index[start])
+    at = np.full(len(words), dfa._index[start])
     for t in (words - 1).T:
         total += cost[at, t]
         at = succ[at, t]
@@ -504,9 +476,9 @@ def estimate_P(
     """Monte-Carlo P(state, L, eps) with a Clopper-Pearson interval.
 
     Deterministic in seed: sample i is a pure function of (seed, i).
-    Samples come from _sample_perm_matrix in blocks of _BLOCK_ROWS rows,
-    and each block is walked all at once by _walk_totals. threads must be
-    at least 1 and changes nothing: every block runs in the calling thread.
+    Samples come from _perm_blocks in blocks of _BLOCK_ROWS rows, and each
+    block is walked all at once by _walk_totals. threads must be at least
+    1 and changes nothing: every block runs in the calling thread.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
@@ -520,11 +492,10 @@ def estimate_P(
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}")
     bound = _cost_bound(k, L, epsilon, strict)
-    hits = 0
-    for lo in range(0, samples, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, samples - lo)
-        words = _sample_perm_matrix(k, rows, seed, L, first=lo)[:, :L]
-        hits += int((_walk_totals(dfa, state, words) <= bound).sum())
+    hits = sum(
+        int((_walk_totals(dfa, state, perms[:, :L]) <= bound).sum())
+        for perms in _perm_blocks(k, samples, seed, L)
+    )
     lo, hi = clopper_pearson(hits, samples, confidence)
     return EstimateReport(
         estimate=hits / samples,
@@ -590,8 +561,8 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     For each state v, counts the prefix letters whose cost at v is at most
     x — the number of cost values <= x that a walk sitting at v could no
     longer pay when reading fresh letters. Returns ({state: count}, min),
-    read off the prefix columns of the cost matrix (_tables' on a table
-    automaton), as _min_t_counts does.
+    read off the prefix columns of the cost matrix (a table automaton's
+    _tables, a SubsetDfa's 2^k rows built here), as _min_t_counts does.
     """
     if not is_k_dfa(dfa):
         raise ValueError("t_statistic needs a k-DFA")
@@ -605,7 +576,10 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     if x < 0:
         raise ValueError("x must be non-negative")
     columns = np.array(letters, dtype=np.intp) - 1
-    cost = _cost_matrix(dfa) if isinstance(dfa, SubsetDfa) else _tables(dfa)[1]
+    if isinstance(dfa, SubsetDfa):
+        cost = np.array([dfa.cost_row(v) for v in dfa.states], dtype=np.int64)
+    else:
+        cost = dfa._tables[0]
     counts = (cost[:, columns] <= x).sum(axis=1).tolist()
     return dict(zip(dfa.states, counts)), min(counts)
 
@@ -622,9 +596,9 @@ def _x_ranks(dfa, perms: np.ndarray) -> np.ndarray:
     otherwise one table walk of all rows at once, through _tables."""
     if isinstance(dfa, SubsetDfa):
         return _subset_costs(dfa.alphabet_size, 0, perms)
-    index, cost, succ = _tables(dfa)
+    cost, succ = dfa._tables
     letters = perms - 1
-    at = np.full(len(perms), index[dfa.root])
+    at = np.full(len(perms), dfa._index[dfa.root])
     X = np.empty_like(perms)
     for j in range(perms.shape[1]):
         unread = cost[at[:, None], letters[:, j:]]  # column 0 is t_j's cost
@@ -645,7 +619,7 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
             for x in xs
         ]
     T = [np.full(perms.shape, k) for _ in xs]
-    for row in _tables(dfa)[1]:
+    for row in dfa._tables[0]:
         paid = row[perms - 1]
         for t, x in zip(T, xs):
             low = paid <= x
@@ -655,19 +629,15 @@ def _min_t_counts(dfa, perms: np.ndarray, xs) -> list[np.ndarray]:
 
 def sample_x_sums(dfa, samples: int, seed: int) -> np.ndarray:
     """Monte-Carlo samples of sum_j X_j over uniform random permutations:
-    the row sums of _x_ranks over the rows of _sample_perm_matrix, the
-    pipeline concentration_experiment shares, drawn _BLOCK_ROWS rows at a
-    time so that no (samples, k) matrix is built."""
+    the row sums of _x_ranks over the blocks of _perm_blocks, the pipeline
+    concentration_experiment shares, so that no (samples, k) matrix is
+    built."""
     if samples <= 0:
         raise ValueError("need at least one sample")
     if not is_k_dfa(dfa):
         raise ValueError("sample_x_sums needs a k-DFA")
-    k = dfa.alphabet_size
-    out = np.empty(samples, dtype=np.int64)
-    for lo in range(0, samples, _BLOCK_ROWS):
-        perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
-        out[lo : lo + len(perms)] = _x_ranks(dfa, perms).sum(axis=1)
-    return out
+    blocks = _perm_blocks(dfa.alphabet_size, samples, seed)
+    return np.concatenate([_x_ranks(dfa, perms).sum(axis=1) for perms in blocks])
 
 
 @dataclass(frozen=True)
@@ -721,7 +691,7 @@ def concentration_experiment(
 ) -> ConcentrationReport:
     """Estimate the frequencies of the con1/con2 window events.
 
-    The X ranks of the rows of _sample_perm_matrix (as in sample_x_sums)
+    The X ranks of the blocks of _perm_blocks (as in sample_x_sums)
     and the T matrices of _min_t_counts feed one loop over window pairs
     that scores a block of _BLOCK_ROWS samples at once, for every kind of
     k-DFA; the event counts are summed over the blocks as integers.
@@ -745,8 +715,7 @@ def concentration_experiment(
             events.append(((m1, m2), cols, thr1, thr2))
     hits1 = dict.fromkeys((key for key, *_ in events), 0)
     hits2 = dict(hits1)
-    for lo in range(0, samples, _BLOCK_ROWS):
-        perms = _sample_perm_matrix(k, min(_BLOCK_ROWS, samples - lo), seed, first=lo)
+    for perms in _perm_blocks(k, samples, seed):
         X = _x_ranks(dfa, perms)
         T = _min_t_counts(dfa, perms, [m2 * k / M for m2 in range(1, M)])
         for (m1, m2), cols, thr1, thr2 in events:

@@ -879,8 +879,18 @@ class TestStartup:
         code = _MAIN_THEN.format(argv=argv, check="'numpy' in sys.modules")
         assert _fresh_interpreter_prints(code) == "False"
 
+    @pytest.mark.parametrize("argv", [
+        ["dfa", "census", "subset", "--k", "6"],
+        ["walk", "two-track", "--k", "4", "--walk-word", "1", "3", "2", "4"],
+    ], ids=["dfa-census", "walk"])
+    def test_exact_and_walk_commands_do_not_load_numpy(self, argv):
+        # dfa.py imports numpy only where a table automaton builds _tables
+        code = _MAIN_THEN.format(argv=argv, check="'numpy' in sys.modules")
+        assert _fresh_interpreter_prints(code) == "False"
+
 
 _AUTOMATON_COMMANDS = ["decompose", "dfa", "cheapen", "walk", "estimate-p", "concentration"]
+_WALK_COMMANDS = ["decompose", "walk", "estimate-p", "concentration"]
 _FLOATS = (
     st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5])
     | st.sampled_from([0.0, 1.0, float("nan"), float("inf"), float("-inf")])
@@ -893,6 +903,8 @@ def _cli_argv(draw):
     """argv of every subcommand but exact-p (see _exact_argv) over small
     integers; most draws are in the domain, some are not. In half the draws
     every flag a command needs is there, in the rest each may be missing.
+    Half the draws of the commands that walk or sample (_WALK_COMMANDS)
+    have every value in their domain.
     k, n, --samples and the search sizes stay small: they size real work."""
     # half the draws go to bcp, census and decompose, as many as when they were the only ones
     command = draw(st.sampled_from(["bcp", "census", "decompose"]) | st.sampled_from([
@@ -903,7 +915,10 @@ def _cli_argv(draw):
     k = draw(st.integers(-2, 6))
     word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7) | st.lists(small, max_size=7))
     perm = draw(st.permutations(range(1, max(k, 1) + 1)) | st.lists(small, max_size=6))
-    needed = 4 if draw(st.booleans()) else 3
+    # in their domain: a k-DFA, k >= 1, words over [k], every needed flag;
+    # so the fuzz reaches their output too
+    valid = command in _WALK_COMMANDS and draw(st.booleans())
+    needed = 4 if valid or draw(st.booleans()) else 3
 
     def flag(name, *values, odds=needed):
         # the flag appears in odds of 4 draws
@@ -963,23 +978,29 @@ def _cli_argv(draw):
     if command == "dfa":
         argv.append(draw(st.sampled_from(["build", "dot", "cost", "census"])))
     if command in _AUTOMATON_COMMANDS:
-        # the subset automaton is a k-DFA at every k >= 1, so it is drawn twice as often
-        kind = draw(st.sampled_from(["subset", "subset", "two-track", "random", "greedy", "file"]))
+        if valid:
+            kind = draw(st.sampled_from(["subset", "two-track", "random"]))
+            k = 2 * draw(st.integers(1, 3)) if kind == "two-track" else draw(st.integers(1, 6))
+            perm = draw(st.permutations(range(1, k + 1)))
+        else:
+            # the subset automaton is a k-DFA at every k >= 1, so it is drawn twice as often
+            kind = draw(st.sampled_from(["subset", "subset", "two-track", "random", "greedy", "file"]))
         if command in ("dfa", "cheapen", "walk") and draw(st.booleans()):
             argv.append(kind)  # the positional builder
         else:
             argv += flag("--dfa", kind)
         # the flags the builder reads, each in its odds of 4 draws; in one
         # draw in 8, one flag that only other builders read, which is refused
+        states = draw(st.integers(1, 7) if valid else small)
         values = {
-            "word": (word, needed), "k": ([k], needed), "states": ([draw(small)], needed),
+            "word": (word, needed), "k": ([k], needed), "states": ([states], needed),
             "dfa_seed": ([draw(small)], 1), "in_path": (["no-such-automaton.json"], 1),
         }
         needs, takes, _ = cli._BUILDERS[kind]
         for dest in needs + takes:
             if dest in values:
                 argv += flag(cli._flag(dest), *values[dest][0], odds=values[dest][1])
-        if draw(st.integers(1, 8)) == 1:
+        if not valid and draw(st.integers(1, 8)) == 1:
             dest = draw(st.sampled_from(sorted(set(values) - set(needs + takes))))
             argv += flag(cli._flag(dest), *values[dest][0], odds=4)
     else:
@@ -1013,11 +1034,15 @@ def _cli_argv(draw):
     if command == "walk":
         return argv + flag("--walk-word", *perm) + flag("--start", draw(small), odds=1)
     if command in ("estimate-p", "concentration"):
-        argv += number("--samples", st.integers(-1, 40)) + number("--seed", small)
-        argv += number("--threads", st.integers(-1, 3), odds=1)
+        argv += number("--samples", st.integers(1 if valid else -1, 40)) + number("--seed", small)
+        argv += number("--threads", st.integers(1 if valid else -1, 3), odds=1)
         if command == "concentration":
-            return argv + number("--M", st.integers(2, 6) | small) + number("--epsilon-star", _FLOATS)
-        argv += number("--L", st.integers(-1, max(k, 0) + 1)) + number("--epsilon", _FLOATS)
+            M = st.integers(2, 6) if valid else st.integers(2, 6) | small
+            epsilon_star = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.45]) if valid else _FLOATS
+            return argv + number("--M", M) + number("--epsilon-star", epsilon_star)
+        L = st.integers(0, k) if valid else st.integers(-1, max(k, 0) + 1)
+        epsilon = st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.5]) if valid else _FLOATS
+        argv += number("--L", L) + number("--epsilon", epsilon)
         argv += number("--state", small, odds=1)
         return argv + flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=1)
     if command == "contains":

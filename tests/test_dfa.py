@@ -622,18 +622,19 @@ class TestSubsetRootClosedForm:
 
     @pytest.mark.parametrize("width", [1, 3, 17, 64])
     def test_long_decode_matches_unpack(self, width):
+        # _unpack splits integers of more than _PACKED_MAX_TOTAL digits; the
+        # histogram is the digits read one at a time, keys ascending
         rng = random.Random(width)
         for digits in (0, 1, 1024, 1025, 2049, 5000):
             # runs of empty digits inside and at the top
             values = [rng.choice((0, 0, rng.randrange(1 << width))) for _ in range(digits)]
             packed = sum(n << width * c for c, n in enumerate(values))
-            want = dfa_module._unpack(packed, width)
-            got = dfa_module._unpack_long(packed, width)
-            assert list(got.items()) == list(want.items()), digits
+            want = [(c, n) for c, n in enumerate(values) if n]
+            assert list(dfa_module._unpack(packed, width).items()) == want, digits
 
     @pytest.mark.parametrize("max_len, budget", [(26, None), (30, None), (30, 500)])
     def test_layers_past_the_packed_size_match_the_oracle(self, max_len, budget):
-        # k * max_len > _PACKED_MAX_TOTAL: the layers take _unpack_long
+        # k * max_len > _PACKED_MAX_TOTAL: _unpack splits the layers
         k = 40
         assert k * max_len > dfa_module._PACKED_MAX_TOTAL
         layers = _injective_cost_layers(build_subset_dfa(k), 0, max_len, budget)
@@ -884,7 +885,7 @@ def wide_with_infinity():
 
 
 def fresh(dfa):
-    """An equal automaton whose plan is still empty."""
+    """An equal automaton that has built and kept nothing yet."""
     return WeightedDfa(
         dfa.alphabet_size,
         dfa.root,
@@ -900,8 +901,8 @@ def items(dists):
 class TestKernelPlan:
     """One automaton answering many interleaved queries, each against a
     fresh equal automaton (key order included) and against plain
-    enumeration (tests/oracles.py): nothing the plan keeps (edge rows per
-    digit width, complement constants, verdicts) may leak between
+    enumeration (tests/oracles.py): nothing the automaton keeps (edge rows
+    per digit width, complement constants, verdicts) may leak between
     queries."""
 
     BUDGETS = (None, -1, 0, 2.5, math.inf)
@@ -946,8 +947,8 @@ class TestKernelPlan:
         for max_len in (2, 5, 3, 7, 6, 2):
             _injective_cost_layers(dfa, 3, max_len)
             widths.add(math.perm(7, max_len).bit_length())
-        assert set(dfa._plan.rows) == widths == {6, 8, 12, 13}
-        for width, rows in dfa._plan.rows.items():
+        assert set(dfa._rows) == widths == {6, 8, 12, 13}
+        for width, rows in dfa._rows.items():
             assert rows.finite == dfa_module._edge_rows(dfa, width).finite
 
     def test_interleaved_callers(self):
@@ -983,7 +984,7 @@ class TestKernelPlan:
 
     def test_threads_share_one_automaton(self):
         # more threads than cores, switching every microsecond, each
-        # round on an automaton whose plan is empty: a part published
+        # round on an automaton that has kept nothing: a part published
         # before it is whole (complement constants filled in place) gave
         # some thread a wrong answer in 2 to 23 of 40 rounds
         base = random_k_dfa(16, 40, 4)

@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -39,9 +40,8 @@ from superpatterns.walks import (
     xy_decompose,
 )
 from superpatterns.walks import (
-    _cost_matrix,
     _min_t_counts,
-    _sample_perm_matrix,
+    _perm_blocks,
     _subset_costs,
     _walk_totals,
     _x_ranks,
@@ -58,6 +58,11 @@ from oracles import (
 
 def perms(k):
     return list(permutations(range(1, k + 1)))
+
+
+def perm_matrix(k, samples, seed, L=None):
+    """Every block of _perm_blocks, as one (samples, k) matrix."""
+    return np.concatenate(list(_perm_blocks(k, samples, seed, L)))
 
 
 class TestCounterRng:
@@ -116,12 +121,12 @@ class TestSamplePermWord:
         assert p > 0.001
 
     def test_matrix_matches_scalar_sampler(self):
-        mat = _sample_perm_matrix(6, 20, seed=77)
+        mat = perm_matrix(6, 20, seed=77)
         for i in range(20):
             assert tuple(mat[i]) == sample_perm_word(6, 6, CounterRng(77, i)).letters
 
     def test_matrix_rows_follow_the_stream_definition(self):
-        mat = _sample_perm_matrix(7, 30, seed=91)
+        mat = perm_matrix(7, 30, seed=91)
         for i in range(30):
             assert tuple(mat[i]) == stream_injective_word(91, i, 7, 7)
 
@@ -178,15 +183,17 @@ class TestBatchedSampler:
 
         fallbacks = []
 
-        def spy(k, L, randrange):
-            fallbacks.append(int.from_bytes(randrange.__self__._key[16:], "little"))
-            return real_shuffled(k, L, randrange)
+        class Recording(CounterRng):
+            # the scalar fallback is the one CounterRng the sampler makes
+            def __init__(self, seed, stream=0):
+                fallbacks.append(stream)
+                super().__init__(seed, stream)
 
         monkeypatch.setattr(W, "blake2b", Forcing)
         want = [real_shuffled(k, k, CounterRng(seed, i).randrange) for i in range(samples)]
         assert want[7][0] == 12  # slot 0 swapped with slot 11: accepted
-        monkeypatch.setattr(W, "_shuffled", spy)
-        mat = _sample_perm_matrix(k, samples, seed)
+        monkeypatch.setattr(W, "CounterRng", Recording)
+        mat = perm_matrix(k, samples, seed)
         assert mat.tolist() == want
         assert fallbacks == rejecting
         for stream, _ in forced:
@@ -195,14 +202,13 @@ class TestBatchedSampler:
         s = build_subset_dfa(k)
         got = estimate_P(s, 0, k, 0.1, samples, seed).estimate * samples
         assert fallbacks == rejecting
-        monkeypatch.setattr(W, "_shuffled", real_shuffled)
         assert round(got) == _scalar_hits(s, 0, k, 0.1, samples, seed)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_sizes_around_one_block(self, delta):
         samples, seed = W._BLOCK_ROWS + delta, 23
         for k, L in ((5, 5), (5, 3), (5, 0)):
-            mat = _sample_perm_matrix(k, samples, seed, L)
+            mat = perm_matrix(k, samples, seed, L)
             assert mat.shape == (samples, k)
             assert mat.tolist() == _scalar_rows(k, samples, seed, L)
         dfa = random_k_dfa(6, 4, 8)
@@ -211,8 +217,8 @@ class TestBatchedSampler:
 
     def test_empty_words_and_one_letter(self):
         for L in (0, 1):
-            assert _sample_perm_matrix(1, 7, 3, L).tolist() == [[1]] * 7
-        assert _sample_perm_matrix(4, 3, 3, 0).tolist() == [[1, 2, 3, 4]] * 3
+            assert perm_matrix(1, 7, 3, L).tolist() == [[1]] * 7
+        assert perm_matrix(4, 3, 3, 0).tolist() == [[1, 2, 3, 4]] * 3
         for dfa, state, L, eps in (
             (build_subset_dfa(1), 0, 1, 0.0),
             (build_subset_dfa(1), 1, 1, 0.0),
@@ -272,7 +278,7 @@ class TestSubsetCostKernel:
         # is the sum of the literal X ranks; with TestXRanksOracle this ties
         # the row sums of _x_ranks to _walk_totals
         s = build_subset_dfa(k)
-        perms = _sample_perm_matrix(k, 300, seed=k)
+        perms = perm_matrix(k, 300, seed=k)
         totals = _walk_totals(s, s.root, perms)
         assert totals.tolist() == [sum(literal_x_ranks(s, p)) for p in perms.tolist()]
 
@@ -296,7 +302,7 @@ class TestXRanksOracle:
         if k <= 5:
             perms = np.array(list(permutations(range(1, k + 1))), dtype=np.int64)
         else:
-            perms = _sample_perm_matrix(k, 200, seed=k)
+            perms = perm_matrix(k, 200, seed=k)
         X = _x_ranks(dfa, perms)
         assert [tuple(x) for x in X.tolist()] == [literal_x_ranks(dfa, p) for p in perms.tolist()]
 
@@ -772,37 +778,42 @@ class TestXStatistics:
         assert list(blocked.con2.items()) == list(whole.con2.items())
 
     def test_tables_built_once_across_blocks(self, monkeypatch):
-        # three blocks of 4 rows per call, and several calls: one
-        # _cost_matrix (inside the one _tables build) per automaton, and
-        # every block of every call reads the same arrays
+        # three blocks of 4 rows per call, and several calls: one _tables
+        # build per automaton, and every block of every call reads the same
+        # arrays
         builds = Counter()
-        seen = []
-        build, read = W._cost_matrix, W._tables
-        monkeypatch.setattr(W, "_cost_matrix", lambda dfa: builds.update([id(dfa)]) or build(dfa))
-        monkeypatch.setattr(W, "_tables", lambda dfa: seen.append(read(dfa)) or seen[-1])
+        blocks = []
+        build = D.WeightedDfa._tables.func
+        counted = functools.cached_property(lambda dfa: builds.update([id(dfa)]) or build(dfa))
+        counted.__set_name__(D.WeightedDfa, "_tables")
+        monkeypatch.setattr(D.WeightedDfa, "_tables", counted)
+        x_ranks = W._x_ranks
+        monkeypatch.setattr(W, "_x_ranks", lambda dfa, perms: blocks.append(dfa._tables) or x_ranks(dfa, perms))
         monkeypatch.setattr(W, "_BLOCK_ROWS", 4)
         dfa = random_k_dfa(5, 4, 9)
         sample_x_sums(dfa, 11, 3)
-        assert builds == {id(dfa): 1} and len(seen) == 3
+        assert builds == {id(dfa): 1} and len(blocks) == 3
+        tables = dfa._tables
         concentration_experiment(dfa, 3, 0.2, 11, 3)
         estimate_P(dfa, 2, 4, 0.1, 11, 3)
         xy_decompose(dfa, (2, 4, 1, 5, 3))
         t_statistic(dfa, (1, 3), 2)
         assert builds == {id(dfa): 1}
-        assert all(t is seen[0] for t in seen) and len(seen) > 3
-        # an equal automaton is another object with its own plan
+        assert all(t is tables for t in blocks) and len(blocks) > 3 and dfa._tables is tables
+        # an equal automaton is another object with its own tables
         fresh = random_k_dfa(5, 4, 9)
         sample_x_sums(fresh, 11, 3)
         assert builds == {id(dfa): 1, id(fresh): 1}
-        assert seen[-1] is not seen[0]
+        assert fresh._tables is not tables
 
     def test_cached_tables_are_read_only(self):
         dfa = random_k_dfa(5, 4, 9)
         sample_x_sums(dfa, 3, 1)
-        index, cost, succ = W._tables(dfa)
+        cost, succ = dfa._tables
         for table in (cost, succ):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1
+        index = {v: i for i, v in enumerate(dfa.states)}
         assert cost.tolist() == [list(dfa.cost_row(v)) for v in dfa.states]
         assert succ.tolist() == [[index[u] for u in dfa.delta_row(v)] for v in dfa.states]
         assert list(sample_x_sums(dfa, 3, 1)) == list(sample_x_sums(random_k_dfa(5, 4, 9), 3, 1))
@@ -922,7 +933,7 @@ class TestTCountsOracle:
     @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
     def test_min_t_counts_match_the_literal_oracle(self, dfa):
         k = dfa.alphabet_size
-        perms = _sample_perm_matrix(k, 40, seed=k)
+        perms = perm_matrix(k, 40, seed=k)
         xs = [m * k / 4 for m in range(1, 4)] + [0, k]
         for T, x in zip(_min_t_counts(dfa, perms, xs), xs):
             want = [
@@ -933,7 +944,17 @@ class TestTCountsOracle:
 
     @pytest.mark.parametrize("dfa", T_ORACLE_DFAS, ids=T_ORACLE_IDS)
     def test_cost_matrix_rows_follow_the_state_order(self, dfa):
-        assert _cost_matrix(dfa).tolist() == [list(dfa.cost_row(v)) for v in dfa.states]
+        rows = [list(dfa.cost_row(v)) for v in dfa.states]
+        if isinstance(dfa, D.SubsetDfa):
+            # t_statistic builds a subset automaton's matrix itself: a
+            # one-letter prefix at x = c counts, per state, whether t costs
+            # at most c there
+            k = dfa.alphabet_size
+            for t, c in product(range(1, k + 1), range(k + 1)):
+                per_state, _ = t_statistic(dfa, (t,), c)
+                assert list(per_state.items()) == [(v, int(row[t - 1] <= c)) for v, row in zip(dfa.states, rows)]
+        else:
+            assert dfa._tables[0].tolist() == rows
 
 
 class TestConcentration:
@@ -1045,7 +1066,7 @@ class TestConcentration:
         def no_sampling(*args):
             raise AssertionError("sampled before checking epsilon_star")
 
-        monkeypatch.setattr(W, "_sample_perm_matrix", no_sampling)
+        monkeypatch.setattr(W, "_perm_blocks", no_sampling)
         monkeypatch.setattr(W, "sample_perm_word", no_sampling)
         for dfa in (build_subset_dfa(4), random_k_dfa(4, 3, 1)):
             with pytest.raises(ValueError):
