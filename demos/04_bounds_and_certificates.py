@@ -28,19 +28,19 @@ for L in (2, 4, 6):
         p = exact_P_max(build_subset_dfa(k), L, eps)
         b = forL_bound(k, L, eps)
         logp = "-inf" if p == 0 else f"{math.log(p):8.4f}"
-        print(f"L={L} eps={eps:4}: log exact P = {logp}   log bound = {b.log:8.4f}")
+        print(f"L={L} eps={eps:4}: log exact P = {logp}   log bound = {b:8.4f}")
 
 # The injective-vs-iid correction is the birthday ratio; for short
 # prefixes (L = alpha k, alpha small) it stays under exp((a^2/2+a^3/4)k).
-print("\nbirthday ratio log at (100, 10):", f"{birthday_ratio(100, 10).log:.4f}",
-      " bound:", f"{birthday_bound(100, 0.1).log:.4f}")
+print("\nbirthday ratio log at (100, 10):", f"{birthday_ratio(100, 10):.4f}",
+      " bound:", f"{birthday_bound(100, 0.1):.4f}")
 
 # Constants of the walk argument for a target margin eps* = 0.3.
 c = theorem_constants(0.3)
 print(f"\neps* = 0.3 -> eps = {c.epsilon:.4f}, alpha = {c.alpha:.6f}, "
       f"c0 = {c.c0:.3e}")
 print("rank-sum tail rate at k=100, eps=0.1:",
-      f"exp({hoeffding_x_bound(100, 0.1).log:.3f})")
+      f"exp({hoeffding_x_bound(100, 0.1):.3f})")
 
 # Counting certificate: a word on [r] holds at most C(r,k) * F(k,n)
 # patterns, so C(r,k) F(k,n) < k! rules out any k-superpattern of length

@@ -6,60 +6,10 @@ Monte-Carlo walk statistics, and the closed-form bounds that tie them
 together at desk scale.
 """
 
-from .bounds import (
-    LogValue,
-    TheoremConstants,
-    birthday_bound,
-    birthday_ratio,
-    con_constants,
-    forL_bound,
-    gupta_check,
-    hoeffding_x_bound,
-    infeasibility,
-    loworder_predicate,
-    theorem_constants,
-)
-from .dfa import (
-    INFINITY,
-    SubsetDfa,
-    WalkTrace,
-    WeightedDfa,
-    build_greedy_dfa,
-    build_subset_dfa,
-    build_two_track_dfa,
-    cheap_perm_count,
-    cheapen,
-    dfa_from_json,
-    dfa_to_dot,
-    dfa_to_json,
-    finite_edges,
-    is_k_dfa,
-    perm_cost_census,
-    random_k_dfa,
-    walk_cost,
-)
+from .bounds import *
+from .dfa import *
 from .errors import AlphabetMismatchError, CheapeningError, ResourceLimitError
-from .patterns import (
-    Permutation,
-    Word,
-    as_permutation,
-    as_word,
-    ascent_count,
-    circular_contains,
-    circular_pattern_set,
-    exhaustive_f_search,
-    f_oracle,
-    find_embedding,
-    format_word,
-    greedy_embed,
-    is_pattern,
-    is_superpattern,
-    minimal_superpattern_length,
-    parse_permutation,
-    parse_word,
-    pattern_set,
-    repeat_word,
-)
+from .patterns import *
 
 # walks needs numpy; it loads on the first use of one of these names (or of
 # superpatterns.walks), so pattern-only code never imports numpy (PEP 562)

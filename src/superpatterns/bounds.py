@@ -1,6 +1,8 @@
 """Closed-form bounds, constants, and feasibility predicates, evaluated in
 log space.
 
+Every bound is returned as its natural log, a plain float, with -inf
+standing for zero; the predicates take F as its natural log too.
 Factorials and binomials go through log-gamma so everything stays finite
 for k up to millions; exact integer arithmetic lives only in the oracles
 that these bounds get checked against.
@@ -10,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 __all__ = [
-    "LogValue",
     "log_factorial",
     "log_binomial",
     "forL_bound",
@@ -29,54 +29,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A non-negative quantity carried as its natural log.
-
-    log = -inf encodes exact zero. Multiplication adds logs; comparisons
-    happen in log space, so k! at k = 10^6 is no problem.
-    """
-
-    log: float
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError("LogValue holds non-negative quantities only")
-        return cls(-math.inf) if x == 0 else cls(math.log(x))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == -math.inf
-
-    @property
-    def value(self) -> float:
-        """exp(log); may overflow to float inf for huge quantities."""
-        return math.exp(self.log)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        return LogValue(self.log - other.log)
-
-    def __lt__(self, other):
-        return self.log < _log_of(other)
-
-    def __le__(self, other):
-        return self.log <= _log_of(other)
-
-    def __gt__(self, other):
-        return self.log > _log_of(other)
-
-    def __ge__(self, other):
-        return self.log >= _log_of(other)
-
-
-LogLike = Union[LogValue, float, int]
-
 # Guard band for the feasibility predicates: log-gamma and log agree only
 # to rounding at exact ties (lgamma(4) vs log(6) differ by one ulp), and a
 # certificate must never rest on that noise. Ties therefore resolve
@@ -84,11 +36,10 @@ LogLike = Union[LogValue, float, int]
 _LOG_TOL = 1e-9
 
 
-def _log_of(x: LogLike) -> float:
-    """Natural log carried by x: LogValue passes through, bare numbers are
-    taken as already-logged values. NaN and +inf carry no finite quantity
+def _log_of(x: float) -> float:
+    """x, a natural log, as a float: NaN and +inf carry no finite quantity
     and are refused; -inf is the log of zero."""
-    log = x.log if isinstance(x, LogValue) else float(x)
+    log = float(x)
     if math.isnan(log) or log == math.inf:
         raise ValueError(f"a log value must be a number below +inf, got {log!r}")
     return log
@@ -112,8 +63,8 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-def forL_bound(k: int, L: int, epsilon: float) -> LogValue:
-    """The length-L walk bound (k^L (k-L)!/k!) * exp(-eps^2 L / 4).
+def forL_bound(k: int, L: int, epsilon: float) -> float:
+    """Log of the length-L walk bound (k^L (k-L)!/k!) * exp(-eps^2 L / 4).
 
     Bounds the probability that a uniform random injective word of length
     L walks below threshold from any state of a k-DFA: the first factor,
@@ -121,28 +72,28 @@ def forL_bound(k: int, L: int, epsilon: float) -> LogValue:
     second is the Chernoff tail of an i.i.d. uniform cost sum.
     """
     _check_epsilon(epsilon)
-    return birthday_ratio(k, L) * LogValue(-epsilon * epsilon * L / 4.0)
+    return birthday_ratio(k, L) - epsilon * epsilon * L / 4.0
 
 
-def birthday_ratio(k: int, L: int) -> LogValue:
+def birthday_ratio(k: int, L: int) -> float:
     """Exact log of k^L (k-L)!/k!, the reciprocal of the probability that
     L i.i.d. uniform letters of [k] are all distinct."""
     if not (0 <= L <= k):
         raise ValueError(f"need 0 <= L <= k, got L={L}, k={k}")
     if L == 0:
-        return LogValue(0.0)
-    return LogValue(L * math.log(k) + log_factorial(k - L) - log_factorial(k))
+        return 0.0
+    return L * math.log(k) + log_factorial(k - L) - log_factorial(k)
 
 
-def birthday_bound(k: int, alpha: float) -> LogValue:
-    """The closed-form bound exp((alpha^2/2 + alpha^3/4) k) for the
-    birthday ratio at L = alpha*k, valid for small alpha; callers compare
-    it against birthday_ratio themselves."""
+def birthday_bound(k: int, alpha: float) -> float:
+    """The log of the closed-form bound exp((alpha^2/2 + alpha^3/4) k) for
+    the birthday ratio at L = alpha*k, valid for small alpha; callers
+    compare it against birthday_ratio themselves."""
     if not (0 < alpha < 1):
         raise ValueError("need 0 < alpha < 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    return LogValue((alpha * alpha / 2 + alpha**3 / 4) * k)
+    return (alpha * alpha / 2 + alpha**3 / 4) * k
 
 
 @dataclass(frozen=True)
@@ -167,16 +118,17 @@ def theorem_constants(epsilon_star: float) -> TheoremConstants:
     return TheoremConstants(epsilon=epsilon, alpha=alpha, c0=c0)
 
 
-def hoeffding_x_bound(k: int, epsilon: float) -> LogValue:
-    """The stated tail bound exp(-32 eps^2 k / 3) for the rank sum falling
-    below (1/4 - eps) k^2. (The constant 32/3 is reproduced verbatim.)"""
+def hoeffding_x_bound(k: int, epsilon: float) -> float:
+    """The log of the stated tail bound exp(-32 eps^2 k / 3) for the rank
+    sum falling below (1/4 - eps) k^2. (The constant 32/3 is reproduced
+    verbatim.)"""
     _check_epsilon(epsilon)
     if k < 1:
         raise ValueError("need k >= 1")
-    return LogValue(-32.0 * epsilon * epsilon * k / 3.0)
+    return -32.0 * epsilon * epsilon * k / 3.0
 
 
-def infeasibility(k: int, r: int, n: int, log_F: LogLike) -> bool:
+def infeasibility(k: int, r: int, n: int, log_F: float) -> bool:
     """Whether C(r,k) * F(k,n) < k!, certifying that no word in [r]^n is a
     k-superpattern (so the minimum superpattern length exceeds n).
 
@@ -188,7 +140,7 @@ def infeasibility(k: int, r: int, n: int, log_F: LogLike) -> bool:
     return log_binomial(r, k) + _log_of(log_F) < log_factorial(k) - _LOG_TOL
 
 
-def gupta_check(k: int, n: int, log_F: LogLike) -> bool:
+def gupta_check(k: int, n: int, log_F: float) -> bool:
     """The counting test k! <= 2n * F(k,n), necessary for a length-n word
     on [k] to contain every permutation of [k] as a bi-directional
     circular pattern."""
@@ -197,14 +149,14 @@ def gupta_check(k: int, n: int, log_F: LogLike) -> bool:
     return log_factorial(k) <= math.log(2 * n) + _log_of(log_F) + _LOG_TOL
 
 
-def loworder_predicate(k: int, epsilon: float, *, log_base: float = math.e) -> bool:
+def loworder_predicate(k: int, epsilon: float) -> bool:
     """The hypothesis eps^4 > (33 + 132 log k)/k of the explicit
-    lower-order-term bound. The log is natural by default; the base is a
-    declared choice, not something the source pins down."""
+    lower-order-term bound, with the natural log: the base is a declared
+    choice, not something the source pins down."""
     _check_epsilon(epsilon)
     if k < 2:
         raise ValueError("need k >= 2")
-    return epsilon**4 > (33.0 + 132.0 * math.log(k, log_base)) / k
+    return epsilon**4 > (33.0 + 132.0 * math.log(k)) / k
 
 
 def con_constants(epsilon_star: float, M: int) -> tuple[float, float]:

@@ -253,7 +253,7 @@ def _superpattern_search(args, caps):
 
 
 def _cmd_f_oracle(args, caps):
-    best, witness = P.f_oracle(args.k, args.n, max_k=args.max_k, max_n=args.max_n)
+    best, witness = P.f_oracle(args.k, args.n, max_words=caps["max_enum"], max_k=caps["max_k"])
     return {
         "command": "f-oracle",
         "k": args.k,
@@ -431,9 +431,9 @@ def _log_f_arg(args) -> float:
 
 
 def _birthday(args) -> dict:
-    results = {"log_ratio": B.birthday_ratio(args.k, args.L).log}
+    results = {"log_ratio": B.birthday_ratio(args.k, args.L)}
     if args.alpha is not None:
-        results.update(alpha=args.alpha, log_bound=B.birthday_bound(args.k, args.alpha).log)
+        results.update(alpha=args.alpha, log_bound=B.birthday_bound(args.k, args.alpha))
     return results
 
 
@@ -456,7 +456,7 @@ def _con(args) -> dict:
 _BOUNDS = {
     "forL": (
         ("k", "L", "epsilon"), (),
-        lambda args: {"log_value": B.forL_bound(args.k, args.L, args.epsilon).log},
+        lambda args: {"log_value": B.forL_bound(args.k, args.L, args.epsilon)},
     ),
     "birthday": (("k", "L"), ("alpha",), _birthday),
     "theorem-constants": (
@@ -464,7 +464,7 @@ _BOUNDS = {
     ),
     "hoeffding-x": (
         ("k", "epsilon"), (),
-        lambda args: {"log_value": B.hoeffding_x_bound(args.k, args.epsilon).log},
+        lambda args: {"log_value": B.hoeffding_x_bound(args.k, args.epsilon)},
     ),
     "infeasibility": (("k", "r", "n"), ("f", "log_f"), _infeasibility),
     "gupta": (("k", "n"), ("f", "log_f"), _gupta),
@@ -517,8 +517,7 @@ def build_parser() -> _Parser:
     sp = _command(sub, "f-oracle", _cmd_f_oracle, "max pattern count over words in [k]^n")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-k", type=int, default=4)
-    sp.add_argument("--max-n", type=int, default=12)
+    _add_cap_flags(sp, "max_k", "max_enum")
 
     sp = _command(sub, "dfa", _cmd_dfa, "build, render, walk, or census automata")
     sp.add_argument("action", choices=["build", "dot", "cost", "census"])

@@ -44,6 +44,7 @@ __all__ = [
     "ascent_count",
     "repeat_word",
     "exhaustive_f_search",
+    "minimal_superpattern_length",
     "parse_word",
     "format_word",
     "parse_permutation",
@@ -101,9 +102,13 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
-            raise ValueError(f"{self.images!r} is not a permutation of [{k}]")
+        images = self.images
+        if type(images) is not tuple or not all(type(x) is int for x in images):
+            images = _integral_letters(images, "image")
+            object.__setattr__(self, "images", images)
+        k = len(images)
+        if sorted(images) != list(range(1, k + 1)):
+            raise ValueError(f"{images!r} is not a permutation of [{k}]")
 
     @property
     def k(self) -> int:
@@ -137,7 +142,7 @@ def as_word(sigma, alphabet_size: Optional[int] = None) -> Word:
 def as_permutation(tau) -> Permutation:
     if isinstance(tau, Permutation):
         return tau
-    return Permutation(_integral_letters(tau))
+    return Permutation(tuple(tau))
 
 
 def _integral_letters(xs, what: str = "letter") -> tuple[int, ...]:
@@ -335,24 +340,34 @@ def _count_patterns_full_alphabet(letters: Sequence[int], k: int) -> int:
     return len(_patterns_of_relabeled([None, *_occurrence_lists(letters)], k))
 
 
+def _canonical_word_count(n: int, k: int) -> int:
+    """How many words _canonical_words(n, k) yields: sum over j <= k of the
+    Stirling number S(n, j), the partitions of n positions into j blocks."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
 def f_oracle(
-    k: int, n: int, *, max_k: int = 4, max_n: int = 12
+    k: int, n: int, *, max_words: int = MAX_ENUM_WORDS, max_k: int = MAX_FACTORIAL_K
 ) -> tuple[int, Word]:
     """Exact maximum pattern count over all words in [k]^n, with a witness.
 
     Exhausts canonical representatives under letter relabeling (pattern
-    counts are relabeling-invariant), so the search space is k^n / ~k!.
-    The witness is the lexicographically least maximizing word.
+    counts are relabeling-invariant): about k^n / k! words, which max_words
+    caps. The witness is the lexicographically least maximizing word.
 
     >>> f_oracle(3, 4)[0]
     2
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    if k > max_k or n > max_n:
-        raise ResourceLimitError(
-            f"f_oracle(k={k}, n={n}) exceeds caps (max_k={max_k}, max_n={max_n})"
-        )
+    if k > max_k:
+        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
+    words = _canonical_word_count(n, k)
+    if words > max_words:
+        raise ResourceLimitError(f"f_oracle visits {words} words, over the word cap {max_words}")
     best = -1
     witness = ()
     for w in _canonical_words(n, k):

@@ -48,30 +48,15 @@ from hashlib import blake2b
 
 import numpy as np
 
+from . import _WALKS_EXPORTS
 from .dfa import (
     SubsetDfa, _injective_cost_layers, _last_cost_layer, is_k_dfa, letters_of, walk_cost,
 )
 from .errors import ResourceLimitError
 from .patterns import MAX_ENUM_WORDS, _integral_letters
 
-__all__ = [
-    "CounterRng",
-    "PermutationalWord",
-    "sample_perm_word",
-    "restriction",
-    "cost_distributions_by_length",
-    "exact_P",
-    "exact_P_max",
-    "EstimateReport",
-    "estimate_P",
-    "clopper_pearson",
-    "Decomposition",
-    "xy_decompose",
-    "t_statistic",
-    "sample_x_sums",
-    "ConcentrationReport",
-    "concentration_experiment",
-]
+# the package's lazy loader serves these names; its set is the one list
+__all__ = sorted(_WALKS_EXPORTS)
 
 # Rows the batched sampler hashes, shuffles and walks at a time: a fixed
 # size keeps its temporaries, and so peak memory, flat in the sample count.
@@ -198,7 +183,7 @@ def restriction(w, E) -> PermutationalWord:
     else:
         letters = letters_of(w)
         k = max(letters, default=0)
-    idx = sorted(set(int(e) for e in E))
+    idx = sorted(set(_integral_letters(E, "index")))
     for e in idx:
         if not (1 <= e <= len(letters)):
             raise IndexError(f"index {e} out of range 1..{len(letters)}")
@@ -471,9 +456,8 @@ def estimate_P(
     *,
     strict: bool = True,
     threads: int = 1,
-    confidence: float = 0.99,
 ) -> EstimateReport:
-    """Monte-Carlo P(state, L, eps) with a Clopper-Pearson interval.
+    """Monte-Carlo P(state, L, eps) with a 99% Clopper-Pearson interval.
 
     Deterministic in seed: sample i is a pure function of (seed, i).
     Samples come from _perm_blocks in blocks of _BLOCK_ROWS rows, and each
@@ -496,7 +480,7 @@ def estimate_P(
         int((_walk_totals(dfa, state, perms[:, :L]) <= bound).sum())
         for perms in _perm_blocks(k, samples, seed, L)
     )
-    lo, hi = clopper_pearson(hits, samples, confidence)
+    lo, hi = clopper_pearson(hits, samples)
     return EstimateReport(
         estimate=hits / samples,
         ci_low=lo,

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from superpatterns.bounds import (
-    LogValue,
     birthday_bound,
     birthday_ratio,
     con_constants,
@@ -17,27 +16,6 @@ from superpatterns.bounds import (
     loworder_predicate,
     theorem_constants,
 )
-
-
-class TestLogValue:
-    def test_zero_flag(self):
-        z = LogValue.from_value(0)
-        assert z.is_zero
-        assert z < LogValue.from_value(1e-300)
-
-    def test_multiplication_adds_logs(self):
-        a = LogValue.from_value(6)
-        b = LogValue.from_value(7)
-        assert (a * b).log == pytest.approx(math.log(42))
-        assert (a / b).log == pytest.approx(math.log(6 / 7))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LogValue.from_value(-1)
-
-    def test_compares_against_raw_logs(self):
-        assert LogValue.from_value(10) > math.log(9)
-        assert LogValue.from_value(10) < math.log(11)
 
 
 class TestExactAgreement:
@@ -58,7 +36,7 @@ class TestExactAgreement:
             for L in range(0, k + 1):
                 exact = Fraction(k**L * math.factorial(k - L), math.factorial(k))
                 want = math.log(exact.numerator) - math.log(exact.denominator)
-                assert birthday_ratio(k, L).log == pytest.approx(
+                assert birthday_ratio(k, L) == pytest.approx(
                     want, rel=1e-12, abs=1e-12
                 )
 
@@ -68,17 +46,17 @@ class TestForLBound:
         # ln(1000 * 5040 / 3628800) - 0.25^2 * 3 ... = ln(...) - 0.1875
         got = forL_bound(10, 3, 0.5)
         want = math.log(1000 * 5040 / 3628800) - 0.5**2 * 3 / 4
-        assert got.log == pytest.approx(want)
-        assert got.log == pytest.approx(0.1410, abs=5e-5)
+        assert got == pytest.approx(want)
+        assert got == pytest.approx(0.1410, abs=5e-5)
 
     def test_L0_is_one(self):
-        assert forL_bound(9, 0, 0.3).log == 0.0
+        assert forL_bound(9, 0, 0.3) == 0.0
 
     def test_L1_identity(self):
         # k^1 (k-1)!/k! = 1, so the bound is exactly exp(-eps^2/4)
         for k in (1, 5, 100):
             for eps in (0.1, 0.5):
-                assert forL_bound(k, 1, eps).log == pytest.approx(-eps * eps / 4)
+                assert forL_bound(k, 1, eps) == pytest.approx(-eps * eps / 4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -87,7 +65,7 @@ class TestForLBound:
             forL_bound(3, 2, 0.0)
 
     def test_huge_k_finite(self):
-        assert math.isfinite(forL_bound(10**6, 1000, 0.1).log)
+        assert math.isfinite(forL_bound(10**6, 1000, 0.1))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, 0.5000001, 0.9, math.inf, -math.inf, math.nan])
@@ -101,13 +79,13 @@ def test_epsilon_outside_half_open_half_rejected(eps):
 
 
 def test_epsilon_one_half_accepted():
-    assert math.isfinite(forL_bound(10, 3, 0.5).log)
-    assert math.isfinite(hoeffding_x_bound(10, 0.5).log)
+    assert math.isfinite(forL_bound(10, 3, 0.5))
+    assert math.isfinite(hoeffding_x_bound(10, 0.5))
     assert loworder_predicate(10, 0.5) is False
 
 
 def test_infinite_log_f_rejected():
-    for log_f in (math.inf, LogValue(math.inf)):
+    for log_f in (math.inf, math.nan):
         with pytest.raises(ValueError):
             infeasibility(3, 3, 4, log_f)
         with pytest.raises(ValueError):
@@ -119,21 +97,21 @@ def test_infinite_log_f_rejected():
 
 class TestBirthday:
     def test_L0(self):
-        assert birthday_ratio(7, 0).log == 0.0
+        assert birthday_ratio(7, 0) == 0.0
 
     def test_ratio_below_bound_small_alpha(self):
         # alpha = 0.1 at k = 100: bound (0.005 + 0.00025) * 100 = 0.525
         ratio = birthday_ratio(100, 10)
         bound = birthday_bound(100, 0.1)
-        assert bound.log == pytest.approx(0.525)
-        assert ratio.log <= bound.log
+        assert bound == pytest.approx(0.525)
+        assert ratio <= bound
 
     def test_full_length_ratio(self):
         # k^k/k! at k = 10
-        assert birthday_ratio(10, 10).log == pytest.approx(
+        assert birthday_ratio(10, 10) == pytest.approx(
             math.log(10**10 / math.factorial(10)), rel=1e-12
         )
-        assert birthday_ratio(10, 10).log == pytest.approx(7.921, abs=5e-4)
+        assert birthday_ratio(10, 10) == pytest.approx(7.921, abs=5e-4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -168,22 +146,22 @@ class TestTheoremConstants:
 
 class TestHoeffdingXBound:
     def test_arithmetic(self):
-        assert hoeffding_x_bound(100, 0.1).log == pytest.approx(-32 * 0.01 * 100 / 3)
+        assert hoeffding_x_bound(100, 0.1) == pytest.approx(-32 * 0.01 * 100 / 3)
 
     def test_linear_in_k(self):
-        one = hoeffding_x_bound(50, 0.2).log
-        two = hoeffding_x_bound(100, 0.2).log
+        one = hoeffding_x_bound(50, 0.2)
+        two = hoeffding_x_bound(100, 0.2)
         assert two == pytest.approx(2 * one)
 
 
 class TestInfeasibility:
     def test_certifies_f33_beyond_4(self):
         # C(3,3) * 2 = 2 < 6 = 3!
-        assert infeasibility(3, 3, 4, LogValue.from_value(2))
+        assert infeasibility(3, 3, 4, math.log(2))
 
     def test_boundary_false(self):
         # 6 < 6 fails
-        assert not infeasibility(3, 3, 9, LogValue.from_value(6))
+        assert not infeasibility(3, 3, 9, math.log(6))
 
     def test_logF_at_factorial_never_certifies(self):
         for k, r, n in [(3, 3, 5), (4, 6, 9), (2, 2, 2)]:
@@ -191,25 +169,25 @@ class TestInfeasibility:
 
     def test_antitone_in_logF(self):
         # growing F can only break a certificate, never create one
-        lo, hi = LogValue.from_value(2), LogValue.from_value(5)
+        lo, hi = math.log(2), math.log(5)
         assert infeasibility(3, 3, 4, lo)
         if not infeasibility(3, 3, 4, hi):
             assert True
         for k, r in [(3, 3), (3, 4), (4, 5)]:
             for fa in range(1, 10):
                 for fb in range(fa, 10):
-                    a = infeasibility(k, r, 5, LogValue.from_value(fa))
-                    b = infeasibility(k, r, 5, LogValue.from_value(fb))
+                    a = infeasibility(k, r, 5, math.log(fa))
+                    b = infeasibility(k, r, 5, math.log(fb))
                     assert a or not b  # b implies a
 
 
 class TestGupta:
     def test_examples(self):
-        assert gupta_check(3, 9, LogValue.from_value(6))
-        assert gupta_check(3, 4, LogValue.from_value(2))
+        assert gupta_check(3, 9, math.log(6))
+        assert gupta_check(3, 4, math.log(2))
 
     def test_zero_F_fails(self):
-        assert not gupta_check(3, 4, LogValue.from_value(0))
+        assert not gupta_check(3, 4, -math.inf)
 
 
 class TestLowOrder:
@@ -221,10 +199,9 @@ class TestLowOrder:
         for k in (10, 10**6):
             assert not loworder_predicate(k, 1e-6)
 
-    def test_log_base_option(self):
-        # base-2 logs inflate the requirement
+    def test_natural_log_boundary(self):
         k = 10**6
-        assert loworder_predicate(k, 0.27, log_base=math.e)
+        assert loworder_predicate(k, 0.27)
         eps_boundary = ((33 + 132 * math.log(k)) / k) ** 0.25
         assert not loworder_predicate(k, eps_boundary * 0.999)
         assert loworder_predicate(k, eps_boundary * 1.001)

@@ -2,8 +2,7 @@ import contextlib
 import io
 import json
 import math
-import subprocess
-import sys
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from superpatterns.dfa import (
 )
 from superpatterns.patterns import as_word
 
+from child import run_python
 from oracles import brute_injective_costs
 
 
@@ -32,11 +32,7 @@ def run_cli(capsys, *argv):
 
 
 def run_proc(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "superpatterns.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "superpatterns.cli", *argv)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -527,6 +523,28 @@ class TestPinnedOutput:
         assert out == GOLDEN["stdout"][line]
 
 
+def _readme_cli_lines():
+    """The superpatterns command lines of README's ## CLI block, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_exits_0_with_one_document(self, capsys, line):
+        prog, *argv = shlex.split(line)
+        assert prog == "superpatterns"
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        if "--format" in argv and argv[argv.index("--format") + 1] == "dot":
+            assert out.startswith("digraph") and out.rstrip().endswith("}")
+        else:
+            assert out.count("\n") == 1
+            assert "schema_version" in json.loads(out)
+
+
 # a value for each flag an automaton builder may read
 _BUILDER_FLAGS = {
     "--word": "1 2", "--word-file": "{word}", "--r": "4", "--k": "3",
@@ -731,7 +749,7 @@ _READ_BY = {
     "superpattern": {
         "both modes": "--k --max-k", "check": _WORD_FLAGS, "search": "--search-r --n-max --max-enum",
     },
-    "f-oracle": {"f_oracle": "--k --n --max-k --max-n"},
+    "f-oracle": {"f_oracle": "--k --n --max-k --max-enum"},
     "dfa": {
         "the builders": _AUTOMATON_FLAGS, "cost": "--walk-word --start",
         "census": "--budget --max-k", "dot": "--include-infinite",
@@ -801,6 +819,18 @@ class TestCapFlags:
         assert rc == 2
         assert "cap" in err
 
+    def test_f_oracle_reads_the_shared_caps(self, capsys, monkeypatch):
+        # (3, 4) visits 1 + 7 + 6 = 14 canonical words
+        rc, out, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-enum", "14")
+        assert rc == 0 and json.loads(out)["max_count"] == 2
+        rc, _, err = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-enum", "13")
+        assert rc == 2 and "cap" in err
+        monkeypatch.setenv("SUPERPATTERNS_MAX_K", "2")
+        rc, _, err = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4")
+        assert rc == 2 and "cap" in err
+        rc, _, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-k", "3")
+        assert rc == 0
+
     def test_bcp_census_capped(self, capsys):
         rc, _, err = run_cli(capsys, "bcp", "--word", "1", "2", "--k", "11")
         assert rc == 2
@@ -820,10 +850,8 @@ class TestEnvCaps:
         import os
 
         env = dict(os.environ, SUPERPATTERNS_MAX_K="12")
-        proc = subprocess.run(
-            [sys.executable, "-m", "superpatterns.cli", "census",
-             "--word", "1", "2", "--k", "11"],
-            capture_output=True, text=True, env=env,
+        proc = run_python(
+            "-m", "superpatterns.cli", "census", "--word", "1", "2", "--k", "11", env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 0
@@ -839,9 +867,7 @@ class TestEnvCaps:
 
 
 def _fresh_interpreter_prints(code):
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -932,7 +958,7 @@ def _cli_argv(draw):
         return [
             command, *number("--k", st.integers(-1, 4)), *number("--n", st.integers(-1, 6)),
             *number("--max-k", st.integers(0, 4), odds=1),
-            *number("--max-n", st.integers(0, 6), odds=1),
+            *number("--max-enum", st.integers(0, 200), odds=1),
         ]
     if command == "bounds":
         bound = draw(st.sampled_from(sorted(TestBoundsCommands.REQUIRED)))

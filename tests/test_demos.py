@@ -1,10 +1,10 @@
 """Smoke test: every demo script runs to completion."""
 
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from child import run_python
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -15,6 +15,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -84,6 +84,16 @@ class TestTypes:
         assert word.letters == (1, 2)
         assert all(type(x) is int for x in word.letters)
 
+    def test_permutation_constructor_refuses_non_integral_images(self):
+        # sorted((2.0, 1.0)) == [1, 2], so these once passed and broke the scans
+        with pytest.raises(ValueError, match="image 1.5 is not an integer"):
+            Permutation((1.5, 1))
+        tau = Permutation((2.0, 1.0))
+        assert tau.images == (2, 1) and all(type(x) is int for x in tau.images)
+        assert not is_pattern((1, 2, 3), tau)
+        assert find_embedding((3, 1, 2), tau) == (1, 2)
+        assert Permutation([2, 1]) == Permutation((2, 1))
+
     @pytest.mark.parametrize("r", [3.5, "3", 2.0000001])
     def test_word_constructor_refuses_a_non_integral_alphabet_size(self, r):
         # build_greedy_dfa on such a word once raised TypeError
@@ -284,10 +294,18 @@ class TestFOracle:
         assert f_oracle(3, 9)[0] == math.factorial(3)
 
     def test_caps(self):
+        # the shared caps: max_k on k, max_words on the canonical words
+        # visited, sum over j <= k of S(n, j); 14 for (3, 4)
         with pytest.raises(ResourceLimitError):
-            f_oracle(5, 3)
+            f_oracle(11, 3)
         with pytest.raises(ResourceLimitError):
-            f_oracle(3, 13)
+            f_oracle(3, 4, max_k=2)
+        with pytest.raises(ResourceLimitError):
+            f_oracle(3, 4, max_words=13)
+        assert f_oracle(3, 4, max_words=14, max_k=3)[0] == 2
+        # f(4, 14) visits 11 188 907 words, over the default 10^7
+        with pytest.raises(ResourceLimitError):
+            f_oracle(4, 14)
 
 
 class TestCountingReduction:

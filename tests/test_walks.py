@@ -108,14 +108,17 @@ class TestSamplePermWord:
 
     def test_uniform_chi_square(self):
         # (5, 3): all 60 injective words equally likely; p > 0.001 at 1e6
-        # samples per the statistical acceptance convention.
+        # samples per the statistical acceptance convention. The rows come
+        # from the block sampler, whose row i is sample_perm_word's sample i.
         samples = 10**6
-        counts = Counter()
-        for i in range(samples):
-            counts[sample_perm_word(5, 3, CounterRng(2024, i)).letters] += 1
+        head, counts = [], np.zeros(216, dtype=np.int64)
+        for block in W._perm_blocks(5, samples, 2024, 3):
+            head += map(tuple, block[: 2000 - len(head), :3].tolist())
+            counts += np.bincount(block[:, 0] * 36 + block[:, 1] * 6 + block[:, 2], minlength=216)
+        assert head == [sample_perm_word(5, 3, CounterRng(2024, i)).letters for i in range(2000)]
         outcomes = list(permutations(range(1, 6), 3))
         assert len(outcomes) == 60
-        freqs = [counts[w] for w in outcomes]
+        freqs = [counts[a * 36 + b * 6 + c] for a, b, c in outcomes]
         assert sum(freqs) == samples
         _, p = chisquare(freqs)
         assert p > 0.001
@@ -325,6 +328,12 @@ class TestRestriction:
         word = PermutationalWord((2.0, 1), 2.0)
         assert (word.letters, word.alphabet_size) == ((2, 1), 2)
 
+    def test_non_integral_index_refused(self):
+        # int() once truncated 1.7 to 1
+        with pytest.raises(ValueError, match="index 1.7 is not an integer"):
+            restriction((3, 1, 2), [1.7, 2])
+        assert restriction((3, 1, 2), [2.0, 3]).letters == (1, 2)
+
     def test_exact_uniformity_k4(self):
         # over all 24 inputs, w|_{2,4} hits each of the 12 injective pairs
         # exactly twice
@@ -524,7 +533,7 @@ class TestForLAtDeskScale:
                         p = exact_P_max(dfa, L, eps)
                         bound = forL_bound(k, L, eps)
                         if p > 0:
-                            assert math.log(p) <= bound.log + 1e-12
+                            assert math.log(p) <= bound + 1e-12
 
 
 class TestEstimateP:
@@ -613,7 +622,7 @@ class TestEstimateP:
         # anchor; the sharper comparison happens at exact_P scale.
         s = build_subset_dfa(8)
         rep = estimate_P(s, 0, 8, 0.1, 10**6, seed=12)
-        assert math.log(max(rep.estimate, 1e-12)) <= forL_bound(8, 8, 0.1).log + 0.05
+        assert math.log(max(rep.estimate, 1e-12)) <= forL_bound(8, 8, 0.1) + 0.05
 
     def test_matches_exact_at_moderate_samples(self):
         s = build_subset_dfa(4)
@@ -628,6 +637,25 @@ class TestPackageExports:
         import superpatterns
 
         assert superpatterns._WALKS_EXPORTS == set(W.__all__)
+        defined = {n for n, v in vars(W).items() if getattr(v, "__module__", None) == W.__name__}
+        assert {n for n in defined if not n.startswith("_")} == set(W.__all__)
+
+    def test_package_all_is_the_modules_all(self):
+        import superpatterns
+        from superpatterns import bounds, dfa, errors, patterns
+
+        errs = {"AlphabetMismatchError", "CheapeningError", "ResourceLimitError"}
+        modules = {"bounds", "dfa", "errors", "patterns", "walks"}
+        want = {*bounds.__all__, *dfa.__all__, *patterns.__all__, *W.__all__, *errs, *modules}
+        assert set(superpatterns.__all__) == want
+        assert len(superpatterns.__all__) == len(want)
+        for name in superpatterns.__all__:
+            owner = getattr(superpatterns, name)
+            if name in errs:
+                assert owner is getattr(errors, name)
+            elif name not in modules:
+                home = next(m for m in (bounds, dfa, patterns, W) if name in m.__all__)
+                assert owner is getattr(home, name)
 
     def test_star_import_and_dir_include_walks(self):
         import superpatterns
