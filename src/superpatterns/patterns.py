@@ -102,13 +102,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = self.images
-        if type(images) is not tuple or not all(type(x) is int for x in images):
-            images = _integral_letters(images, "image")
-            object.__setattr__(self, "images", images)
-        k = len(images)
-        if sorted(images) != list(range(1, k + 1)):
-            raise ValueError(f"{images!r} is not a permutation of [{k}]")
+        object.__setattr__(self, "images", _integral_letters(self.images, "image"))
+        k = len(self.images)
+        if sorted(self.images) != list(range(1, k + 1)):
+            raise ValueError(f"{self.images!r} is not a permutation of [{k}]")
 
     @property
     def k(self) -> int:
@@ -319,20 +316,21 @@ def _canonical_words(n: int, max_letters: int):
 
     Each letter-relabeling class has exactly one canonical member, and it
     is the lexicographically least member, so canonical words enumerate
-    classes in lexicographic order.
+    classes in lexicographic order. A successor raises the last letter
+    that can grow and resets the letters after it to 1.
     """
-    prefix: list[int] = []
-
-    def rec(seen: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
+    word = [1] * n
+    seen = [0] + [1] * (n - 1)  # seen[i]: largest letter of word[:i]
+    while True:
+        yield tuple(word)
+        i = n - 1
+        while i > 0 and (word[i] > seen[i] or word[i] == max_letters):
+            i -= 1
+        if i <= 0:
             return
-        for t in range(1, min(seen + 1, max_letters) + 1):
-            prefix.append(t)
-            yield from rec(max(seen, t))
-            prefix.pop()
-
-    yield from rec(0)
+        word[i] += 1
+        word[i + 1 :] = [1] * (n - 1 - i)
+        seen[i + 1 :] = [max(seen[i], word[i])] * (n - 1 - i)
 
 
 def _count_patterns_full_alphabet(letters: Sequence[int], k: int) -> int:
@@ -340,12 +338,16 @@ def _count_patterns_full_alphabet(letters: Sequence[int], k: int) -> int:
     return len(_patterns_of_relabeled([None, *_occurrence_lists(letters)], k))
 
 
-def _canonical_word_count(n: int, k: int) -> int:
-    """How many words _canonical_words(n, k) yields: sum over j <= k of the
-    Stirling number S(n, j), the partitions of n positions into j blocks."""
+def _canonical_word_count(n: int, k: int, cap: int) -> int:
+    """How many words _canonical_words(n, k) yields, the sum over j <= k of
+    the Stirling numbers S(n, j), or the first partial sum over cap: the
+    sum never falls as n grows, and a row equal to the last (k = 1) stays."""
     row = [1] + [0] * k  # S(0, j)
     for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        nxt = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        if nxt == row or sum(nxt) > cap:
+            return sum(nxt)
+        row = nxt
     return sum(row)
 
 
@@ -355,8 +357,9 @@ def f_oracle(
     """Exact maximum pattern count over all words in [k]^n, with a witness.
 
     Exhausts canonical representatives under letter relabeling (pattern
-    counts are relabeling-invariant): about k^n / k! words, which max_words
-    caps. The witness is the lexicographically least maximizing word.
+    counts are relabeling-invariant): about k^n / k! words of n letters,
+    max_words caps both. The witness is the lexicographically least
+    maximizing word.
 
     >>> f_oracle(3, 4)[0]
     2
@@ -365,9 +368,8 @@ def f_oracle(
         raise ValueError("need k >= 1 and n >= 0")
     if k > max_k:
         raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    words = _canonical_word_count(n, k)
-    if words > max_words:
-        raise ResourceLimitError(f"f_oracle visits {words} words, over the word cap {max_words}")
+    if n > max_words or _canonical_word_count(n, k, max_words) > max_words:
+        raise ResourceLimitError(f"f_oracle(k={k}, n={n}) exceeds the word cap {max_words}")
     best = -1
     witness = ()
     for w in _canonical_words(n, k):

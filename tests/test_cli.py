@@ -831,6 +831,14 @@ class TestCapFlags:
         rc, _, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-k", "3")
         assert rc == 0
 
+    def test_f_oracle_long_words(self, capsys):
+        # k = 1 visits one word for any n; k = 2 passes the cap within
+        # its first rows, long before n = 10^7
+        rc, out, _ = run_cli(capsys, "f-oracle", "--k", "1", "--n", "5000")
+        assert rc == 0 and json.loads(out)["witness"] == [1] * 5000
+        rc, out, err = run_cli(capsys, "f-oracle", "--k", "2", "--n", "10000000")
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1 and "cap" in err
+
     def test_bcp_census_capped(self, capsys):
         rc, _, err = run_cli(capsys, "bcp", "--word", "1", "2", "--k", "11")
         assert rc == 2

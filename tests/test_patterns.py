@@ -10,6 +10,8 @@ from superpatterns.dfa import build_greedy_dfa
 from superpatterns.errors import AlphabetMismatchError, ResourceLimitError
 from superpatterns.patterns import (
     Permutation,
+    _canonical_word_count,
+    _canonical_words,
     Word,
     as_permutation,
     as_word,
@@ -306,6 +308,28 @@ class TestFOracle:
         # f(4, 14) visits 11 188 907 words, over the default 10^7
         with pytest.raises(ResourceLimitError):
             f_oracle(4, 14)
+        # k = 2 visits 2^(n-1) words: over the cap after a few rows
+        with pytest.raises(ResourceLimitError):
+            f_oracle(2, 10**7)
+        # k = 1 visits one word for every n, of n letters
+        with pytest.raises(ResourceLimitError):
+            f_oracle(1, 50, max_words=49)
+
+
+    def test_canonical_words(self):
+        # the lexicographically ordered words whose first occurrences run
+        # 1, 2, 3, ..., and as many as the Stirling-sum count says
+        for k in range(1, 5):
+            for n in range(0, 7):
+                expect = [
+                    w for w in sorted(all_words(k, n))
+                    if all(x <= max(w[:i], default=0) + 1 for i, x in enumerate(w))
+                ]
+                assert list(_canonical_words(n, k)) == expect
+                assert _canonical_word_count(n, k, 10**9) == len(expect)
+
+    def test_word_longer_than_the_recursion_limit(self):
+        assert f_oracle(1, 5000) == (1, Word((1,) * 5000, 1))
 
 
 class TestCountingReduction:
