@@ -30,19 +30,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _caps(args) -> dict:
-    """The caps of this run: --max-k/--max-enum where given (0 too), else
-    SUPERPATTERNS_MAX_K/_MAX_ENUM, else the library defaults."""
-    caps = {"max_k": P.MAX_FACTORIAL_K, "max_enum": P.MAX_ENUM_WORDS}
-    for name in caps:
-        var = f"SUPERPATTERNS_{name.upper()}"
-        try:
-            caps[name] = int(os.environ.get(var, caps[name]))
-        except ValueError:
-            raise ValueError(f"{var} must be an integer") from None
-        if getattr(args, name, None) is not None:
-            caps[name] = getattr(args, name)
-    return caps
+def _cap(args) -> int:
+    """The enumeration cap of this run: --max-enum where given (0 too),
+    else SUPERPATTERNS_MAX_ENUM, else the library default. The old k! cap
+    SUPERPATTERNS_MAX_K is refused, not dropped."""
+    if "SUPERPATTERNS_MAX_K" in os.environ:
+        raise ValueError("SUPERPATTERNS_MAX_K is no longer read; SUPERPATTERNS_MAX_ENUM caps k!")
+    try:
+        cap = int(os.environ.get("SUPERPATTERNS_MAX_ENUM", P.MAX_ENUM_WORDS))
+    except ValueError:
+        raise ValueError("SUPERPATTERNS_MAX_ENUM must be an integer") from None
+    return cap if getattr(args, "max_enum", None) is None else args.max_enum
 
 
 def _emit(payload: dict, fmt: str = "json") -> None:
@@ -71,7 +69,7 @@ def _check_flags(args, what: str, table: dict, name: str) -> None:
             raise ValueError(f"{what} does not read {_flag(dest)}")
 
 
-def _run_mode(args, caps):
+def _run_mode(args, cap):
     """Run the mode of args.command (_MODES) that the first given flag of
     one of its entries chooses, in table order, naming it by that flag."""
     command, table = args.command, _MODES[args.command]
@@ -79,7 +77,7 @@ def _run_mode(args, caps):
         for dest in needs + takes:
             if getattr(args, dest) is not None:
                 _check_flags(args, f"{command} {_flag(dest)}", table, mode)
-                return {"command": command, **run(args, caps)}
+                return {"command": command, **run(args, cap)}
     firsts = [_flag((needs + takes)[0]) for needs, takes, _ in table.values()]
     raise ValueError(f"{command} needs {' or '.join(firsts)}")
 
@@ -150,13 +148,8 @@ def _add_format(sp, dot: bool = False):
     sp.add_argument("--format", choices=choices, default="json")
 
 
-def _add_cap_flags(sp, *caps):
-    # only the caps the command reads: max_k is the k! guard, max_enum the word/walk one
-    for cap in caps:
-        guard = "k!" if cap == "max_k" else "word/walk"
-        sp.add_argument(
-            _flag(cap), type=int, help=f"override the {guard} enumeration guard for this run"
-        )
+def _add_cap_flag(sp):
+    sp.add_argument("--max-enum", type=int, help="override the k!/word/walk cap for this run")
 
 
 def _add_threads_flag(sp):
@@ -186,14 +179,14 @@ def _emit_dfa(dfa, fmt: str, include_infinite: bool = False) -> None:
         for v, t, u, c in D.finite_edges(dfa):
             print(f"{v} --{t}({c})--> {u}")
     else:
-        print(json.dumps(D.dfa_to_json_dict(dfa), sort_keys=True))
+        print(D.dfa_to_json(dfa))
 
 
 # ---------------------------------------------------------------------------
 # handlers: each returns its payload, or None when it printed an automaton
 
 
-def _cmd_contains(args, caps):
+def _cmd_contains(args, cap):
     sigma = _read_word(args)
     tau = _read_perm(args)
     emb = P.find_embedding(sigma, tau)
@@ -211,9 +204,9 @@ def _cmd_contains(args, caps):
     return payload
 
 
-def _cmd_census(args, caps):
+def _cmd_census(args, cap):
     sigma = _read_word(args)
-    pats = P.pattern_set(sigma, args.k, max_k=caps["max_k"])
+    pats = P.pattern_set(sigma, args.k, max_words=cap)
     payload = {
         "command": "census",
         "word": list(sigma.letters),
@@ -228,21 +221,18 @@ def _cmd_census(args, caps):
     return payload
 
 
-def _superpattern_check(args, caps):
+def _superpattern_check(args, cap):
     sigma = _read_word(args)
     return {
         "mode": "check",
         "word": list(sigma.letters),
         "k": args.k,
-        "superpattern": P.is_superpattern(sigma, args.k, max_k=caps["max_k"]),
+        "superpattern": P.is_superpattern(sigma, args.k, max_words=cap),
     }
 
 
-def _superpattern_search(args, caps):
-    rows = P.exhaustive_f_search(
-        args.k, args.search_r, args.n_max,
-        max_words=caps["max_enum"], max_k=caps["max_k"],
-    )
+def _superpattern_search(args, cap):
+    rows = P.exhaustive_f_search(args.k, args.search_r, args.n_max, max_words=cap)
     return {
         "mode": "search",
         "k": args.k,
@@ -252,8 +242,8 @@ def _superpattern_search(args, caps):
     }
 
 
-def _cmd_f_oracle(args, caps):
-    best, witness = P.f_oracle(args.k, args.n, max_words=caps["max_enum"], max_k=caps["max_k"])
+def _cmd_f_oracle(args, cap):
+    best, witness = P.f_oracle(args.k, args.n, max_words=cap)
     return {
         "command": "f-oracle",
         "k": args.k,
@@ -263,15 +253,15 @@ def _cmd_f_oracle(args, caps):
     }
 
 
-def _dfa_cost(args, caps, dfa):
+def _dfa_cost(args, cap, dfa):
     # the walk's start, word and total: no states or step costs
-    walk = _cmd_walk(args, caps, dfa)
+    walk = _cmd_walk(args, cap, dfa)
     keys = ("start", "walk_word", "total_cost")
     return {"command": "dfa cost", **{key: walk[key] for key in keys}}
 
 
-def _dfa_census(args, caps, dfa):
-    census = D.perm_cost_census(dfa, max_k=caps["max_k"])
+def _dfa_census(args, cap, dfa):
+    census = D.perm_cost_census(dfa, max_words=cap)
     payload = {
         "command": "dfa census",
         "k": dfa.alphabet_size,
@@ -289,29 +279,29 @@ def _dfa_census(args, caps, dfa):
 # action: (flags it needs, other flags it takes, run); dfa build with
 # --format dot runs as dot
 _ACTIONS = {
-    "build": ((), (), lambda args, caps, dfa: _emit_dfa(dfa, args.format)),
+    "build": ((), (), lambda args, cap, dfa: _emit_dfa(dfa, args.format)),
     "dot": (
         (), ("include_infinite",),
-        lambda args, caps, dfa: _emit_dfa(dfa, "dot", bool(args.include_infinite)),
+        lambda args, cap, dfa: _emit_dfa(dfa, "dot", bool(args.include_infinite)),
     ),
     "cost": (("walk_word",), ("start",), _dfa_cost),
-    "census": ((), ("budget", "max_k"), _dfa_census),
+    "census": ((), ("budget", "max_enum"), _dfa_census),
 }
 
 
-def _cmd_dfa(args, caps):
+def _cmd_dfa(args, cap):
     dfa = _build_dfa(args)
     action = "dot" if args.action == "build" and args.format == "dot" else args.action
     _check_flags(args, f"dfa {args.action}", _ACTIONS, action)
-    return _ACTIONS[action][2](args, caps, dfa)
+    return _ACTIONS[action][2](args, cap, dfa)
 
 
-def _cmd_cheapen(args, caps):
+def _cmd_cheapen(args, cap):
     # every cheapened row is a permutation of [k]: no infinite edge to draw
     _emit_dfa(D.cheapen(_build_dfa(args)), args.format)
 
 
-def _cmd_walk(args, caps, dfa=None):
+def _cmd_walk(args, cap, dfa=None):
     dfa = _build_dfa(args) if dfa is None else dfa
     start = dfa.root if args.start is None else args.start
     trace = D.walk_cost(dfa, start, args.walk_word)
@@ -325,12 +315,12 @@ def _cmd_walk(args, caps, dfa=None):
     }
 
 
-def _cmd_exact_p(args, caps):
+def _cmd_exact_p(args, cap):
     dfa = _build_dfa(args)
     state = dfa.root if args.state is None else args.state
     p = S.exact_P(
         dfa, state, args.L, args.epsilon,
-        strict=args.comparator == "lt", max_words=caps["max_enum"],
+        strict=args.comparator == "lt", max_words=cap,
     )
     return {
         "command": "exact-p",
@@ -345,7 +335,7 @@ def _cmd_exact_p(args, caps):
     }
 
 
-def _cmd_estimate_p(args, caps):
+def _cmd_estimate_p(args, cap):
     dfa = _build_dfa(args)
     state = dfa.root if args.state is None else args.state
     rep = S.estimate_P(
@@ -355,7 +345,7 @@ def _cmd_estimate_p(args, caps):
     return {"command": "estimate-p", **rep.to_json_dict()}
 
 
-def _cmd_decompose(args, caps):
+def _cmd_decompose(args, cap):
     dfa = _build_dfa(args)
     tau = _read_perm(args)
     dec = S.xy_decompose(dfa, tau)
@@ -371,7 +361,7 @@ def _cmd_decompose(args, caps):
     }
 
 
-def _cmd_concentration(args, caps):
+def _cmd_concentration(args, cap):
     if args.threads < 1:
         raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)
@@ -379,7 +369,7 @@ def _cmd_concentration(args, caps):
     return {"command": "concentration", **rep.to_json_dict(), **_con(args)}
 
 
-def _bcp_check(args, caps):
+def _bcp_check(args, cap):
     sigma = _read_word(args)
     tau = _read_perm(args)
     return {
@@ -390,9 +380,9 @@ def _bcp_check(args, caps):
     }
 
 
-def _bcp_census(args, caps):
+def _bcp_census(args, cap):
     sigma = _read_word(args)
-    pats = P.circular_pattern_set(sigma, args.k, args.bidirectional, max_k=caps["max_k"])
+    pats = P.circular_pattern_set(sigma, args.k, args.bidirectional, max_words=cap)
     total = math.factorial(args.k)
     return {
         "word": list(sigma.letters),
@@ -409,11 +399,11 @@ def _bcp_census(args, caps):
 _MODES = {
     "superpattern": {
         "check": ((), ("word", "word_file", "r"), _superpattern_check),
-        "search": (("search_r", "n_max"), ("max_enum",), _superpattern_search),
+        "search": (("search_r", "n_max"), (), _superpattern_search),
     },
     "bcp": {
         "check": ((), ("perm", "perm_file"), _bcp_check),
-        "census": (("k",), ("max_k",), _bcp_census),
+        "census": (("k",), ("max_enum",), _bcp_census),
     },
 }
 
@@ -476,7 +466,7 @@ _BOUNDS = {
 }
 
 
-def _cmd_bounds(args, caps):
+def _cmd_bounds(args, cap):
     which = args.bound
     needs, _, results = _BOUNDS[which]
     _check_flags(args, f"bounds {which}", _BOUNDS, which)
@@ -505,19 +495,19 @@ def build_parser() -> _Parser:
     _add_word_flags(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--list", action="store_true", help="also list the patterns")
-    _add_cap_flags(sp, "max_k")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "superpattern", _run_mode, "check a word / search minimal length")
     _add_word_flags(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--search-r", type=int, help="alphabet size for search mode")
     sp.add_argument("--n-max", type=int, help="largest length for search mode")
-    _add_cap_flags(sp, "max_k", "max_enum")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "f-oracle", _cmd_f_oracle, "max pattern count over words in [k]^n")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    _add_cap_flags(sp, "max_k", "max_enum")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "dfa", _cmd_dfa, "build, render, walk, or census automata")
     sp.add_argument("action", choices=["build", "dot", "cost", "census"])
@@ -530,7 +520,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--walk-word", type=int, nargs="+")
     sp.add_argument("--start", type=int)
     sp.add_argument("--budget", type=int)
-    _add_cap_flags(sp, "max_k")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "cheapen", _cmd_cheapen, "dominated permutation cost rows")
     sp.add_argument("builder", nargs="?", choices=list(_BUILDERS))
@@ -548,7 +538,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--state", type=int)
     sp.add_argument("--comparator", choices=["lt", "le"], default="lt")
-    _add_cap_flags(sp, "max_enum")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "estimate-p", _cmd_estimate_p, "Monte-Carlo low-cost walk probability")
     _add_dfa_flags(sp)
@@ -577,7 +567,7 @@ def build_parser() -> _Parser:
     _add_word_flags(sp, perm=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--bidirectional", action="store_true")
-    _add_cap_flags(sp, "max_k")
+    _add_cap_flag(sp)
 
     sp = _command(sub, "bounds", _cmd_bounds, "closed-form constants and predicates")
     sp.add_argument("bound", choices=list(_BOUNDS))
@@ -600,7 +590,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        payload = args.func(args, _caps(args))
+        payload = args.func(args, _cap(args))
         if payload is not None:
             _emit(payload, args.format)
         return 0

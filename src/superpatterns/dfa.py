@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import CheapeningError, ResourceLimitError
-from .patterns import MAX_FACTORIAL_K, _integral_letters, as_word
+from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters, as_word
 
 __all__ = [
     "INFINITY",
@@ -59,7 +59,7 @@ ExtCost = Union[int, float]
 MAX_SUBSET_ENUM_K = 20
 
 
-def letters_of(w) -> tuple[int, ...]:
+def _letters_of(w) -> tuple[int, ...]:
     """Letter sequence of a Word, Permutation, or plain iterable."""
     if hasattr(w, "letters"):
         return tuple(w.letters)
@@ -316,7 +316,7 @@ def walk_cost(dfa: Dfa, start, w) -> WalkTrace:
     if not dfa.has_state(start):
         raise ValueError(f"unknown state {start!r}")
     k = dfa.alphabet_size
-    word = letters_of(w)
+    word = _letters_of(w)
     states = [start]
     costs = []
     total: ExtCost = 0
@@ -816,32 +816,30 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
     return [Counter(dict(sorted(dist.items()))) for dist in dists]
 
 
-def cheap_perm_count(dfa: Dfa, budget: int, *, max_k: int = MAX_FACTORIAL_K) -> int:
+def cheap_perm_count(dfa: Dfa, budget: int, *, max_words: int = MAX_ENUM_WORDS) -> int:
     """How many permutations of [k], walked from the root, cost at most
     budget (any real number or INFINITY; totals are whole, so a real
     budget counts as its floor).
 
     _cost_layers (the Mahonian product on SubsetDfa, otherwise the (state,
     letters read) DP, at most |V| * 2^k entries per layer) drops prefixes
-    over the budget, so tight budgets stay cheap. The cap on k is
-    unchanged.
+    over the budget, so tight budgets stay cheap. max_words still caps
+    k!.
     """
     k = dfa.alphabet_size
-    if k > max_k:
-        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
+    _check_count(f"cheap_perm_count: {k}!", max_words, 1, k, 1)
     return sum(_last_cost_layer(dfa, dfa.root, k, budget).values())
 
 
-def perm_cost_census(dfa: Dfa, *, max_k: int = MAX_FACTORIAL_K) -> dict:
+def perm_cost_census(dfa: Dfa, *, max_words: int = MAX_ENUM_WORDS) -> dict:
     """Exact distribution {total cost: count} of root walk costs over all
     permutations of [k]. Infinite totals are keyed by INFINITY. Computed
     by _cost_layers: on SubsetDfa the closed-form Mahonian product
     prod (q + ... + q^m), m = 1..k, otherwise the (state, letters read)
-    DP, at most |V| * 2^k entries per layer; the cap on k is unchanged.
+    DP, at most |V| * 2^k entries per layer; max_words still caps k!.
     """
     k = dfa.alphabet_size
-    if k > max_k:
-        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
+    _check_count(f"perm_cost_census: {k}!", max_words, 1, k, 1)
     return dict(_last_cost_layer(dfa, dfa.root, k))
 
 
@@ -894,7 +892,7 @@ def _state_from_jsonable(v):
     return v
 
 
-def dfa_to_json_dict(dfa: Dfa) -> dict:
+def _dfa_to_json_dict(dfa: Dfa) -> dict:
     rows = []
     for v in dfa.states:
         crow = dfa.cost_row(v)
@@ -923,11 +921,11 @@ def dfa_to_json_dict(dfa: Dfa) -> dict:
 
 
 def dfa_to_json(dfa: Dfa) -> str:
-    return json.dumps(dfa_to_json_dict(dfa), sort_keys=True)
+    return json.dumps(_dfa_to_json_dict(dfa), sort_keys=True)
 
 
-def dfa_from_json_dict(doc: dict) -> WeightedDfa:
-    """Inverse of dfa_to_json_dict. Any other shape (a missing key, a
+def _dfa_from_json_dict(doc: dict) -> WeightedDfa:
+    """Inverse of _dfa_to_json_dict. Any other shape (a missing key, a
     non-integer alphabet size or cost, a boolean state, a state given two
     rows) is a ValueError."""
     try:
@@ -951,7 +949,7 @@ def dfa_from_json_dict(doc: dict) -> WeightedDfa:
 
 
 def dfa_from_json(text: str) -> WeightedDfa:
-    return dfa_from_json_dict(json.loads(text))
+    return _dfa_from_json_dict(json.loads(text))
 
 
 def dfa_to_dot(dfa: Dfa, include_infinite: bool = False) -> str:

@@ -51,10 +51,32 @@ __all__ = [
     "format_permutation",
 ]
 
-# Safe default caps; every capped operation takes these as keyword
-# arguments so callers can raise them deliberately.
-MAX_FACTORIAL_K = 10
+# The one enumeration cap: every capped operation takes it as the keyword
+# argument max_words, so callers can raise it deliberately. It admits k!
+# for k <= 10 (10! = 3628800 < 10^7 < 11!).
 MAX_ENUM_WORDS = 10**7
+
+
+def _check_count(
+    what: str, cap: int, factor: int, terms: int = 1, step: int = 0, summed: bool = False
+) -> None:
+    """Raise ResourceLimitError if a count exceeds the enumeration cap.
+
+    The count is the product factor * (factor + step) * ... of terms
+    factors or, with summed=True, the sum of its running products. As
+    (factor, terms, step, summed): k! is (1, k, 1), r^n is (r, n), a
+    plain count m is (m,) and the injective words of lengths 1..L over
+    [k] are (k, L, -1, True). The loop stops at the first running count
+    over cap, so no huge count is built; with no terms nothing is
+    counted, so k = 0 passes even cap 0.
+    """
+    product, total = 1, 0
+    for _ in range(terms):
+        product *= factor
+        total = total + product if summed else product
+        if total > cap:
+            raise ResourceLimitError(f"{what} exceeds the enumeration cap {cap}")
+        factor += step
 
 
 @dataclass(frozen=True)
@@ -285,7 +307,7 @@ def _patterns_of_relabeled(occ_by_rank: list, k: int) -> set:
     return found
 
 
-def pattern_set(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> set:
+def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
     """Exactly the permutations of [k] contained in sigma, as Permutations.
 
     >>> sorted(p.images for p in pattern_set((1, 2, 3, 2), 3))
@@ -293,10 +315,7 @@ def pattern_set(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> set:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k > max_k:
-        raise ResourceLimitError(
-            f"pattern_set with k={k} exceeds the k! cap (max_k={max_k})"
-        )
+    _check_count(f"pattern_set: {k}!", max_words, 1, k, 1)
     sigma = as_word(sigma)
     out: set[tuple[int, ...]] = set()
     for Y in combinations(_occurrence_lists(sigma.letters), k):
@@ -304,11 +323,11 @@ def pattern_set(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> set:
     return {Permutation(t) for t in out}
 
 
-def is_superpattern(sigma, k: int, *, max_k: int = MAX_FACTORIAL_K) -> bool:
+def is_superpattern(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> bool:
     """Whether sigma contains every permutation of [k] as a pattern."""
     if k == 0:
         return True
-    return len(pattern_set(sigma, k, max_k=max_k)) == math.factorial(k)
+    return len(pattern_set(sigma, k, max_words=max_words)) == math.factorial(k)
 
 
 def _canonical_words(n: int, max_letters: int):
@@ -351,25 +370,23 @@ def _canonical_word_count(n: int, k: int, cap: int) -> int:
     return sum(row)
 
 
-def f_oracle(
-    k: int, n: int, *, max_words: int = MAX_ENUM_WORDS, max_k: int = MAX_FACTORIAL_K
-) -> tuple[int, Word]:
+def f_oracle(k: int, n: int, *, max_words: int = MAX_ENUM_WORDS) -> tuple[int, Word]:
     """Exact maximum pattern count over all words in [k]^n, with a witness.
 
     Exhausts canonical representatives under letter relabeling (pattern
-    counts are relabeling-invariant): about k^n / k! words of n letters,
-    max_words caps both. The witness is the lexicographically least
-    maximizing word.
+    counts are relabeling-invariant): about k^n / k! words of n letters.
+    max_words caps k!, n and the number of words. The witness is the
+    lexicographically least maximizing word.
 
     >>> f_oracle(3, 4)[0]
     2
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    if k > max_k:
-        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    if n > max_words or _canonical_word_count(n, k, max_words) > max_words:
-        raise ResourceLimitError(f"f_oracle(k={k}, n={n}) exceeds the word cap {max_words}")
+    _check_count(f"f_oracle: {k}!", max_words, 1, k, 1)
+    _check_count(f"f_oracle: n={n}", max_words, n)
+    words = _canonical_word_count(n, k, max_words)
+    _check_count(f"f_oracle: the canonical word count of [{k}]^{n}", max_words, words)
     best = -1
     witness = ()
     for w in _canonical_words(n, k):
@@ -409,7 +426,7 @@ def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
 
 
 def circular_pattern_set(
-    sigma, k: int, bidirectional: bool = False, *, max_k: int = MAX_FACTORIAL_K
+    sigma, k: int, bidirectional: bool = False, *, max_words: int = MAX_ENUM_WORDS
 ) -> set:
     """The permutations of [k] circular_contains finds in sigma:
     pattern_set, with its domain and cap, closed under _dihedral_orbit.
@@ -419,7 +436,7 @@ def circular_pattern_set(
     >>> len(circular_pattern_set((1, 2, 3), 3, True))
     6
     """
-    found = pattern_set(sigma, k, max_k=max_k)
+    found = pattern_set(sigma, k, max_words=max_words)
     return {Permutation(t) for p in found for t in _dihedral_orbit(p.images, bidirectional)}
 
 
@@ -452,12 +469,7 @@ def repeat_word(k: int, m: int) -> Word:
 
 
 def exhaustive_f_search(
-    k: int,
-    r: int,
-    n_max: int,
-    *,
-    max_words: int = MAX_ENUM_WORDS,
-    max_k: int = MAX_FACTORIAL_K,
+    k: int, r: int, n_max: int, *, max_words: int = MAX_ENUM_WORDS
 ) -> list[tuple[int, bool]]:
     """For each n <= n_max, whether some word in [r]^n is a k-superpattern.
 
@@ -475,12 +487,10 @@ def exhaustive_f_search(
     """
     if k < 0 or r < 1 or n_max < 1:
         raise ValueError("need k >= 0, r >= 1, n_max >= 1")
-    if k > max_k:
-        raise ResourceLimitError(f"k={k} exceeds the k! cap (max_k={max_k})")
-    if r**n_max > max_words:
-        raise ResourceLimitError(
-            f"r^n_max = {r}^{n_max} exceeds the word-enumeration cap {max_words}"
-        )
+    _check_count(f"exhaustive_f_search: {k}!", max_words, 1, k, 1)
+    _check_count(f"exhaustive_f_search: n_max={n_max}", max_words, n_max)
+    # 1^n_max = 1^1: no loop over n_max factors of 1
+    _check_count(f"exhaustive_f_search: {r}^{n_max}", max_words, r, n_max if r > 1 else 1)
     shortest = 1 if k == 0 else _shortest_superpattern(k, min(r, n_max), n_max)
     return [(n, shortest is not None and n >= shortest) for n in range(1, n_max + 1)]
 

@@ -40,7 +40,6 @@ uint64 bit masks, so a step costs O(1) per row at any k.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -50,10 +49,9 @@ import numpy as np
 
 from . import _WALKS_EXPORTS
 from .dfa import (
-    SubsetDfa, _injective_cost_layers, _last_cost_layer, is_k_dfa, letters_of, walk_cost,
+    SubsetDfa, _injective_cost_layers, _last_cost_layer, _letters_of, is_k_dfa, walk_cost,
 )
-from .errors import ResourceLimitError
-from .patterns import MAX_ENUM_WORDS, _integral_letters
+from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters
 
 # the package's lazy loader serves these names; its set is the one list
 __all__ = sorted(_WALKS_EXPORTS)
@@ -181,7 +179,7 @@ def restriction(w, E) -> PermutationalWord:
     if isinstance(w, PermutationalWord):
         letters, k = w.letters, w.alphabet_size
     else:
-        letters = letters_of(w)
+        letters = _letters_of(w)
         k = max(letters, default=0)
     idx = sorted(set(_integral_letters(E, "index")))
     for e in idx:
@@ -214,11 +212,8 @@ def _check_enumeration(dfa, start, max_len: int, max_words: int) -> None:
         raise ValueError(f"unknown state {start!r}")
     if not (0 <= max_len <= k):
         raise ValueError(f"need 0 <= max_len <= k, got {max_len}")
-    tree = sum(math.perm(k, L) for L in range(1, max_len + 1))
-    if tree > max_words:
-        raise ResourceLimitError(
-            f"enumerating {tree} injective words exceeds the cap {max_words}"
-        )
+    what = f"the count of injective words of lengths 1..{max_len} over [{k}]"
+    _check_count(what, max_words, k, max_len, -1, True)
 
 
 def _threshold(k: int, L: int, epsilon: float) -> Fraction:
@@ -415,6 +410,9 @@ def clopper_pearson(successes: int, samples: int, confidence: float = 0.99):
 
     if not (0 <= successes <= samples) or samples <= 0:
         raise ValueError("need 0 <= successes <= samples, samples > 0")
+    # NaN fails the comparison too
+    if not (0 < confidence < 1):
+        raise ValueError(f"need 0 < confidence < 1, got {confidence!r}")
     alpha = 1.0 - confidence
     if successes == 0:
         lo = 0.0
@@ -524,7 +522,7 @@ def xy_decompose(dfa, tau) -> Decomposition:
     if not is_k_dfa(dfa):
         raise ValueError("xy_decompose needs a k-DFA")
     k = dfa.alphabet_size
-    word = letters_of(tau)
+    word = _letters_of(tau)
     if sorted(word) != list(range(1, k + 1)):
         raise ValueError(f"{word!r} is not a permutation of [{k}]")
     trace = walk_cost(dfa, dfa.root, word)
@@ -551,7 +549,7 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     if not is_k_dfa(dfa):
         raise ValueError("t_statistic needs a k-DFA")
     k = dfa.alphabet_size
-    letters = letters_of(prefix)
+    letters = _letters_of(prefix)
     if len(set(letters)) != len(letters):
         raise ValueError("prefix must be injective")
     for t in letters:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -568,14 +569,14 @@ _BOUND_OPTIONAL = {"birthday": ["--alpha"], "infeasibility": ["--log-f"], "gupta
 # that runs it on an automaton, the flags it reads)
 _DFA_ACTION_FLAGS = {
     "--walk-word": "--walk-word 1 2", "--start": "--start 1", "--budget": "--budget 4",
-    "--include-infinite": "--include-infinite", "--max-k": "--max-k 5",
+    "--include-infinite": "--include-infinite", "--max-enum": "--max-enum 200",
 }
 _DFA_ACTIONS = {
     "build": ("build subset --k 3", ""),
     "build --format dot": ("build subset --k 3 --format dot", "--include-infinite"),
     "dot": ("dot subset --k 3", "--include-infinite"),
     "cost": ("cost subset --k 3 --walk-word 3 1", "--walk-word --start"),
-    "census": ("census subset --k 3", "--budget --max-k"),
+    "census": ("census subset --k 3", "--budget --max-enum"),
 }
 
 
@@ -584,16 +585,16 @@ _DFA_ACTIONS = {
 # flags it reads)}); check is tried first, so a check flag chooses check
 _MODE_FLAGS = {
     "--word": "1 2 1", "--word-file": "{word}", "--r": "2", "--search-r": "2", "--n-max": "3",
-    "--max-enum": "50", "--perm": "2 1", "--perm-file": "{perm}", "--k": "2", "--max-k": "5",
+    "--max-enum": "50", "--perm": "2 1", "--perm-file": "{perm}", "--k": "2",
 }
 _MODES = {
     "superpattern": ("--k 2", {
         "check": ("--word 1 2 1", "--word --word-file --r"),
-        "search": ("--search-r 2 --n-max 3", "--search-r --n-max --max-enum"),
+        "search": ("--search-r 2 --n-max 3", "--search-r --n-max"),
     }),
     "bcp": ("--word 1 2", {
         "check": ("--perm 2 1", "--perm --perm-file"),
-        "census": ("--k 2", "--k --max-k"),
+        "census": ("--k 2", "--k --max-enum"),
     }),
 }
 
@@ -689,10 +690,9 @@ class TestUnreadFlags:
         assert err == f"error: {command} {chooser} does not read {refused}\n"
 
     @pytest.mark.parametrize("argv, err", [
-        ("superpattern --word 1 2 1 --k 2 --max-enum 5", "error: superpattern --word does not read --max-enum"),
-        ("bcp --word 1 2 3 --perm 1 2 --max-k 1", "error: bcp --perm does not read --max-k"),
-        # exact-p reads no k! cap, and a cheapened automaton has no infinite
-        # edge: those two flags are gone
+        ("bcp --word 1 2 3 --perm 1 2 --max-enum 1", "error: bcp --perm does not read --max-enum"),
+        # the k! cap is --max-enum's, and a cheapened automaton has no
+        # infinite edge: those two flags are gone
         (
             "exact-p --dfa subset --k 3 --L 3 --epsilon 0.1 --max-k 1",
             "superpatterns: error: unrecognized arguments: --max-k 1",
@@ -731,7 +731,7 @@ class TestUnreadFlags:
         ("bounds forL --k 3", "bounds forL needs --L and --epsilon"),
         ("bounds gupta --k 3 --n 4", "need --f or --log-f"),
         ("bcp --word 1 2", "bcp needs --perm or --k"),
-        ("bcp --word 1 2 --max-k 3", "bcp --max-k needs --k"),
+        ("bcp --word 1 2 --max-enum 3", "bcp --max-enum needs --k"),
         ("superpattern --k 2 --n-max 3", "superpattern --n-max needs --search-r"),
     ])
     def test_missing_flag_messages(self, capsys, argv, message):
@@ -745,14 +745,12 @@ _AUTOMATON_FLAGS = "--dfa --word --word-file --r --k --states --dfa-seed --in"
 # takes --format, which the printer reads
 _READ_BY = {
     "contains": {"the word": _WORD_FLAGS, "the permutation": "--perm --perm-file"},
-    "census": {"the word": _WORD_FLAGS, "pattern_set": "--k --list --max-k"},
-    "superpattern": {
-        "both modes": "--k --max-k", "check": _WORD_FLAGS, "search": "--search-r --n-max --max-enum",
-    },
-    "f-oracle": {"f_oracle": "--k --n --max-k --max-enum"},
+    "census": {"the word": _WORD_FLAGS, "pattern_set": "--k --list --max-enum"},
+    "superpattern": {"both modes": "--k --max-enum", "check": _WORD_FLAGS, "search": "--search-r --n-max"},
+    "f-oracle": {"f_oracle": "--k --n --max-enum"},
     "dfa": {
         "the builders": _AUTOMATON_FLAGS, "cost": "--walk-word --start",
-        "census": "--budget --max-k", "dot": "--include-infinite",
+        "census": "--budget --max-enum", "dot": "--include-infinite",
     },
     "cheapen": {"the builders": _AUTOMATON_FLAGS},
     "walk": {"the builders": _AUTOMATON_FLAGS, "walk_cost": "--walk-word --start"},
@@ -768,7 +766,7 @@ _READ_BY = {
     },
     "bcp": {
         "both modes": f"{_WORD_FLAGS} --bidirectional", "check": "--perm --perm-file",
-        "census": "--k --max-k",
+        "census": "--k --max-enum",
     },
     "bounds": {"the bounds": "--k --L --n --r --M --epsilon --epsilon-star --alpha --f --log-f"},
 }
@@ -794,22 +792,47 @@ class TestEveryFlagIsRead:
         assert out.startswith(f"usage: superpatterns {command}")
 
 
+# a query of each of the five subcommands that count k! (superpattern in
+# both modes), each at k = 3
+_K_FACTORIAL_QUERIES = [
+    "census --word 1 2 3 --k 3",
+    "superpattern --word 1 2 3 --k 3",
+    "superpattern --k 3 --search-r 1 --n-max 3",
+    "f-oracle --k 3 --n 2",
+    "dfa census subset --k 3",
+    "bcp --word 1 2 3 --k 3",
+]
+
+
 class TestCapFlags:
-    def test_max_k_flag_permits_and_default_refuses(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "census", "--word", "1", "2", "--k", "11", "--max-k", "12"
-        )
+    def test_max_enum_admits_k_factorial_and_default_refuses(self, capsys):
+        # 10! <= 10^7 < 11!: the default admits k <= 10
+        argv = ["census", "--word", "1", "2", "--k", "11"]
+        rc, out, _ = run_cli(capsys, *argv, "--max-enum", str(math.factorial(11)))
         assert rc == 0
         assert json.loads(out)["count"] == 0
-        rc, _, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "11")
+        rc, _, err = run_cli(capsys, *argv, "--max-enum", str(math.factorial(11) - 1))
+        assert rc == 2 and err == "resource limit: pattern_set: 11! exceeds the enumeration cap 39916799\n"
+        rc, _, err = run_cli(capsys, *argv)
         assert rc == 2
+        assert run_cli(capsys, "census", "--word", "1", "2", "--k", "10")[0] == 0
 
-    def test_zero_max_k_is_honoured(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "census", "--word", "1", "2", "3", "--k", "3", "--max-k", "0"
-        )
-        assert rc == 2
-        assert "cap" in err
+    @pytest.mark.parametrize("argv", _K_FACTORIAL_QUERIES)
+    def test_zero_cap_refuses_every_k_factorial_query(self, capsys, argv):
+        # the old --max-k 3 is --max-enum 3! = 6, and --max-k 0 is --max-enum 0
+        assert run_cli(capsys, *argv.split(), "--max-enum", "6")[0] == 0
+        assert run_cli(capsys, *argv.split(), "--max-enum", "5")[0] == 2
+        rc, out, err = run_cli(capsys, *argv.split(), "--max-enum", "0")
+        assert (rc, out) == (2, "")
+        assert err.endswith("exceeds the enumeration cap 0\n") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "census --word 1 2 --k 2", "superpattern --word 1 2 1 --k 2", "f-oracle --k 2 --n 2",
+        "dfa census subset --k 2", "bcp --word 1 2 --k 2", "exact-p --dfa subset --k 3 --L 1 --epsilon 0.1",
+    ])
+    def test_max_k_flag_is_refused(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv.split(), "--max-k", "3")
+        assert (rc, out, err) == (1, "", "superpatterns: error: unrecognized arguments: --max-k 3\n")
 
     def test_zero_max_enum_is_honoured(self, capsys):
         rc, _, err = run_cli(
@@ -819,16 +842,19 @@ class TestCapFlags:
         assert rc == 2
         assert "cap" in err
 
-    def test_f_oracle_reads_the_shared_caps(self, capsys, monkeypatch):
+    def test_f_oracle_reads_the_one_cap(self, capsys, monkeypatch):
         # (3, 4) visits 1 + 7 + 6 = 14 canonical words
         rc, out, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-enum", "14")
         assert rc == 0 and json.loads(out)["max_count"] == 2
         rc, _, err = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-enum", "13")
         assert rc == 2 and "cap" in err
-        monkeypatch.setenv("SUPERPATTERNS_MAX_K", "2")
+        # (4, 3) visits 5 words, but 4! = 24
+        rc, _, err = run_cli(capsys, "f-oracle", "--k", "4", "--n", "3", "--max-enum", "23")
+        assert rc == 2 and "4!" in err
+        monkeypatch.setenv("SUPERPATTERNS_MAX_ENUM", "13")
         rc, _, err = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4")
-        assert rc == 2 and "cap" in err
-        rc, _, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-k", "3")
+        assert rc == 2 and "cap 13" in err
+        rc, _, _ = run_cli(capsys, "f-oracle", "--k", "3", "--n", "4", "--max-enum", "14")
         assert rc == 0
 
     def test_f_oracle_long_words(self, capsys):
@@ -839,14 +865,42 @@ class TestCapFlags:
         rc, out, err = run_cli(capsys, "f-oracle", "--k", "2", "--n", "10000000")
         assert rc == 2 and out == "" and len(err.splitlines()) == 1 and "cap" in err
 
+    def test_superpattern_check_reads_max_enum(self, capsys):
+        # check mode counts k! too
+        argv = ["superpattern", "--word", "1", "2", "1", "--k", "2"]
+        rc, out, _ = run_cli(capsys, *argv, "--max-enum", "2")
+        assert rc == 0 and json.loads(out)["superpattern"] is True
+        rc, out, err = run_cli(capsys, *argv, "--max-enum", "1")
+        assert (rc, out) == (2, "") and "2! exceeds the enumeration cap 1" in err
+
     def test_bcp_census_capped(self, capsys):
         rc, _, err = run_cli(capsys, "bcp", "--word", "1", "2", "--k", "11")
         assert rc == 2
         rc, out, _ = run_cli(
-            capsys, "bcp", "--word", "1", "2", "--k", "11", "--max-k", "11"
+            capsys, "bcp", "--word", "1", "2", "--k", "11", "--max-enum", str(math.factorial(11))
         )
         assert rc == 0
         assert json.loads(out)["count"] == 0
+
+
+class TestHugeCounts:
+    # each count stops at its first running value over the cap: no huge
+    # integer is built, formatted or enumerated
+    @pytest.mark.parametrize("argv", [
+        # the sum of every perm(k, L) has more digits than str() formats
+        "exact-p --dfa subset --k 4000 --L 4000 --epsilon 0.1",
+        "exact-p --dfa subset --k 2000 --L 2000 --epsilon 0.1",
+        # 3^(10^7) takes seconds to build
+        "superpattern --k 3 --search-r 3 --n-max 10000000",
+        # 1^n_max never exceeds the cap: n_max itself is counted
+        "superpattern --k 3 --search-r 1 --n-max 100000000",
+    ])
+    def test_one_line_exit_2_within_a_second(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.endswith("exceeds the enumeration cap 10000000\n")
 
 
 class TestEnvCaps:
@@ -857,21 +911,27 @@ class TestEnvCaps:
         assert rc == 2
         import os
 
-        env = dict(os.environ, SUPERPATTERNS_MAX_K="12")
+        env = dict(os.environ, SUPERPATTERNS_MAX_ENUM=str(math.factorial(11)))
         proc = run_python(
             "-m", "superpatterns.cli", "census", "--word", "1", "2", "--k", "11", env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 0
 
-    @pytest.mark.parametrize("var", ["SUPERPATTERNS_MAX_K", "SUPERPATTERNS_MAX_ENUM"])
-    def test_malformed_env_cap_is_one_line_exit_1(self, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "abc")
+    def test_malformed_env_cap_is_one_line_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERPATTERNS_MAX_ENUM", "abc")
         rc, out, err = run_cli(capsys, "census", "--word", "1", "2", "--k", "2")
-        assert rc == 1
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert var in err
+        assert (rc, out) == (1, "")
+        assert err == "error: SUPERPATTERNS_MAX_ENUM must be an integer\n"
+
+    @pytest.mark.parametrize("value", ["12", "0", "abc"])
+    @pytest.mark.parametrize("argv", ["census --word 1 2 --k 2", "f-oracle --k 2 --n 2 --max-enum 9"])
+    def test_max_k_variable_is_refused(self, capsys, monkeypatch, value, argv):
+        # a lowered k! cap would otherwise be dropped without a word
+        monkeypatch.setenv("SUPERPATTERNS_MAX_K", value)
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert (rc, out) == (1, "")
+        assert err == "error: SUPERPATTERNS_MAX_K is no longer read; SUPERPATTERNS_MAX_ENUM caps k!\n"
 
 
 def _fresh_interpreter_prints(code):
@@ -932,6 +992,11 @@ _FLOATS = (
 )
 
 
+def _max_enum_of_max_k(m):
+    """The --max-enum that admits the k! queries the old --max-k m did."""
+    return math.factorial(m) if m > 0 else m
+
+
 @st.composite
 def _cli_argv(draw):
     """argv of every subcommand but exact-p (see _exact_argv) over small
@@ -946,6 +1011,8 @@ def _cli_argv(draw):
         "dfa", "cheapen", "walk", "estimate-p", "concentration",
     ]))
     small = st.integers(-2, 7)
+    # as the old k! cap drew from small, and as the word cap did
+    caps = small.map(_max_enum_of_max_k) | st.integers(0, 5000)
     k = draw(st.integers(-2, 6))
     word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7) | st.lists(small, max_size=7))
     perm = draw(st.permutations(range(1, max(k, 1) + 1)) | st.lists(small, max_size=6))
@@ -965,7 +1032,6 @@ def _cli_argv(draw):
     if command == "f-oracle":
         return [
             command, *number("--k", st.integers(-1, 4)), *number("--n", st.integers(-1, 6)),
-            *number("--max-k", st.integers(0, 4), odds=1),
             *number("--max-enum", st.integers(0, 200), odds=1),
         ]
     if command == "bounds":
@@ -990,13 +1056,13 @@ def _cli_argv(draw):
         # flag that only the other mode reads, which is refused
         modes = cli._MODES[command]
         if command == "superpattern":
-            argv = [command, *flag("--k", k), *flag("--max-k", draw(small), odds=1)]
+            argv = [command, *flag("--k", k), *number("--max-enum", caps, odds=1)]
         else:
             argv = [command, *flag("--word", *word), *flag("--bidirectional", odds=2)]
         values = {
             "word": (word, needed), "r": ([draw(small)], 1), "search_r": ([draw(st.integers(-1, 4))], needed),
-            "n_max": ([draw(st.integers(-1, 6))], needed), "max_enum": ([draw(st.integers(0, 5000))], 1),
-            "perm": (perm, needed), "k": ([k], needed), "max_k": ([draw(small)], 1),
+            "n_max": ([draw(st.integers(-1, 6))], needed), "max_enum": ([draw(caps)], 1),
+            "perm": (perm, needed), "k": ([k], needed),
         }
         needs, takes, _ = modes[draw(st.sampled_from(sorted(modes)))]
         for dest in needs + takes:
@@ -1054,7 +1120,7 @@ def _cli_argv(draw):
         values = {
             "walk_word": (perm, needed), "start": ([draw(small)], 1),
             "budget": ([draw(st.integers(-2, 30))], 1), "include_infinite": ([], 2),
-            "max_k": ([draw(small)], 1),
+            "max_enum": ([draw(caps)], 1),
         }
         needs, takes, _ = cli._ACTIONS[action]
         for dest in needs + takes:
@@ -1081,7 +1147,7 @@ def _cli_argv(draw):
         return argv + flag("--comparator", draw(st.sampled_from(["lt", "le"])), odds=1)
     if command == "contains":
         return argv + flag("--perm", *perm) + flag("--r", draw(small), odds=1)
-    argv += flag("--r", draw(small), odds=1) + flag("--max-k", draw(small), odds=1)
+    argv += flag("--r", draw(small), odds=1) + flag("--max-enum", draw(caps), odds=1)
     return argv + flag("--list", odds=2)
 
 
@@ -1115,7 +1181,8 @@ def _exact_argv(draw):
             word = draw(st.lists(st.integers(1, 6), min_size=1, max_size=9))
             automaton = ["--dfa", "greedy", "--word", *map(str, word)]
         return [
-            "dfa", "census", *automaton, *flag("--max-k", draw(st.integers(0, 9)), odds=1),
+            "dfa", "census", *automaton,
+            *flag("--max-enum", _max_enum_of_max_k(draw(st.integers(0, 9))), odds=1),
             *flag("--budget", draw(st.integers(-2, 70)), odds=2),
         ]
     if draw(st.integers(1, 4)) <= 2:
@@ -1135,7 +1202,7 @@ def _exact_argv(draw):
             *flag("--state", draw(st.sampled_from(states)), odds=2),
         ]
     return [
-        # exact-p reads the word-enumeration cap only
+        # exact-p reads the one cap, on its injective words
         "exact-p", *automaton, *flag("--max-enum", draw(st.integers(0, 10**5)), odds=1),
         # --name=value, so a negative value is not read as a flag
         f"--L={draw(st.integers(-1, max(k, 0) + 1))}", f"--epsilon={epsilon!r}",

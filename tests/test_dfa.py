@@ -507,10 +507,10 @@ class TestPackedKernel:
             got = cost_distributions_by_length(build_subset_dfa(k), 0, L, max_words=10**10)
             for l in range(L + 1):
                 assert got[l] == shifted_mahonian(range(k, k - l, -1)), (k, l)
-        census = perm_cost_census(build_subset_dfa(12), max_k=12)
+        census = perm_cost_census(build_subset_dfa(12), max_words=math.factorial(12))
         assert census == shifted_mahonian(range(12, 0, -1))
         assert sum(census.values()) == math.factorial(12)
-        assert cheap_perm_count(build_subset_dfa(12), 30, max_k=12) == sum(
+        assert cheap_perm_count(build_subset_dfa(12), 30, max_words=math.factorial(12)) == sum(
             n for c, n in census.items() if c <= 30
         )
 

@@ -296,15 +296,15 @@ class TestFOracle:
         assert f_oracle(3, 9)[0] == math.factorial(3)
 
     def test_caps(self):
-        # the shared caps: max_k on k, max_words on the canonical words
+        # the one cap, max_words, on k! and on the canonical words
         # visited, sum over j <= k of S(n, j); 14 for (3, 4)
         with pytest.raises(ResourceLimitError):
             f_oracle(11, 3)
         with pytest.raises(ResourceLimitError):
-            f_oracle(3, 4, max_k=2)
+            f_oracle(4, 3, max_words=23)
         with pytest.raises(ResourceLimitError):
             f_oracle(3, 4, max_words=13)
-        assert f_oracle(3, 4, max_words=14, max_k=3)[0] == 2
+        assert f_oracle(3, 4, max_words=14)[0] == 2
         # f(4, 14) visits 11 188 907 words, over the default 10^7
         with pytest.raises(ResourceLimitError):
             f_oracle(4, 14)
@@ -420,8 +420,8 @@ class TestCircularPatternSet:
         with pytest.raises(ResourceLimitError):
             circular_pattern_set((1, 2), 11)
         with pytest.raises(ResourceLimitError):
-            circular_pattern_set((1, 2), 3, True, max_k=2)
-        assert len(circular_pattern_set((1, 2), 11, max_k=11)) == 0
+            circular_pattern_set((1, 2), 3, True, max_words=5)
+        assert len(circular_pattern_set((1, 2), 11, max_words=math.factorial(11))) == 0
 
 
 def reference_contains(letters, taus):
@@ -615,3 +615,125 @@ class TestTextFormat:
     def test_round_trip_arbitrary(self, letters):
         w = as_word(letters)
         assert parse_word(format_word(w)) == w
+
+
+class _Admitted(Exception):
+    """Raised by a stub in place of the work a cap admitted."""
+
+
+def _set_partitions(n, k):
+    """Words in [k]^n up to relabeling, sum over j <= k of S(n, j), each
+    Stirling number from its explicit formula."""
+    return sum(
+        sum((-1) ** i * math.comb(j, i) * (j - i) ** n for i in range(j + 1)) // math.factorial(j)
+        for j in range(k + 1)
+    )
+
+
+class TestOneCap:
+    """max_words is the one cap: k! against it admits exactly what the
+    k! cap max_k did (max_k = m as max_words = m!, 0 as 0), and every
+    other count is capped as before."""
+
+    @pytest.fixture
+    def decide(self, monkeypatch):
+        # stop each query at the first step its caps admit
+        import superpatterns.dfa as D
+        import superpatterns.patterns as P
+
+        def admitted(*args, **kwargs):
+            raise _Admitted
+
+        for module, name in (
+            (P, "_occurrence_lists"), (P, "_canonical_words"),
+            (P, "_shortest_superpattern"), (D, "_last_cost_layer"),
+        ):
+            monkeypatch.setattr(module, name, admitted)
+
+        def decision(call, *args, **kwargs):
+            try:
+                call(*args, **kwargs)
+            except _Admitted:
+                return "admit"
+            except ResourceLimitError:
+                return "refuse"
+            except ValueError:
+                return "domain"
+            return "admit"
+
+        return decision
+
+    def test_default_decisions_are_the_two_caps(self, decide):
+        from superpatterns.dfa import build_subset_dfa, cheap_perm_count, perm_cost_census
+        from superpatterns.walks import _check_enumeration
+
+        cap, cases = 10**7, 0
+
+        def check(want, call, *args):
+            nonlocal cases
+            cases += 1
+            assert decide(call, *args) == want, (call.__name__, args)
+
+        def capped(refused):
+            return "refuse" if refused else "admit"
+
+        for k in range(-1, 13):
+            check("domain" if k < 0 else capped(k > 10), pattern_set, (1, 2), k)
+        for k in range(1, 13):
+            check(capped(k > 10), perm_cost_census, build_subset_dfa(k))
+            check(capped(k > 10), cheap_perm_count, build_subset_dfa(k), 5)
+        # the injective words of lengths 1..L that exact_P counts: at
+        # (13, 7) their sum is over the cap, the last length alone is not
+        for k in range(1, 17):
+            for L in range(k + 1):
+                tree = sum(math.perm(k, l) for l in range(1, L + 1))
+                check(capped(tree > cap), _check_enumeration, build_subset_dfa(k), 0, L, cap)
+        for k in range(0, 13):
+            # the longest n whose words fit: k = 1 has one word at every n
+            last = 10**7
+            if k >= 2:
+                last = next(n for n in range(40) if _set_partitions(n + 1, k) > cap)
+            for n in {*range(-1, min(last, 30) + 3), 10**7 - 1, 10**7, 10**7 + 1}:
+                want = capped(k > 10 or n > last)
+                check("domain" if k < 1 or n < 0 else want, f_oracle, k, n)
+        for k in range(-1, 13):
+            for r in (0, 1, 2, 3, 4, 6, 10**7, 10**7 + 1):
+                for n_max in (*range(0, 26), 10**7, 10**7 + 1, 10**8):
+                    if k == 0 and n_max > 25:
+                        continue  # admitted, it would list n_max rows
+                    # r^n_max as the parent capped it, without building it;
+                    # n_max itself is capped now too, which only r = 1 meets
+                    words = r**n_max if n_max <= 25 or r < 2 else cap + 1
+                    want = capped(k > 10 or words > cap or n_max > cap)
+                    domain = k < 0 or r < 1 or n_max < 1
+                    check("domain" if domain else want, exhaustive_f_search, k, r, n_max)
+        assert cases > 900
+
+    def test_max_k_m_is_max_words_m_factorial(self, decide):
+        from superpatterns.dfa import build_subset_dfa, cheap_perm_count, perm_cost_census
+
+        for m in range(0, 9):
+            cap = math.factorial(m) if m else 0
+            for k in range(0, 10):
+                want = "refuse" if k > m else "admit"
+                for query in (pattern_set, is_superpattern, circular_pattern_set):
+                    assert decide(query, (1, 2), k, max_words=cap) == want, (query, m, k)
+                if k:
+                    dfa = build_subset_dfa(k)
+                    assert decide(perm_cost_census, dfa, max_words=cap) == want
+                    assert decide(cheap_perm_count, dfa, 3, max_words=cap) == want
+
+    def test_refusals_share_one_message(self):
+        from superpatterns.walks import exact_P
+
+        from superpatterns.dfa import build_subset_dfa
+
+        for call in (
+            lambda: pattern_set((1, 2), 3, max_words=5),
+            lambda: f_oracle(2, 30, max_words=100),
+            lambda: exhaustive_f_search(2, 3, 9, max_words=100),
+            lambda: exact_P(build_subset_dfa(6), 0, 6, 0.1, max_words=100),
+        ):
+            with pytest.raises(ResourceLimitError) as e:
+                call()
+            assert str(e.value).endswith(" exceeds the enumeration cap " + str(e.value).split()[-1])

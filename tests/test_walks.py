@@ -635,10 +635,17 @@ class TestPackageExports:
     # superpatterns serves walks' names lazily from its own copy of the list
     def test_lazy_names_are_walks_all(self):
         import superpatterns
+        from superpatterns import bounds, dfa, patterns
 
         assert superpatterns._WALKS_EXPORTS == set(W.__all__)
-        defined = {n for n, v in vars(W).items() if getattr(v, "__module__", None) == W.__name__}
-        assert {n for n in defined if not n.startswith("_")} == set(W.__all__)
+        # every public function and class a module defines is in its __all__
+        for module in (bounds, dfa, patterns, W):
+            defined = {
+                n for n, v in vars(module).items()
+                if getattr(v, "__module__", None) == module.__name__ and not n.startswith("_")
+            }
+            assert defined <= set(module.__all__), module.__name__
+        assert defined == set(W.__all__)
 
     def test_package_all_is_the_modules_all(self):
         import superpatterns
@@ -672,6 +679,13 @@ class TestClopperPearson:
         assert lo == 0.0 and 0 < hi < 0.2
         lo, hi = clopper_pearson(50, 50)
         assert hi == 1.0 and 0.8 < lo < 1.0
+
+    @pytest.mark.parametrize("confidence", [0, 1, 1.5, -1, float("nan"), float("inf")])
+    def test_confidence_outside_the_open_unit_interval_is_refused(self, confidence):
+        # outside (0, 1) a limit is NaN, or lo > hi
+        with pytest.raises(ValueError, match="need 0 < confidence < 1") as e:
+            clopper_pearson(3, 10, confidence)
+        assert len(str(e.value).splitlines()) == 1
 
     def test_coverage_shape(self):
         lo, hi = clopper_pearson(25, 50)
