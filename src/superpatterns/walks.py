@@ -315,71 +315,86 @@ def _perm_block(k: int, L: int, seed: int, streams: range, blocks) -> np.ndarray
     ceil(L/8) digests of blocks. The digests become one uint64 matrix;
     draw i of a row is the i-th word CounterRng.bits64 would pop, mod n =
     k - i, unless some word of the row falls at or above floor(2^64/n)*n
-    for its n, and the partial Fisher-Yates swaps run one column at a time
-    for all rows. A row with a rejected word is redrawn by _shuffled
+    for its n. One compare against per-column limits finds those rows
+    before the modulo runs in place on the matrix; the partial Fisher-Yates
+    swaps then run one column at a time for all rows, through flat indices
+    into the pool. A row with a rejected word is redrawn by _shuffled
     itself."""
-    rows, per_row = len(streams), -(-L // 8)
+    rows, width = len(streams), 8 * -(-L // 8)
     # fromiter takes exactly count digests, copying each as it comes: a
     # list of thousands of small bytes objects left about 2 MB of heap
     # resident
-    digests = np.fromiter(blocks, dtype="S64", count=rows * per_row)
-    words = digests.view("<u8").reshape(rows, 8 * per_row)
+    digests = np.fromiter(blocks, dtype="S64", count=rows * width // 8)
+    words = digests.view("<u8").reshape(rows, width)
+    # draw i pops word 7 - i % 8 of block i // 8 and accepts words up to
+    # floor(2^64/n)*n - 1 for n = k - i, which fits in 64 bits; a word past
+    # draw L - 1 accepts every value and is taken mod 1
+    cols = [8 * (i // 8) + 7 - i % 8 for i in range(L)]
+    limit = np.full(width, (1 << 64) - 1, dtype=np.uint64)
+    limit[cols] = [(1 << 64) // (k - i) * (k - i) - 1 for i in range(L)]
+    rejected = np.unique(np.flatnonzero(words > limit) // width)
+    modulus = np.ones(width, dtype=np.uint64)
+    modulus[cols] = range(k, k - L, -1)
+    # draw d of row r becomes the flat pool index r * k + d; swap i adds i
+    swaps = np.remainder(words, modulus, out=words).view(np.int64)
+    swaps += np.arange(0, rows * k, k)[:, None]
     pool = np.tile(np.arange(1, k + 1, dtype=np.int64), (rows, 1))
-    at = np.arange(rows)
-    rejected = np.zeros(rows, dtype=bool)
-    for i in range(L):
-        # draw i pops word 7 - i % 8 of block i // 8; the largest word it
-        # accepts, floor(2^64/n)*n - 1 for n = k - i, fits in 64 bits
-        n = k - i
-        word = words[:, 8 * (i // 8) + 7 - i % 8]
-        rejected |= word > np.uint64((1 << 64) // n * n - 1)
-        j = i + (word % np.uint64(n)).astype(np.intp)
-        slot = pool[:, i].copy()
-        pool[:, i] = pool[at, j]
-        pool[at, j] = slot
-    for r in np.flatnonzero(rejected):
+    flat = pool.reshape(-1)
+    for i, col in enumerate(cols):
+        at = swaps[:, col] + i
+        slot = flat[at]
+        flat[at] = pool[:, i]
+        pool[:, i] = slot
+    for r in rejected:
         pool[r] = _shuffled(k, L, CounterRng(seed, streams[r]).randrange)
     return pool
 
 
 def _subset_costs(k: int, start: int, words: np.ndarray) -> np.ndarray:
-    """SubsetDfa(k).step_cost of every step of every row of words (letters,
-    shape (rows, L)) walked from the letter set start: shape (rows, L).
+    """SubsetDfa(k).step_cost of every step of every injective row of words
+    (letters, shape (rows, L)) walked from the letter set start: shape
+    (rows, L).
 
-    Before step j a row has read start and words[row, :j]: one
-    np.bitwise_or.accumulate along the row gives that set as a bit mask in
-    ceil(k/64) uint64 lanes, for every j at once. With b the np.bitwise_count
-    of the mask's letters below t = words[row, j], the step costs t - b if
-    t is unread and k - |mask| + b + 1 if it was read, step_cost's formula.
-    Rows go _WALK_CELLS // L (at least one) at a time, which bounds every
-    temporary.
+    Before step j a row has read start and words[row, :j]: in ceil(k/64)
+    uint64 lanes, one np.bitwise_or.accumulate along the row, less the
+    step's own bit, gives that set as a bit mask for every j at once (one
+    lane, k <= 64, shifts letter t's bit in as 1 << (t - 1); more lanes
+    read it from tables). With b the np.bitwise_count of the mask's letters
+    below t = words[row, j], the step costs t - b if t is unread and
+    k - |mask| + b + 1 if it was read (only a letter of start can be),
+    step_cost's formula. Rows go _WALK_CELLS // L (at least one) at a
+    time, which bounds every temporary.
     """
     rows, L = words.shape
     lanes = -(-k // 64)
-    # below[q, t]: the bits of lane q that hold the letters before letter t;
-    # here[q, t]: the bit that holds letter t itself (t = 1..k)
-    below = np.array(
-        [[(1 << min(max(t - 1 - 64 * q, 0), 64)) - 1 for t in range(k + 2)] for q in range(lanes)],
-        dtype=np.uint64,
-    )
-    here = below[:, 1:] ^ below[:, :-1]
+    if lanes > 1:
+        # below[q, t]: the bits of lane q that hold the letters before
+        # letter t; here[q, t]: the bit that holds letter t itself (t = 1..k)
+        below = np.array(
+            [[(1 << min(max(t - 1 - 64 * q, 0), 64)) - 1 for t in range(k + 2)] for q in range(lanes)],
+            dtype=np.uint64,
+        )
+        here = below[:, 1:] ^ below[:, :-1]
     out = np.empty((rows, L), dtype=np.int64)
     step = max(1, _WALK_CELLS // max(L, 1))
     for lo in range(0, rows, step):
         letters = words[lo : lo + step]
-        b = np.zeros(letters.shape, dtype=np.int64)
-        count = np.zeros(letters.shape, dtype=np.int64)
-        seen = np.zeros(letters.shape, dtype=bool)
+        b = count = 0
+        seen = False
         for q in range(lanes):
-            hit = here[q][letters]
-            read = np.empty_like(hit)
-            read[:, :1] = (start >> 64 * q) & ((1 << 64) - 1)
-            read[:, 1:] = hit[:, :-1]
-            np.bitwise_or.accumulate(read, axis=1, out=read)
-            b += np.bitwise_count(read & below[q][letters])
-            count += np.bitwise_count(read)
-            seen |= (read & hit) != 0
-        out[lo : lo + step] = np.where(seen, k + 1 - count + b, letters - b)
+            if lanes == 1:
+                hit = np.left_shift(np.uint64(1), letters.astype(np.uint64) - np.uint64(1))
+                low = hit - np.uint64(1)
+            else:
+                hit, low = here[q][letters], below[q][letters]
+            read = np.bitwise_or.accumulate(hit, axis=1) ^ hit
+            if start:
+                lane = (start >> 64 * q) & ((1 << 64) - 1)
+                read |= lane
+                count = np.add(count, np.bitwise_count(read), dtype=np.int64)
+                seen = seen | ((hit & lane) != 0)
+            b = np.add(b, np.bitwise_count(np.bitwise_and(read, low, out=low)), dtype=np.int64)
+        out[lo : lo + step] = np.where(seen, k + 1 - count + b, letters - b) if start else letters - b
     return out
 
 

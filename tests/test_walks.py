@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -150,8 +151,9 @@ class TestBatchedSampler:
     def test_rejected_rows_fall_back_to_the_scalar_sampler(self, monkeypatch):
         # forced blocks (stream, counter): all-ones words, which every
         # modulus that is not a power of two rejects (block 0 rejects draw
-        # 0 eight times, block 1 the draw mod 3 of k = 12), and one whose
-        # first word is the largest that draw 0 (mod 12) accepts
+        # 0 eight times, block 1 the draw mod 3 of k = 12); one whose first
+        # word is the largest that draw 0 (mod 12) accepts; and a block 1
+        # whose words 0-3, which no draw of k = 12 pops, are all ones
         k, seed = 12, 5
         samples = W._BLOCK_ROWS + 5
         largest = (2**64 // k * k - 1).to_bytes(8, "little")
@@ -159,6 +161,7 @@ class TestBatchedSampler:
             (3, 0): b"\xff" * 64,
             (W._BLOCK_ROWS + 1, 1): b"\xff" * 64,
             (7, 0): bytes(56) + largest,
+            (11, 1): b"\xff" * 32 + bytes(32),
         }
         rejecting = [3, W._BLOCK_ROWS + 1]
         real_blake2b, real_shuffled = W.blake2b, W._shuffled
@@ -206,6 +209,27 @@ class TestBatchedSampler:
         got = estimate_P(s, 0, k, 0.1, samples, seed).estimate * samples
         assert fallbacks == rejecting
         assert round(got) == _scalar_hits(s, 0, k, 0.1, samples, seed)
+
+    def test_peak_memory_is_flat_in_the_sample_count(self):
+        # each block's digests, draws and walk temporaries are freed before
+        # the next, so four blocks of samples peak where one does; a first
+        # call outside the trace does the lazy imports (scipy.special)
+        s = build_subset_dfa(60)
+        runs = {
+            "estimate_P": lambda n: estimate_P(s, 0, 60, 0.1, n, seed=8),
+            "sample_x_sums": lambda n: sample_x_sums(s, n, seed=8),
+        }
+        for name, run in runs.items():
+            run(1)
+            peaks = []
+            for n in (W._BLOCK_ROWS, 4 * W._BLOCK_ROWS):
+                tracemalloc.start()
+                try:
+                    run(n)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] < 2**20, (name, peaks)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_sizes_around_one_block(self, delta):
@@ -263,17 +287,20 @@ class TestSubsetCostKernel:
 
     def test_rows_beyond_one_chunk(self, monkeypatch):
         # more rows than _WALK_CELLS // L, so the walk takes several chunks;
-        # with fewer cells than steps it takes one row at a time
-        k, start = 12, 0b100000100101
+        # with fewer cells than steps it takes one row at a time; from the
+        # root (start 0) and from a non-empty start
+        k = 12
         rng = random.Random(4)
         rows = [rng.sample(range(1, k + 1), k) for _ in range(W._WALK_CELLS // k + 7)]
         s = build_subset_dfa(k)
-        want = [walk_cost(s, start, r).step_costs for r in rows]
-        got = _subset_costs(k, start, np.array(rows))
-        assert [tuple(c) for c in got.tolist()] == want
-        monkeypatch.setattr(W, "_WALK_CELLS", k - 1)
-        got = _subset_costs(k, start, np.array(rows[:5]))
-        assert [tuple(c) for c in got.tolist()] == want[:5]
+        for start in (0, 0b100000100101):
+            want = [walk_cost(s, start, r).step_costs for r in rows]
+            got = _subset_costs(k, start, np.array(rows))
+            assert [tuple(c) for c in got.tolist()] == want
+            with monkeypatch.context() as m:
+                m.setattr(W, "_WALK_CELLS", k - 1)
+                got = _subset_costs(k, start, np.array(rows[:5]))
+            assert [tuple(c) for c in got.tolist()] == want[:5]
 
     @pytest.mark.parametrize("k", [5, 12, 70])
     def test_x_rank_sums_are_walk_totals_from_the_root(self, k):
