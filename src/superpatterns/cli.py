@@ -3,7 +3,8 @@
 Every subcommand emits a single JSON document on stdout (stable key order,
 schema_version field, seeds echoed), except DOT output for automaton
 graphs and the optional --format text tables. Exit codes: 0 success, 1
-domain/usage error, 2 resource-cap error.
+domain/usage error, 2 resource-cap error. Each subcommand's flags are
+declared once, in _COMMANDS, and the parser is built from it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def _flag(dest: str) -> str:
     return "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
 
 
+def _reads(table: dict) -> tuple:
+    """Every flag that some entry (flags it needs, other flags it takes,
+    ...) of table reads, each once, in table order."""
+    return tuple(dict.fromkeys(dest for entry in table.values() for dest in entry[0] + entry[1]))
+
+
 def _check_flags(args, what: str, table: dict, name: str) -> None:
     """Refuse each flag that table[name] = (flags it needs, other flags it
     takes, ...) needs and args lack, then each that only other entries read."""
@@ -64,7 +71,7 @@ def _check_flags(args, what: str, table: dict, name: str) -> None:
     missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
     if missing:
         raise ValueError(f"{what} needs {' and '.join(missing)}")
-    for dest in (dest for entry in table.values() for dest in entry[0] + entry[1]):
+    for dest in _reads(table):
         if dest not in needs + takes and getattr(args, dest) is not None:
             raise ValueError(f"{what} does not read {_flag(dest)}")
 
@@ -77,7 +84,7 @@ def _run_mode(args, cap):
         for dest in needs + takes:
             if getattr(args, dest) is not None:
                 _check_flags(args, f"{command} {_flag(dest)}", table, mode)
-                return {"command": command, **run(args, cap)}
+                return run(args, cap)
     firsts = [_flag((needs + takes)[0]) for needs, takes, _ in table.values()]
     raise ValueError(f"{command} needs {' or '.join(firsts)}")
 
@@ -105,13 +112,8 @@ def _read_perm(args) -> P.Permutation:
     return _read_input(args, "perm", P.parse_permutation, P.as_permutation)
 
 
-def _add_word_flags(sp, perm: bool = False):
-    sp.add_argument("--word", type=int, nargs="+", help="letters, 1-based")
-    sp.add_argument("--word-file", help="path to a word in the text format")
-    sp.add_argument("--r", type=int, help="alphabet size (default: max letter)")
-    if perm:
-        sp.add_argument("--perm", type=int, nargs="+", help="one-line notation")
-        sp.add_argument("--perm-file")
+_WORD = ("word", "word_file", "r")
+_PERM = ("perm", "perm_file")
 
 
 def _load_dfa(args):
@@ -121,7 +123,7 @@ def _load_dfa(args):
 
 # kind: (flags it needs, other flags it takes, build); greedy checks its own word
 _BUILDERS = {
-    "greedy": ((), ("word", "word_file", "r"), lambda args: D.build_greedy_dfa(_read_word(args))),
+    "greedy": ((), _WORD, lambda args: D.build_greedy_dfa(_read_word(args))),
     "subset": (("k",), (), lambda args: D.build_subset_dfa(args.k)),
     "two-track": (("k",), (), lambda args: D.build_two_track_dfa(args.k)),
     "random": (
@@ -130,33 +132,6 @@ _BUILDERS = {
     ),
     "file": (("in_path",), (), _load_dfa),
 }
-
-
-def _add_dfa_flags(sp):
-    sp.add_argument("--dfa", choices=list(_BUILDERS), help="which automaton to build or load")
-    sp.add_argument("--word", type=int, nargs="+", help="word for --dfa greedy")
-    sp.add_argument("--word-file")
-    sp.add_argument("--r", type=int, help="alphabet size for --dfa greedy")
-    sp.add_argument("--k", type=int, help="alphabet size for subset/two-track/random")
-    sp.add_argument("--states", type=int, help="state count for --dfa random")
-    sp.add_argument("--dfa-seed", type=int, help="seed for --dfa random")
-    sp.add_argument("--in", dest="in_path", help="JSON file for --dfa file")
-
-
-def _add_format(sp, dot: bool = False):
-    choices = ["json", "dot", "text"] if dot else ["json", "text"]
-    sp.add_argument("--format", choices=choices, default="json")
-
-
-def _add_cap_flag(sp):
-    sp.add_argument("--max-enum", type=int, help="override the k!/word/walk cap for this run")
-
-
-def _add_threads_flag(sp):
-    sp.add_argument(
-        "--threads", type=int, default=1,
-        help="at least 1; kept for compatibility, samples run in one thread",
-    )
 
 
 def _build_dfa(args):
@@ -191,7 +166,6 @@ def _cmd_contains(args, cap):
     tau = _read_perm(args)
     emb = P.find_embedding(sigma, tau)
     payload = {
-        "command": "contains",
         "word": list(sigma.letters),
         "r": sigma.alphabet_size,
         "perm": list(tau.images),
@@ -208,7 +182,6 @@ def _cmd_census(args, cap):
     sigma = _read_word(args)
     pats = P.pattern_set(sigma, args.k, max_words=cap)
     payload = {
-        "command": "census",
         "word": list(sigma.letters),
         "r": sigma.alphabet_size,
         "k": args.k,
@@ -245,7 +218,6 @@ def _superpattern_search(args, cap):
 def _cmd_f_oracle(args, cap):
     best, witness = P.f_oracle(args.k, args.n, max_words=cap)
     return {
-        "command": "f-oracle",
         "k": args.k,
         "n": args.n,
         "max_count": best,
@@ -257,18 +229,14 @@ def _dfa_cost(args, cap, dfa):
     # the walk's start, word and total: no states or step costs
     walk = _cmd_walk(args, cap, dfa)
     keys = ("start", "walk_word", "total_cost")
-    return {"command": "dfa cost", **{key: walk[key] for key in keys}}
+    return {key: walk[key] for key in keys}
 
 
 def _dfa_census(args, cap, dfa):
     census = D.perm_cost_census(dfa, max_words=cap)
     payload = {
-        "command": "dfa census",
         "k": dfa.alphabet_size,
-        "census": [
-            {"cost": D._cost_to_jsonable(c), "count": census[c]}
-            for c in sorted(census, key=lambda c: (c == D.INFINITY, c))
-        ],
+        "census": [{"cost": D._cost_to_jsonable(c), "count": n} for c, n in census.items()],
     }
     if args.budget is not None:
         payload["budget"] = args.budget
@@ -293,7 +261,8 @@ def _cmd_dfa(args, cap):
     dfa = _build_dfa(args)
     action = "dot" if args.action == "build" and args.format == "dot" else args.action
     _check_flags(args, f"dfa {args.action}", _ACTIONS, action)
-    return _ACTIONS[action][2](args, cap, dfa)
+    payload = _ACTIONS[action][2](args, cap, dfa)
+    return None if payload is None else {"command": f"dfa {args.action}", **payload}
 
 
 def _cmd_cheapen(args, cap):
@@ -306,7 +275,6 @@ def _cmd_walk(args, cap, dfa=None):
     start = dfa.root if args.start is None else args.start
     trace = D.walk_cost(dfa, start, args.walk_word)
     return {
-        "command": "walk",
         "start": start,
         "walk_word": list(args.walk_word),
         "states": list(trace.states),
@@ -323,7 +291,6 @@ def _cmd_exact_p(args, cap):
         strict=args.comparator == "lt", max_words=cap,
     )
     return {
-        "command": "exact-p",
         "k": dfa.alphabet_size,
         "L": args.L,
         "epsilon": args.epsilon,
@@ -342,7 +309,7 @@ def _cmd_estimate_p(args, cap):
         dfa, state, args.L, args.epsilon, args.samples, args.seed,
         strict=args.comparator == "lt", threads=args.threads,
     )
-    return {"command": "estimate-p", **rep.to_json_dict()}
+    return rep.to_json_dict()
 
 
 def _cmd_decompose(args, cap):
@@ -350,7 +317,6 @@ def _cmd_decompose(args, cap):
     tau = _read_perm(args)
     dec = S.xy_decompose(dfa, tau)
     return {
-        "command": "decompose",
         "perm": list(tau.images),
         "step_costs": list(dec.step_costs),
         "x_ranks": list(dec.x_ranks),
@@ -366,7 +332,7 @@ def _cmd_concentration(args, cap):
         raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)
     rep = S.concentration_experiment(dfa, args.M, args.epsilon_star, args.samples, args.seed)
-    return {"command": "concentration", **rep.to_json_dict(), **_con(args)}
+    return {**rep.to_json_dict(), **_con(args)}
 
 
 def _bcp_check(args, cap):
@@ -398,11 +364,11 @@ def _bcp_census(args, cap):
 # flag of a mode chooses it; a search reads its alphabet from --search-r, not --r
 _MODES = {
     "superpattern": {
-        "check": ((), ("word", "word_file", "r"), _superpattern_check),
+        "check": ((), _WORD, _superpattern_check),
         "search": (("search_r", "n_max"), (), _superpattern_search),
     },
     "bcp": {
-        "check": ((), ("perm", "perm_file"), _bcp_check),
+        "check": ((), _PERM, _bcp_check),
         "census": (("k",), ("max_enum",), _bcp_census),
     },
 }
@@ -471,115 +437,105 @@ def _cmd_bounds(args, cap):
     needs, _, results = _BOUNDS[which]
     _check_flags(args, f"bounds {which}", _BOUNDS, which)
     echo = {dest: getattr(args, dest) for dest in needs}
-    return {"command": "bounds", "bound": which, **echo, **results(args)}
+    return {"bound": which, **echo, **results(args)}
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 
 
-def _command(sub, name: str, func, help: str):
-    sp = sub.add_parser(name, help=help)
-    sp.set_defaults(func=func)
-    return sp
+# dest: its add_argument keywords, for the flag _flag(dest); each help
+# holds for every subcommand that takes the flag
+_FLAGS = {
+    "word": dict(type=int, nargs="+", help="letters, 1-based (for --dfa greedy, its word)"),
+    "word_file": dict(help="path to a word in the text format"),
+    "r": dict(type=int, help="alphabet size of the word (default: max letter)"),
+    "perm": dict(type=int, nargs="+", help="a permutation in one-line notation"),
+    "perm_file": dict(help="path to a permutation in the text format"),
+    "k": dict(type=int, help="pattern length; the alphabet size of an automaton"),
+    "n": dict(type=int, help="word length"),
+    "list": dict(action="store_true", help="also list the patterns"),
+    "search_r": dict(type=int, help="alphabet size for search mode"),
+    "n_max": dict(type=int, help="largest length for search mode"),
+    "max_enum": dict(type=int, help="override the k!/word/walk cap for this run"),
+    "dfa": dict(choices=list(_BUILDERS), help="which automaton to build or load"),
+    "states": dict(type=int, help="state count for --dfa random"),
+    "dfa_seed": dict(type=int, help="seed for --dfa random (default 0)"),
+    "in_path": dict(help="JSON file for --dfa file"),
+    "include_infinite": dict(action="store_true", default=None, help="also draw infinite edges"),
+    "walk_word": dict(type=int, nargs="+", help="letters to walk, 1-based"),
+    "start": dict(type=int, help="state the walk starts at (default: root)"),
+    "budget": dict(type=int, help="also count permutations of cost at most this"),
+    "L": dict(type=int, help="walk length"),
+    "epsilon": dict(type=float, help="cost threshold parameter"),
+    "state": dict(type=int, help="state the walks start at (default: root)"),
+    "comparator": dict(choices=["lt", "le"], default="lt", help="cost < or <= the threshold"),
+    "samples": dict(type=int, help="number of sampled walks"),
+    "seed": dict(type=int, help="sample seed, in [-2**127, 2**127)"),
+    "threads": dict(type=int, default=1, help="at least 1; samples run in one thread anyway"),
+    "M": dict(type=int, help="number of windows"),
+    "epsilon_star": dict(type=float, help="epsilon*, in (0, 1/2)"),
+    "bidirectional": dict(action="store_true", help="also match the reversed word"),
+    "alpha": dict(type=float, help="birthday bound parameter"),
+    "f": dict(type=float, help="F value (converted to log)"),
+    "log_f": dict(type=float, help="natural log of F"),
+}
+
+_AUTOMATON = ("dfa", *_reads(_BUILDERS))
+_BUILDER = ("builder", dict(nargs="?", choices=list(_BUILDERS), help="automaton kind, or --dfa"))
+
+# command: (flags it needs, other flags it takes, run, help, positionals);
+# every command also takes --format, with dot for the automaton printers
+_COMMANDS = {
+    "contains": ((), _WORD + _PERM, _cmd_contains, "pattern containment with witness", ()),
+    "census": (("k",), _WORD + ("list", "max_enum"), _cmd_census, "count length-k patterns", ()),
+    "superpattern": (
+        ("k",), _reads(_MODES["superpattern"]) + ("max_enum",), _run_mode,
+        "check a word / search minimal length", (),
+    ),
+    "f-oracle": (("k", "n"), ("max_enum",), _cmd_f_oracle, "max pattern count over [k]^n", ()),
+    "dfa": (
+        (), _AUTOMATON + _reads(_ACTIONS), _cmd_dfa, "build, render, walk, or census automata",
+        (("action", dict(choices=list(_ACTIONS))), _BUILDER),
+    ),
+    "cheapen": ((), _AUTOMATON, _cmd_cheapen, "dominated permutation cost rows", (_BUILDER,)),
+    "walk": (("walk_word",), _AUTOMATON + ("start",), _cmd_walk, "full walk trace", (_BUILDER,)),
+    "exact-p": (
+        ("L", "epsilon"), _AUTOMATON + ("state", "comparator", "max_enum"), _cmd_exact_p,
+        "exact low-cost walk probability", (),
+    ),
+    "estimate-p": (
+        ("L", "epsilon", "samples", "seed"), _AUTOMATON + ("state", "comparator", "threads"),
+        _cmd_estimate_p, "Monte-Carlo low-cost walk probability", (),
+    ),
+    "decompose": ((), _AUTOMATON + _PERM, _cmd_decompose, "rank/slack split of a walk", ()),
+    "concentration": (
+        ("M", "epsilon_star", "samples", "seed"), _AUTOMATON + ("threads",), _cmd_concentration,
+        "window event frequencies", (),
+    ),
+    "bcp": (
+        (), _WORD + _reads(_MODES["bcp"]) + ("bidirectional",), _run_mode,
+        "bi-directional circular pattern checks", (),
+    ),
+    "bounds": (
+        (), _reads(_BOUNDS), _cmd_bounds, "closed-form constants and predicates",
+        (("bound", dict(choices=list(_BOUNDS))),),
+    ),
+}
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="superpatterns")
     sub = top.add_subparsers(dest="command", required=True)
-
-    sp = _command(sub, "contains", _cmd_contains, "pattern containment with witness")
-    _add_word_flags(sp, perm=True)
-
-    sp = _command(sub, "census", _cmd_census, "count the length-k patterns of a word")
-    _add_word_flags(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--list", action="store_true", help="also list the patterns")
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "superpattern", _run_mode, "check a word / search minimal length")
-    _add_word_flags(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--search-r", type=int, help="alphabet size for search mode")
-    sp.add_argument("--n-max", type=int, help="largest length for search mode")
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "f-oracle", _cmd_f_oracle, "max pattern count over words in [k]^n")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "dfa", _cmd_dfa, "build, render, walk, or census automata")
-    sp.add_argument("action", choices=["build", "dot", "cost", "census"])
-    sp.add_argument(
-        "builder", nargs="?", choices=list(_BUILDERS),
-        help="automaton kind (alternative to --dfa)",
-    )
-    _add_dfa_flags(sp)
-    sp.add_argument("--include-infinite", action="store_true", default=None)
-    sp.add_argument("--walk-word", type=int, nargs="+")
-    sp.add_argument("--start", type=int)
-    sp.add_argument("--budget", type=int)
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "cheapen", _cmd_cheapen, "dominated permutation cost rows")
-    sp.add_argument("builder", nargs="?", choices=list(_BUILDERS))
-    _add_dfa_flags(sp)
-
-    sp = _command(sub, "walk", _cmd_walk, "full walk trace")
-    sp.add_argument("builder", nargs="?", choices=list(_BUILDERS))
-    _add_dfa_flags(sp)
-    sp.add_argument("--walk-word", type=int, nargs="+", required=True)
-    sp.add_argument("--start", type=int)
-
-    sp = _command(sub, "exact-p", _cmd_exact_p, "exact low-cost walk probability")
-    _add_dfa_flags(sp)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--state", type=int)
-    sp.add_argument("--comparator", choices=["lt", "le"], default="lt")
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "estimate-p", _cmd_estimate_p, "Monte-Carlo low-cost walk probability")
-    _add_dfa_flags(sp)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--state", type=int)
-    sp.add_argument("--comparator", choices=["lt", "le"], default="lt")
-    _add_threads_flag(sp)
-
-    sp = _command(sub, "decompose", _cmd_decompose, "rank/slack split of a permutation walk")
-    _add_dfa_flags(sp)
-    sp.add_argument("--perm", type=int, nargs="+")
-    sp.add_argument("--perm-file")
-
-    sp = _command(sub, "concentration", _cmd_concentration, "window event frequencies")
-    _add_dfa_flags(sp)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--epsilon-star", type=float, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    _add_threads_flag(sp)
-
-    sp = _command(sub, "bcp", _run_mode, "bi-directional circular pattern checks")
-    _add_word_flags(sp, perm=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--bidirectional", action="store_true")
-    _add_cap_flag(sp)
-
-    sp = _command(sub, "bounds", _cmd_bounds, "closed-form constants and predicates")
-    sp.add_argument("bound", choices=list(_BOUNDS))
-    for name in ("--k", "--L", "--n", "--r", "--M"):
-        sp.add_argument(name, type=int)
-    for name in ("--epsilon", "--epsilon-star", "--alpha"):
-        sp.add_argument(name, type=float)
-    sp.add_argument("--f", type=float, help="F value (converted to log)")
-    sp.add_argument("--log-f", type=float, help="natural log of F")
-
-    for name, sp in sub.choices.items():
-        _add_format(sp, dot=name in ("dfa", "cheapen"))
+    for name, (needs, takes, run, help, positionals) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=run)
+        for dest, keywords in positionals:
+            sp.add_argument(dest, **keywords)
+        for dest in needs + takes:
+            sp.add_argument(_flag(dest), dest=dest, required=dest in needs, **_FLAGS[dest])
+        formats = ["json", "dot", "text"] if name in ("dfa", "cheapen") else ["json", "text"]
+        sp.add_argument("--format", choices=formats, default="json", help="output format")
     return top
 
 
@@ -592,7 +548,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args, _cap(args))
         if payload is not None:
-            _emit(payload, args.format)
+            _emit({"command": args.command, **payload}, args.format)
         return 0
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)

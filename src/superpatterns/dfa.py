@@ -833,10 +833,11 @@ def cheap_perm_count(dfa: Dfa, budget: int, *, max_words: int = MAX_ENUM_WORDS) 
 
 def perm_cost_census(dfa: Dfa, *, max_words: int = MAX_ENUM_WORDS) -> dict:
     """Exact distribution {total cost: count} of root walk costs over all
-    permutations of [k]. Infinite totals are keyed by INFINITY. Computed
-    by _cost_layers: on SubsetDfa the closed-form Mahonian product
-    prod (q + ... + q^m), m = 1..k, otherwise the (state, letters read)
-    DP, at most |V| * 2^k entries per layer; max_words still caps k!.
+    permutations of [k], keys ascending; infinite totals are keyed by
+    INFINITY, last. Computed by _cost_layers: on SubsetDfa the closed-form
+    Mahonian product prod (q + ... + q^m), m = 1..k, otherwise the (state,
+    letters read) DP, at most |V| * 2^k entries per layer; max_words still
+    caps k!.
     """
     k = dfa.alphabet_size
     _check_count(f"perm_cost_census: {k}!", max_words, 1, k, 1)

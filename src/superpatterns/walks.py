@@ -76,7 +76,10 @@ def _stream_blocks(seed: int, streams, counters):
     The seed's state is keyed once; each stream copies it and absorbs its
     16 bytes, and each block copies that and absorbs its counter, so the
     argument parsing of a blake2b() call is paid once, not per block.
+    A seed outside [-2**127, 2**127) is refused before any digest.
     """
+    if not -(1 << 127) <= seed < 1 << 127:
+        raise ValueError(f"seed must lie in [-2**127, 2**127), got {seed}")
     keyed = blake2b(seed.to_bytes(16, "little", signed=True), digest_size=64)
     for stream in streams:
         state = keyed.copy()
@@ -99,6 +102,8 @@ class CounterRng:
     __slots__ = ("_blocks", "_pool")
 
     def __init__(self, seed: int, stream: int = 0):
+        if not 0 <= stream < 1 << 128:
+            raise ValueError(f"stream must lie in [0, 2**128), got {stream}")
         self._blocks = _stream_blocks(seed, (stream,), itertools.count())
         self._pool: list[int] = []
 

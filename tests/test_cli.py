@@ -377,6 +377,13 @@ class TestBcp:
             assert (doc["word"], doc["count"], doc["total"]) == ([], count, total)
 
 
+# the two Monte-Carlo commands, without --samples and --seed
+_MC_COMMANDS = [
+    ["estimate-p", "--dfa", "subset", "--k", "3", "--L", "3", "--epsilon", "0.1"],
+    ["concentration", "--dfa", "subset", "--k", "4", "--M", "2", "--epsilon-star", "0.3"],
+]
+
+
 class TestExitCodes:
     def test_domain_error_is_1(self, capsys):
         rc, _, err = run_cli(capsys, "contains", "--word", "1", "2", "--perm", "1", "1")
@@ -479,6 +486,11 @@ class TestExitCodes:
              "--epsilon-star", eps, "--samples", "10", "--seed", "1", "--threads", n]
             for eps, n in (("nan", "1"), ("-0.3", "1"), ("0.3", "0"), ("0.3", "-3"))
         ),
+        # seeds key BLAKE2b as 16 signed bytes: [-2**127, 2**127)
+        *(
+            [*argv, "--samples", "5", "--seed", seed]
+            for argv in _MC_COMMANDS for seed in (str(2**127), str(-(2**127) - 1))
+        ),
     ]
 
     @pytest.mark.parametrize("argv", MC_DOMAIN_ERRORS, ids=" ".join)
@@ -487,6 +499,13 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", _MC_COMMANDS, ids=" ".join)
+    def test_seed_range_ends_are_admitted(self, capsys, argv):
+        for seed in (2**127 - 1, -(2**127)):
+            rc, out, err = run_cli(capsys, *argv, "--samples", "5", "--seed", str(seed))
+            assert (rc, err) == (0, "")
+            assert json.loads(out)["seed"] == seed
 
     def test_success_is_0(self, capsys):
         rc, _, _ = run_cli(capsys, "bounds", "con", "--epsilon-star", "0.1", "--M", "2")
@@ -772,6 +791,18 @@ _READ_BY = {
 }
 
 
+# command: the flags argparse requires; every other flag is optional
+_REQUIRED = {
+    "census": "--k",
+    "superpattern": "--k",
+    "f-oracle": "--k --n",
+    "walk": "--walk-word",
+    "exact-p": "--L --epsilon",
+    "estimate-p": "--L --epsilon --samples --seed",
+    "concentration": "--M --epsilon-star --samples --seed",
+}
+
+
 def _subparsers():
     (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     return action.choices
@@ -784,6 +815,15 @@ class TestEveryFlagIsRead:
             flags = {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
             read = {f for group in _READ_BY[command].values() for f in group.split()}
             assert flags == read | {"--help", "--format"}, command
+
+    def test_required_flags(self):
+        for command, sp in _subparsers().items():
+            required = {o for a in sp._actions if a.required for o in a.option_strings}
+            assert required == set(_REQUIRED.get(command, "").split()), command
+
+    def test_every_declared_flag_is_taken(self):
+        taken = {dest for needs, takes, *_ in cli._COMMANDS.values() for dest in needs + takes}
+        assert taken == set(cli._FLAGS)
 
     @pytest.mark.parametrize("command", sorted(_READ_BY))
     def test_help_exits_0(self, capsys, command):

@@ -78,6 +78,13 @@ class TestCounterRng:
     def test_negative_seed_ok(self):
         assert CounterRng(-17, 0).randrange(10) in range(10)
 
+    @pytest.mark.parametrize("seed, stream", [(2**127, 0), (-(2**127) - 1, 0), (0, -1), (0, 2**128)])
+    def test_seed_and_stream_out_of_range(self, seed, stream):
+        # 16 signed bytes of seed, 16 unsigned bytes of stream; the stream
+        # is refused at once, the seed on the first draw
+        with pytest.raises(ValueError, match="must lie in"):
+            CounterRng(seed, stream).bits64()
+
     def test_randrange_bounds(self):
         rng = CounterRng(0, 0)
         assert all(0 <= rng.randrange(7) < 7 for _ in range(2000))
@@ -87,7 +94,7 @@ class TestCounterRng:
     def test_draws_follow_the_stream_definition(self):
         # n = 2^63 + 1 rejects about half of all words, so the rejection
         # rule is exercised along with the word order
-        for seed, stream in ((0, 0), (-17, 3), (2**70, 5)):
+        for seed, stream in ((0, 0), (-17, 3), (2**70, 5), (-(2**127), 0), (2**127 - 1, 2**128 - 1)):
             rng = CounterRng(seed, stream)
             words = stream_words(seed, stream)
             for n in (1, 7, 60, 2**63 + 1) * 6:
