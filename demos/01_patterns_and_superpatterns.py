@@ -50,12 +50,12 @@ for n in (3, 4, 5, 9):
     print(f"max 3-patterns at length {n}: {best} (witness {witness.letters})")
 
 # The shortest 2-superpattern over two letters has length 3 (1 2 1 works);
-# no 3-superpattern over three letters exists at length <= 4.
-rows = exhaustive_f_search(2, 2, 4)
-print("superpattern table k=2, r=2:", rows)
-print("minimal length:", minimal_superpattern_length(rows))
-print("any 3-superpattern on [3] up to n=4?",
-      any(ok for _, ok in exhaustive_f_search(3, 3, 4)))
+# no 3-superpattern over three letters exists at length <= 4 (None), and
+# on [k + 1] the shortest k-superpattern has Miller's length (k^2 + k) / 2.
+print("minimal length k=2, r=2:", minimal_superpattern_length(2, 2, 4))
+print("superpattern table k=2, r=2:", exhaustive_f_search(2, 2, 4))
+print("minimal length k=3, r=3, n <= 4:", minimal_superpattern_length(3, 3, 4))
+print("minimal length k=3, r=4:", minimal_superpattern_length(3, 4, 6))
 
 # Circular reading and reversal enlarge what counts as containment: 321
 # misses every rotation of 123 until the reversal is allowed.

@@ -205,13 +205,14 @@ def _superpattern_check(args, cap):
 
 
 def _superpattern_search(args, cap):
-    rows = P.exhaustive_f_search(args.k, args.search_r, args.n_max, max_words=cap)
     return {
         "mode": "search",
         "k": args.k,
         "r": args.search_r,
-        "rows": [{"n": n, "superpattern_exists": ok} for n, ok in rows],
-        "minimal_length": P.minimal_superpattern_length(rows),
+        "n_max": args.n_max,
+        "minimal_length": P.minimal_superpattern_length(
+            args.k, args.search_r, args.n_max, max_words=cap
+        ),
     }
 
 

@@ -893,7 +893,7 @@ def _state_from_jsonable(v):
     return v
 
 
-def _dfa_to_json_dict(dfa: Dfa) -> dict:
+def dfa_to_json(dfa: Dfa) -> str:
     rows = []
     for v in dfa.states:
         crow = dfa.cost_row(v)
@@ -911,7 +911,7 @@ def _dfa_to_json_dict(dfa: Dfa) -> dict:
                 ],
             }
         )
-    return {
+    doc = {
         "schema_version": 1,
         "kind": "weighted_dfa",
         "alphabet_size": dfa.alphabet_size,
@@ -919,16 +919,14 @@ def _dfa_to_json_dict(dfa: Dfa) -> dict:
         "states": list(dfa.states),
         "rows": rows,
     }
+    return json.dumps(doc, sort_keys=True)
 
 
-def dfa_to_json(dfa: Dfa) -> str:
-    return json.dumps(_dfa_to_json_dict(dfa), sort_keys=True)
-
-
-def _dfa_from_json_dict(doc: dict) -> WeightedDfa:
-    """Inverse of _dfa_to_json_dict. Any other shape (a missing key, a
+def dfa_from_json(text: str) -> WeightedDfa:
+    """Inverse of dfa_to_json. Any other shape (a missing key, a
     non-integer alphabet size or cost, a boolean state, a state given two
     rows) is a ValueError."""
+    doc = json.loads(text)
     try:
         k = doc["alphabet_size"]
         if type(k) is not int:
@@ -947,10 +945,6 @@ def _dfa_from_json_dict(doc: dict) -> WeightedDfa:
         return WeightedDfa(k, _state_from_jsonable(doc["root"]), delta, cost)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed automaton document ({type(e).__name__}: {e})") from None
-
-
-def dfa_from_json(text: str) -> WeightedDfa:
-    return _dfa_from_json_dict(json.loads(text))
 
 
 def dfa_to_dot(dfa: Dfa, include_infinite: bool = False) -> str:

@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import AlphabetMismatchError, ResourceLimitError
 
@@ -352,11 +352,6 @@ def _canonical_words(n: int, max_letters: int):
         seen[i + 1 :] = [max(seen[i], word[i])] * (n - 1 - i)
 
 
-def _count_patterns_full_alphabet(letters: Sequence[int], k: int) -> int:
-    """Pattern count of a word over [k] that uses all k letters."""
-    return len(_patterns_of_relabeled([None, *_occurrence_lists(letters)], k))
-
-
 def _canonical_word_count(n: int, k: int, cap: int) -> int:
     """How many words _canonical_words(n, k) yields, the sum over j <= k of
     the Stirling numbers S(n, j), or the first partial sum over cap: the
@@ -391,9 +386,11 @@ def f_oracle(k: int, n: int, *, max_words: int = MAX_ENUM_WORDS) -> tuple[int, W
     witness = ()
     for w in _canonical_words(n, k):
         # Canonical words use exactly the letters 1..max(w); anything
-        # short of the full alphabet contains no length-k pattern.
-        uses_all = bool(w) and max(w) == k
-        count = _count_patterns_full_alphabet(w, k) if uses_all else 0
+        # short of the full alphabet contains no length-k pattern, and a
+        # word over all of [k] has one k-subset of occurrence lists.
+        count = 0
+        if w and max(w) == k:
+            count = len(_patterns_of_relabeled([None, *_occurrence_lists(w)], k))
         if count > best:
             best = count
             witness = w
@@ -468,30 +465,45 @@ def repeat_word(k: int, m: int) -> Word:
     return Word(tuple(range(1, k + 1)) * m, k)
 
 
-def exhaustive_f_search(
+def minimal_superpattern_length(
     k: int, r: int, n_max: int, *, max_words: int = MAX_ENUM_WORDS
-) -> list[tuple[int, bool]]:
-    """For each n <= n_max, whether some word in [r]^n is a k-superpattern.
+) -> Optional[int]:
+    """Length of the shortest k-superpattern in [r]^n, n <= n_max, or None.
 
-    The least n marked True (if any) is the minimum superpattern length
-    for this (k, r). Superpattern-ness survives appending letters, so the
-    rows from that n on are all True. The search itself is
-    _shortest_superpattern over the alphabet [min(r, n_max)]: a word of
-    length n uses at most n letters, and relabeling them
-    order-preservingly keeps every pattern.
+    The search is _shortest_superpattern over the alphabet
+    [min(r, n_max)]: a word of length n uses at most n letters, and
+    relabeling them order-preservingly keeps every pattern. max_words
+    caps k!, n_max and r^n_max.
 
-    >>> exhaustive_f_search(2, 2, 4)
-    [(1, False), (2, False), (3, True), (4, True)]
-    >>> exhaustive_f_search(3, 4, 6)[-1]
-    (6, True)
+    >>> minimal_superpattern_length(2, 2, 4)
+    3
+    >>> minimal_superpattern_length(3, 4, 6)
+    6
+    >>> minimal_superpattern_length(3, 3, 4) is None
+    True
     """
     if k < 0 or r < 1 or n_max < 1:
         raise ValueError("need k >= 0, r >= 1, n_max >= 1")
-    _check_count(f"exhaustive_f_search: {k}!", max_words, 1, k, 1)
-    _check_count(f"exhaustive_f_search: n_max={n_max}", max_words, n_max)
+    _check_count(f"minimal_superpattern_length: {k}!", max_words, 1, k, 1)
+    _check_count(f"minimal_superpattern_length: n_max={n_max}", max_words, n_max)
     # 1^n_max = 1^1: no loop over n_max factors of 1
-    _check_count(f"exhaustive_f_search: {r}^{n_max}", max_words, r, n_max if r > 1 else 1)
-    shortest = 1 if k == 0 else _shortest_superpattern(k, min(r, n_max), n_max)
+    _check_count(
+        f"minimal_superpattern_length: {r}^{n_max}", max_words, r, n_max if r > 1 else 1
+    )
+    return 1 if k == 0 else _shortest_superpattern(k, min(r, n_max), n_max)
+
+
+def exhaustive_f_search(
+    k: int, r: int, n_max: int, *, max_words: int = MAX_ENUM_WORDS
+) -> list[tuple[int, bool]]:
+    """For each n <= n_max, whether some word in [r]^n is a k-superpattern:
+    minimal_superpattern_length as rows. Superpattern-ness survives
+    appending letters, so the rows from the least True one on are all True.
+
+    >>> exhaustive_f_search(2, 2, 4)
+    [(1, False), (2, False), (3, True), (4, True)]
+    """
+    shortest = minimal_superpattern_length(k, r, n_max, max_words=max_words)
     return [(n, shortest is not None and n >= shortest) for n in range(1, n_max + 1)]
 
 
@@ -562,14 +574,6 @@ def _shortest_superpattern(k: int, r: int, n_max: int) -> Optional[int]:
                 if n < n_max:
                     seen.add(out)
         layer = seen
-    return None
-
-
-def minimal_superpattern_length(rows: Iterable[tuple[int, bool]]) -> Optional[int]:
-    """First n marked True in an exhaustive_f_search table, or None."""
-    for n, ok in rows:
-        if ok:
-            return n
     return None
 
 

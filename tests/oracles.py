@@ -8,15 +8,18 @@ occurrence-list loops that replaced it. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
 without the subset DP; the Mahonian oracle convolves the subset
-automaton's rank distributions term by term, without packed integers; and
-the X-rank and T-count oracles read ranks and counts off cost rows.
+automaton's rank distributions term by term, without packed integers; the
+X-rank and T-count oracles read ranks and counts off cost rows; and the
+subset-root window oracles give the exact probabilities of the
+concentration events, without sampling.
 """
 
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from hashlib import blake2b
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, floor
 
 from superpatterns.dfa import walk_cost
 
@@ -189,3 +192,56 @@ def shifted_mahonian(pool_sizes):
                 nxt[e + r] += c
         poly = nxt
     return dict(poly)
+
+
+def _windows(k, M):
+    """{m1: the steps j with m1 k / M < j <= (m1 + 1) k / M}, m1 in [M - 1]."""
+    return {
+        m1: [j for j in range(1, k + 1) if Fraction(m1 * k, M) < j <= Fraction((m1 + 1) * k, M)]
+        for m1 in range(1, M)
+    }
+
+
+def subset_root_con1(k, M, epsilon_star):
+    """{(m1, m2): exact probability of the con1 event} from the root of the
+    subset automaton of [k]. There X_j is the rank of t_j among the k - j + 1
+    unread letters, independent over j and uniform on 1..k - j + 1, so step
+    j exceeds m2 / M with probability p_j = #{x : x / (k - j + 1) > m2 / M}
+    / (k - j + 1), and the exceedance count over a window is
+    Poisson-binomial. The event is that count falling below
+    (1 - epsilon_star)(1 - m2 / M) k / M."""
+    eps = Fraction(epsilon_star)
+    out = {}
+    for m1, js in _windows(k, M).items():
+        for m2 in range(1, M):
+            dist = [Fraction(1)]  # dist[c]: P(c exceedances so far)
+            for j in js:
+                n = k - j + 1
+                p = Fraction(sum(1 for x in range(1, n + 1) if Fraction(x, n) > Fraction(m2, M)), n)
+                nxt = [Fraction(0)] * (len(dist) + 1)
+                for c, q in enumerate(dist):
+                    nxt[c] += q * (1 - p)
+                    nxt[c + 1] += q * p
+                dist = nxt
+            threshold = (1 - eps) * (1 - Fraction(m2, M)) * k / M
+            out[(m1, m2)] = sum(q for c, q in enumerate(dist) if c < threshold)
+    return out
+
+
+def subset_root_con2(k, M, epsilon_star):
+    """{(m1, m2): 1 if the con2 event always holds, else 0} for the subset
+    automaton of [k], where it does not depend on the sample. A cost row is
+    a permutation of 1..k, so at most k - floor(x) of the j - 1 prefix
+    letters cost more than x = m2 k / M at any state, and at the state whose
+    set is the prefix they take exactly the top j - 1 values: the minimum
+    over states of the prefix letters costing at most x is
+    max(0, j - 1 - (k - floor(x)))."""
+    eps = Fraction(epsilon_star)
+    out = {}
+    for m1, js in _windows(k, M).items():
+        for m2 in range(1, M):
+            above = k - floor(Fraction(m2 * k, M))  # cost values above x
+            out[(m1, m2)] = int(any(
+                max(0, j - 1 - above) < (1 - eps) * Fraction(m2, M) * (j - 1) for j in js
+            ))
+    return out

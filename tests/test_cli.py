@@ -523,7 +523,9 @@ class TestTextFormat:
 
 
 # stdout of every bound and of every automaton builder (through walk and dfa
-# census), in json and text, with the files the argvs name as {word}/{dfa}
+# census), in json and text, of an automaton printed as text (dfa build,
+# cheapen) and of the superpattern search, with the files the argvs name as
+# {word}/{dfa}
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -941,6 +943,25 @@ class TestHugeCounts:
         assert time.perf_counter() - start < 1.0
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.endswith("exceeds the enumeration cap 10000000\n")
+
+
+    def test_admitted_search_prints_one_short_line(self, capsys):
+        # the answer is one length, so nothing grows with n_max: no row
+        # per n is built or printed (10^6 of them took about 400 MB)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(capsys, *"superpattern --k 3 --search-r 1 --n-max 1000000".split())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rc, err) == (0, "")
+        assert out.count("\n") == 1 and len(out) < 200
+        doc = json.loads(out)
+        assert (doc["n_max"], doc["minimal_length"]) == (10**6, None)
+        assert "rows" not in doc
+        assert peak < 10**6
 
 
 class TestEnvCaps:

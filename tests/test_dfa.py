@@ -758,13 +758,17 @@ class TestIntegerKeyedKernel:
     def test_real_and_infinite_budgets_agree_on_every_path(self):
         # closed form (subset root), packed DP (its table copy, and the
         # others) and the dict path; a real budget counts as its floor, and
-        # INFINITY admits every total, INFINITY itself included
+        # INFINITY admits every total, INFINITY itself included, and -inf,
+        # which has no floor, admits none
         sparse = dfa_module._injective_cost_layers_sparse
         for dfa in (build_subset_dfa(4), subset_as_table(4), build_two_track_dfa(4), greedy_with_infinity()):
             k = dfa.alphabet_size
             census = brute_injective_costs(dfa, dfa.root, k)
-            for budget in (2.5, -0.5, math.inf, True, 6.5, 13.99):
-                want = within(census, None if budget == math.inf else math.floor(budget))
+            for budget in (2.5, -0.5, math.inf, -math.inf, True, 6.5, 13.99):
+                if budget == -math.inf:
+                    want = {}
+                else:
+                    want = within(census, None if budget == math.inf else math.floor(budget))
                 assert cheap_perm_count(dfa, budget) == sum(want.values()), (dfa, budget)
                 assert _injective_cost_layers(dfa, dfa.root, k, budget)[k] == want
                 assert sparse(dfa, dfa.root, k, budget)[k] == want
@@ -942,12 +946,14 @@ class TestKernelPlan:
 
     def test_widths_keep_their_own_rows(self):
         # one entry per digit width the queries used, none for another
+        # a second query at a width reuses the rows the first one kept
         dfa = random_k_dfa(7, 6, 11)
-        widths = set()
+        kept = {}
         for max_len in (2, 5, 3, 7, 6, 2):
             _injective_cost_layers(dfa, 3, max_len)
-            widths.add(math.perm(7, max_len).bit_length())
-        assert set(dfa._rows) == widths == {6, 8, 12, 13}
+            width = math.perm(7, max_len).bit_length()
+            assert dfa._rows[width] is kept.setdefault(width, dfa._rows[width])
+        assert set(dfa._rows) == set(kept) == {6, 8, 12, 13}
         for width, rows in dfa._rows.items():
             assert rows.finite == dfa_module._edge_rows(dfa, width).finite
 

@@ -21,6 +21,7 @@ from superpatterns.patterns import (
     exhaustive_f_search,
     f_oracle,
     find_embedding,
+    format_permutation,
     format_word,
     greedy_embed,
     is_pattern,
@@ -541,12 +542,12 @@ class TestExhaustiveSearch:
     def test_smallest_2_superpattern_has_length_3(self):
         rows = exhaustive_f_search(2, 2, 4)
         assert rows == [(1, False), (2, False), (3, True), (4, True)]
-        assert minimal_superpattern_length(rows) == 3
+        assert minimal_superpattern_length(2, 2, 4) == 3
 
     def test_no_3_superpattern_on_3_letters_up_to_4(self):
         rows = exhaustive_f_search(3, 3, 4)
         assert all(not ok for _, ok in rows)
-        assert minimal_superpattern_length(rows) is None
+        assert minimal_superpattern_length(3, 3, 4) is None
 
     def test_trivial_k1(self):
         assert exhaustive_f_search(1, 1, 1) == [(1, True)]
@@ -581,8 +582,28 @@ class TestExhaustiveSearch:
 
     def test_millers_bound_reached_for_k4(self):
         # Miller's (k^2 + k) / 2 = 10 is the shortest length on [k + 1]
-        rows = exhaustive_f_search(4, 5, 10)
-        assert minimal_superpattern_length(rows) == 10
+        assert minimal_superpattern_length(4, 5, 10) == 10
+
+    @pytest.mark.parametrize("k, r, n_max, shortest, sizes", [
+        (3, 6, 6, 5, [3, 15, 69, 261, 315]),
+        (4, 4, 11, None, [2, 6, 17, 40, 96, 197, 416, 848, 1601, 2488, 0]),
+        (4, 5, 10, 10, [3, 12, 45, 153, 522, 1683, 5482, 17663, 56135, 0]),
+    ])
+    def test_layer_sizes(self, monkeypatch, k, r, n_max, shortest, sizes):
+        # the states each layer keeps, read through the search's one set():
+        # the three prunings, the moves and the last layer decide them
+        import superpatterns.patterns as P
+
+        layers = []
+
+        class Layer(set):
+            def __init__(self, *args):
+                super().__init__(*args)
+                layers.append(self)
+
+        monkeypatch.setattr(P, "set", Layer, raising=False)
+        assert minimal_superpattern_length(k, r, n_max) == shortest
+        assert [len(layer) for layer in layers] == sizes
 
     def test_alphabet_beyond_n_max(self):
         # a word of length n uses at most n letters, so a larger alphabet
@@ -601,6 +622,9 @@ class TestTextFormat:
     def test_round_trip_with_header(self):
         w = Word((1, 2, 3, 2), 5)
         assert parse_word(format_word(w)) == w
+        # without the header the alphabet is read back as the largest letter
+        assert format_word(w, header=False) == "1 2 3 2\n"
+        assert parse_word(format_word(w, header=False)) == Word((1, 2, 3, 2), 3)
 
     def test_header_optional(self):
         w = parse_word("2 5 1 4 3\n")
@@ -609,6 +633,8 @@ class TestTextFormat:
 
     def test_permutation_round_trip(self):
         assert parse_permutation("3 1 2").images == (3, 1, 2)
+        assert format_permutation(Permutation((3, 1, 2))) == "3 1 2\n"
+        assert parse_permutation(format_permutation(Permutation((2, 1)))) == Permutation((2, 1))
 
     @given(st.lists(st.integers(1, 9), max_size=12))
     @settings(max_examples=50, deadline=None)
@@ -699,14 +725,14 @@ class TestOneCap:
         for k in range(-1, 13):
             for r in (0, 1, 2, 3, 4, 6, 10**7, 10**7 + 1):
                 for n_max in (*range(0, 26), 10**7, 10**7 + 1, 10**8):
-                    if k == 0 and n_max > 25:
-                        continue  # admitted, it would list n_max rows
                     # r^n_max as the parent capped it, without building it;
                     # n_max itself is capped now too, which only r = 1 meets
                     words = r**n_max if n_max <= 25 or r < 2 else cap + 1
                     want = capped(k > 10 or words > cap or n_max > cap)
                     domain = k < 0 or r < 1 or n_max < 1
-                    check("domain" if domain else want, exhaustive_f_search, k, r, n_max)
+                    check("domain" if domain else want, minimal_superpattern_length, k, r, n_max)
+                    if k or n_max <= 25:  # k = 0 is admitted: its rows list n_max rows
+                        check("domain" if domain else want, exhaustive_f_search, k, r, n_max)
         assert cases > 900
 
     def test_max_k_m_is_max_words_m_factorial(self, decide):

@@ -54,7 +54,22 @@ from oracles import (
     stream_below,
     stream_injective_word,
     stream_words,
+    subset_root_con1,
+    subset_root_con2,
 )
+
+# the largest |z| a Monte-Carlo frequency of n samples may sit from its
+# exact probability p; at the seeds below the subset-root cells stay
+# within 2.3, and a sampler bias of about 4 sqrt(p (1 - p) / n) fails
+Z_BOUND = 4.0
+
+
+def z_score(freq, p, n):
+    """(freq - p) / sqrt(p (1 - p) / n); a certain or impossible event
+    must be met exactly, and scores 0 or inf."""
+    if p in (0, 1):
+        return 0.0 if freq == p else math.inf
+    return (freq - float(p)) / math.sqrt(float(p * (1 - p)) / n)
 
 
 def perms(k):
@@ -362,6 +377,15 @@ class TestRestriction:
         word = PermutationalWord((2.0, 1), 2.0)
         assert (word.letters, word.alphabet_size) == ((2, 1), 2)
 
+    def test_non_injective_or_out_of_range_word_refused(self):
+        with pytest.raises(ValueError, match="repeats a letter"):
+            PermutationalWord((1, 2, 1), 3)
+        for letters in ((0,), (1, 3)):
+            with pytest.raises(ValueError, match=r"outside alphabet \[2\]"):
+                PermutationalWord(letters, 2)
+        with pytest.raises(ValueError, match="alphabet_size must be non-negative"):
+            PermutationalWord((), -1)
+
     def test_non_integral_index_refused(self):
         # int() once truncated 1.7 to 1
         with pytest.raises(ValueError, match="index 1.7 is not an integer"):
@@ -416,9 +440,17 @@ class TestExactP:
         assert loose - strict == Fraction(at_3, 6)
 
     def test_not_k_dfa_rejected(self):
+        # every query that reads cost rows as permutations refuses the rest
         a = build_greedy_dfa(as_word((1, 2, 3, 2), 3))
-        with pytest.raises(ValueError):
-            exact_P(a, 0, 2, 0.1)
+        for name, call in (
+            ("exact_P", lambda: exact_P(a, 0, 2, 0.1)),
+            ("exact_P_max", lambda: exact_P_max(a, 2, 0.1)),
+            ("sample_x_sums", lambda: sample_x_sums(a, 10, seed=0)),
+            ("concentration_experiment", lambda: concentration_experiment(a, 2, 0.3, 10, seed=0)),
+            ("t_statistic", lambda: t_statistic(a, (1,), 1)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} needs a k-DFA"):
+                call()
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -607,6 +639,18 @@ class TestEstimateP:
         for threads in (0, -3):
             with pytest.raises(ValueError):
                 estimate_P(build_subset_dfa(3), 0, 2, 0.1, 10, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("k, L, eps, seed", [(8, 8, 0.1, 7), (6, 4, 0.2, 7), (10, 10, 0.05, 3)])
+    def test_subset_root_estimate_matches_exact_P(self, k, L, eps, seed):
+        s, n = build_subset_dfa(k), 20000
+        rep = estimate_P(s, 0, L, eps, n, seed=seed)
+        assert abs(z_score(rep.estimate, exact_P(s, 0, L, eps), n)) <= Z_BOUND
+
+    def test_unknown_state_rejected(self):
+        # the subset automaton of [3] has states 0..7
+        for state in (8, -1, "0"):
+            with pytest.raises(ValueError, match="unknown state"):
+                estimate_P(build_subset_dfa(3), state, 2, 0.1, 10, seed=1)
 
     def test_hits_follow_the_stream_definition(self):
         # a random automaton from a non-root start, walked through its
@@ -936,6 +980,10 @@ class TestTStatistic:
     def test_non_injective_prefix_rejected(self):
         with pytest.raises(ValueError):
             t_statistic(build_subset_dfa(3), (1, 1), 2)
+        with pytest.raises(ValueError, match=r"letter 4 outside alphabet \[3\]"):
+            t_statistic(build_subset_dfa(3), (1, 4), 2)
+        with pytest.raises(ValueError, match="x must be non-negative"):
+            t_statistic(build_subset_dfa(3), (1,), -1)
 
     def test_closed_form_min_matches_enumeration(self):
         for k in (2, 3, 4, 5):
@@ -1126,6 +1174,17 @@ class TestConcentration:
         # are 0 or 1 accordingly
         rep = concentration_experiment(build_subset_dfa(8), 4, 0.3, 50, seed=2)
         assert set(rep.con2.values()) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("k, M, eps_star", [(12, 3, 0.3), (60, 3, 0.3), (60, 5, 0.3), (16, 4, 0.25)])
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_subset_root_frequencies_match_the_exact_events(self, k, M, eps_star, seed):
+        n = 20000
+        rep = concentration_experiment(build_subset_dfa(k), M, eps_star, n, seed=seed)
+        assert rep.con2 == subset_root_con2(k, M, eps_star)
+        exact = subset_root_con1(k, M, eps_star)
+        assert set(rep.con1) == set(exact)
+        for key, p in exact.items():
+            assert abs(z_score(rep.con1[key], p, n)) <= Z_BOUND, (key, rep.con1[key], float(p))
 
     def test_validations(self):
         with pytest.raises(ValueError):
