@@ -87,6 +87,22 @@ class TestGreedyDfa:
             assert a.step(0, t) == 0
             assert a.step_cost(0, t) == INFINITY
 
+    def test_edges_are_the_next_occurrences(self):
+        # repeated letters step to their next occurrence, never stay put;
+        # letters the word lacks, 2 and 4 here, self-loop at infinite cost
+        a = build_greedy_dfa(as_word((3, 3, 1, 3), 4))
+        assert [(a.step(1, 3), a.step_cost(1, 3)), (a.step(2, 3), a.step_cost(2, 3))] == [(2, 1), (4, 2)]
+        rng = random.Random(31)
+        for _ in range(100):
+            k = rng.randint(1, 5)
+            sigma = tuple(rng.randint(1, k) for _ in range(rng.randint(0, 8)))
+            a = build_greedy_dfa(as_word(sigma, k))
+            for v in range(len(sigma) + 1):
+                for t in range(1, k + 1):
+                    u = next((j for j in range(v + 1, len(sigma) + 1) if sigma[j - 1] == t), None)
+                    edge = (v, INFINITY) if u is None else (u, u - v)
+                    assert (a.step(v, t), a.step_cost(v, t)) == edge
+
     def test_walk_123(self):
         a = build_greedy_dfa(as_word((1, 2, 3, 2), 3))
         trace = walk_cost(a, 0, (1, 2, 3))

@@ -1,17 +1,19 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superpatterns.patterns as P
 from superpatterns.dfa import build_greedy_dfa
 from superpatterns.errors import AlphabetMismatchError, ResourceLimitError
 from superpatterns.patterns import (
     Permutation,
     _canonical_word_count,
     _canonical_words,
+    _next_occurrences,
     Word,
     as_permutation,
     as_word,
@@ -54,6 +56,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Word((0, 1), 2)
         assert len(Word((), 1)) == 0
+
+    def test_out_of_range_message_names_the_first_such_letter(self):
+        with pytest.raises(ValueError, match=r"^letter 4 outside alphabet \[3\]$"):
+            Word((1, 4, 0, 5), 3)
+        with pytest.raises(ValueError, match=r"^letter 0 outside alphabet \[3\]$"):
+            Word((2, 0, 4), 3)
+        with pytest.raises(ValueError, match=r"^letter -1 outside alphabet \[2\]$"):
+            Word((1.0, 2, -1), 2)
 
     def test_permutation_validates(self):
         with pytest.raises(ValueError):
@@ -501,6 +511,87 @@ class TestOccurrenceKernel:
         assert find_embedding((2, 3, 1, 2), (1, 2)) == (1, 2)
 
 
+class TestNextOccurrenceTable:
+    """The one next-occurrence table every pattern kernel reads, and the
+    kernels pinned against faults that the random checks might miss."""
+
+    def test_rows_hold_the_least_later_position(self):
+        # repeated letters: row i must not return position i itself
+        assert _next_occurrences((2, 2, 1, 2)) == [
+            (3, 1), (3, 2), (3, 4), (0, 4), (0, 0),
+        ]
+        assert _next_occurrences(()) == [()]
+        rng = random.Random(27)
+        for _ in range(200):
+            letters = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 9)))
+            values = sorted(set(letters))
+            rows = _next_occurrences(letters)
+            assert len(rows) == len(letters) + 1
+            for i, row in enumerate(rows):
+                assert row == tuple(
+                    next((j for j in range(i + 1, len(letters) + 1) if letters[j - 1] == v), 0)
+                    for v in values
+                )
+
+    def test_columns_are_the_distinct_values(self):
+        # a declared alphabet of 10^6 letters gives two columns, not 10^6
+        assert _next_occurrences(Word((1, 10**6), 10**6).letters) == [(1, 2), (0, 2), (0, 0)]
+
+    def test_reversed_last_pair(self):
+        # both orders of the last two ranks are read at every leaf
+        assert {p.images for p in pattern_set((2, 1), 2)} == {(2, 1)}
+        assert {p.images for p in pattern_set((1, 3, 2), 3)} == {(1, 3, 2)}
+        assert {p.images for p in pattern_set((2, 3, 1), 3)} == {(2, 3, 1)}
+        assert {p.images for p in pattern_set((3, 1, 2, 1), 3)} == {(3, 1, 2), (3, 2, 1)}
+        assert f_oracle(2, 2) == (1, Word((1, 2), 2))
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_pattern_set_at_larger_k(self, k):
+        rng = random.Random(500 + k)
+        for _ in range(12 if k < 7 else 4):
+            # k distinct values, then one or two more letters anywhere
+            r = rng.randint(k, k + 2)
+            letters = rng.sample(range(1, r + 1), k)
+            for _ in range(rng.randint(1, 2)):
+                letters.insert(rng.randint(0, len(letters)), rng.randint(1, r))
+            letters = tuple(letters)
+            got = {p.images for p in pattern_set(Word(letters, r), k)}
+            assert got == brute_pattern_set(letters, k), letters
+
+    @pytest.mark.parametrize(
+        "k, n", [(2, n) for n in range(3, 9)] + [(3, n) for n in range(4, 8)] + [(4, n) for n in range(4, 7)]
+    )
+    def test_witness_is_the_lex_least_maximizer(self, k, n):
+        def count(w):
+            # the standardized k-subsequences with k distinct values
+            return len({
+                tuple(sorted(sub).index(x) + 1 for x in sub)
+                for sub in combinations(w, k) if len(set(sub)) == k
+            })
+
+        want = max(all_words(k, n), key=count)  # max keeps the first, lex-least
+        assert f_oracle(k, n) == (count(want), Word(want, k))
+
+    @pytest.mark.parametrize("k, n, visited", [(2, 3, 3), (2, 12, 3), (3, 7, 180), (3, 9, 180), (3, 6, 122), (4, 9, 11051)])
+    def test_search_stops_at_k_factorial(self, monkeypatch, k, n, visited):
+        # f(3, 6) = 5 < 3! and f(4, 9) = 16 < 4!: no stop, every word is read
+        canonical = P._canonical_words
+        seen = []
+
+        def counted(*args):
+            for w in canonical(*args):
+                seen.append(w)
+                yield w
+
+        monkeypatch.setattr(P, "_canonical_words", counted)
+        best, witness = f_oracle(k, n)
+        assert len(seen) == visited
+        if visited < _canonical_word_count(n, k, 10**9):
+            assert (best, witness.letters) == (math.factorial(k), seen[-1])
+        else:
+            assert best < math.factorial(k)
+
+
 class TestAscents:
     def test_examples(self):
         assert ascent_count((1, 2, 3)) == 2
@@ -671,7 +762,7 @@ class TestOneCap:
             raise _Admitted
 
         for module, name in (
-            (P, "_occurrence_lists"), (P, "_canonical_words"),
+            (P, "_next_occurrences"), (P, "_canonical_words"),
             (P, "_shortest_superpattern"), (D, "_last_cost_layer"),
         ):
             monkeypatch.setattr(module, name, admitted)
