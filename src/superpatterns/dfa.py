@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 from .errors import CheapeningError, ResourceLimitError
-from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters, _next_occurrences, as_word
+from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters, as_word
 
 __all__ = [
     "INFINITY",
@@ -281,18 +282,20 @@ def build_greedy_dfa(sigma) -> WeightedDfa:
     """
     sigma = as_word(sigma)
     k = sigma.alphabet_size
-    rows = _next_occurrences(sigma.letters)
-    # row 0 holds each value's first position, so it names the columns
-    column = {sigma.letters[u - 1]: c for c, u in enumerate(rows[0])}
-    columns = [column.get(t) for t in range(1, k + 1)]
+    n = len(sigma)
+    occ: dict[int, list[int]] = {}
+    for i, x in enumerate(sigma.letters, start=1):
+        occ.setdefault(x, []).append(i)
     delta = {}
     cost = {}
-    for v, row in enumerate(rows):
+    for v in range(n + 1):
         drow = []
         crow = []
-        for c in columns:
-            u = 0 if c is None else row[c]
-            if u:
+        for t in range(1, k + 1):
+            ps = occ.get(t, ())
+            at = bisect_right(ps, v)
+            if at < len(ps):
+                u = ps[at]
                 drow.append(u)
                 crow.append(u - v)
             else:

@@ -21,6 +21,7 @@ index subsets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional, Sequence
@@ -98,12 +99,12 @@ class Word:
             object.__setattr__(self, "alphabet_size", r)
         if r < 1:
             raise ValueError("alphabet_size must be a positive integer")
-        letters = _integral_letters(self.letters)
-        object.__setattr__(self, "letters", letters)
-        # a loop over locals: min() and max() cost more on short words
-        for x in letters:
-            if not 1 <= x <= r:
-                raise ValueError(f"letter {x!r} outside alphabet [{r}]")
+        object.__setattr__(self, "letters", _integral_letters(self.letters))
+        for x in self.letters:
+            if not (1 <= x <= self.alphabet_size):
+                raise ValueError(
+                    f"letter {x!r} outside alphabet [{self.alphabet_size}]"
+                )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -173,57 +174,53 @@ def _integral_letters(xs, what: str = "letter") -> tuple[int, ...]:
     return out
 
 
-def _next_occurrences(letters: Sequence[int]) -> list:
-    """The next-occurrence table of a word: row i, for i = 0..n, holds one
-    entry per distinct value, in ascending value order, the least 1-based
-    position after i that holds that value, or 0 if there is none. Row 0
-    holds the first occurrences, row n only zeros. One pass from the end."""
-    column = {x: c for c, x in enumerate(sorted(set(letters)))}
-    row = [0] * len(column)
-    rows = [tuple(row)]
-    for i in range(len(letters), 0, -1):
-        row[column[letters[i - 1]]] = i
-        rows.append(tuple(row))
-    rows.reverse()
-    return rows
+def _occurrence_lists(letters: Sequence[int]) -> list:
+    """The 1-based occurrence lists of the word's distinct values, by
+    ascending value: list j holds the positions of the (j+1)-th smallest."""
+    occ: dict[int, list[int]] = {}
+    for i, x in enumerate(letters, start=1):
+        occ.setdefault(x, []).append(i)
+    return [occ[v] for v in sorted(occ)]
 
 
-def _contains_any(rows: list, taus) -> bool:
+def _contains_any(lists: list, taus) -> bool:
     """Whether some tau in taus embeds: whether, for some k-subset Y of the
-    table's columns, the greedy leftmost-next-occurrence scan reading
-    columns Y[tau_1 - 1], Y[tau_2 - 1], ... finds a position in each."""
-    columns = range(len(rows[0]))
+    occurrence lists, the greedy leftmost-next-occurrence scan reading
+    Y[tau_1 - 1], Y[tau_2 - 1], ... finds a position in each."""
     for images in taus:
         ranks = [t - 1 for t in images]
-        for Y in combinations(columns, len(ranks)):
+        for Y in combinations(lists, len(ranks)):
             i = 0
             for t in ranks:
-                i = rows[i][Y[t]]
-                if not i:
+                ps = Y[t]
+                at = bisect_right(ps, i)
+                if at == len(ps):
                     break
+                i = ps[at]
             else:
                 return True
     return False
 
 
-def _least_embedding(rows: list, images: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _least_embedding(lists: list, images: Sequence[int]) -> Optional[tuple[int, ...]]:
     """The lexicographically least embedding of tau, or None: the least of
     the greedy embeddings that _contains_any's scan finds. A subset whose
     first position, the first occurrence of its value for tau_1, comes
     after the best one's is skipped unscanned."""
     ranks = [t - 1 for t in images]
     head = ranks[0] if ranks else 0
-    first = rows[0]
     best = None
     pos = [0] * len(ranks)
-    for Y in combinations(range(len(first)), len(ranks)):
-        if best is not None and first[Y[head]] > best[0]:
+    for Y in combinations(lists, len(ranks)):
+        if best is not None and Y[head][0] > best[0]:
             continue
         i = d = 0
         for t in ranks:
-            i = pos[d] = rows[i][Y[t]]
-            if not i:
+            ps = Y[t]
+            at = bisect_right(ps, i)
+            if at == len(ps):
                 break
+            i = pos[d] = ps[at]
             d += 1
         else:
             emb = tuple(pos)
@@ -241,7 +238,7 @@ def is_pattern(sigma, tau) -> bool:
     False
     """
     images = as_permutation(tau).images
-    return _contains_any(_next_occurrences(as_word(sigma).letters), [images])
+    return _contains_any(_occurrence_lists(as_word(sigma).letters), [images])
 
 
 def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -254,7 +251,7 @@ def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
     (2, 3, 4)
     """
     images = as_permutation(tau).images
-    return _least_embedding(_next_occurrences(as_word(sigma).letters), images)
+    return _least_embedding(_occurrence_lists(as_word(sigma).letters), images)
 
 
 def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -277,39 +274,40 @@ def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
             f"r={sigma.alphabet_size} but k={tau.k}"
         )
     # the one k-subset of a word that uses every letter of [k], else none
-    return _least_embedding(_next_occurrences(sigma.letters), tau.images)
+    return _least_embedding(_occurrence_lists(sigma.letters), tau.images)
 
 
-def _patterns_of_relabeled(rows: list, columns: Sequence[int], found: set) -> None:
-    """Add to found every tau in S_k that embeds when rank j reads the
-    table's column columns[j - 1], k = len(columns).
+def _patterns_of_relabeled(lists: Sequence[list], found: set) -> None:
+    """Add to found every tau in S_k that embeds when rank j's occurrences
+    are lists[j - 1], k = len(lists).
 
     Depth-first search over the unread ranks, advancing a position cursor
     with the greedy rule; abandoning a prefix as soon as its next rank has
     no later occurrence prunes the k! tree to viable branches only. With
-    two ranks left both orders are checked in place, without a call.
+    two ranks left both orders are checked in place: the last rank follows
+    the other one's next occurrence iff its own last occurrence comes later.
     """
-    if len(columns) < 2:
-        found.add(tuple(range(1, len(columns) + 1)))
+    k = len(lists)
+    if k < 2:
+        found.add(tuple(range(1, k + 1)))
         return
 
     def rec(i, rest, path):
-        row = rows[i]
         if len(rest) == 2:
-            (a, ca), (b, cb) = rest
-            j = row[ca]
-            if j and rows[j][cb]:
+            (a, pa), (b, pb) = rest
+            at = bisect_right(pa, i)
+            if at < len(pa) and pa[at] < pb[-1]:
                 found.add(path + (a, b))
-            j = row[cb]
-            if j and rows[j][ca]:
+            at = bisect_right(pb, i)
+            if at < len(pb) and pb[at] < pa[-1]:
                 found.add(path + (b, a))
             return
-        for x, (a, c) in enumerate(rest):
-            j = row[c]
-            if j:
-                rec(j, rest[:x] + rest[x + 1 :], path + (a,))
+        for x, (a, ps) in enumerate(rest):
+            at = bisect_right(ps, i)
+            if at < len(ps):
+                rec(ps[at], rest[:x] + rest[x + 1 :], path + (a,))
 
-    rec(0, tuple(enumerate(columns, start=1)), ())
+    rec(0, tuple(enumerate(lists, start=1)), ())
 
 
 def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
@@ -322,10 +320,9 @@ def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
         raise ValueError("k must be non-negative")
     _check_count(f"pattern_set: {k}!", max_words, 1, k, 1)
     sigma = as_word(sigma)
-    rows = _next_occurrences(sigma.letters)
     out: set[tuple[int, ...]] = set()
-    for Y in combinations(range(len(rows[0])), k):
-        _patterns_of_relabeled(rows, Y, out)
+    for Y in combinations(_occurrence_lists(sigma.letters), k):
+        _patterns_of_relabeled(Y, out)
     return {Permutation(t) for t in out}
 
 
@@ -391,16 +388,15 @@ def f_oracle(k: int, n: int, *, max_words: int = MAX_ENUM_WORDS) -> tuple[int, W
     words = _canonical_word_count(n, k, max_words)
     _check_count(f"f_oracle: the canonical word count of [{k}]^{n}", max_words, words)
     everything = math.factorial(k)
-    columns = range(k)
     best = -1
     witness = ()
     for w in _canonical_words(n, k):
         # Canonical words use exactly the letters 1..max(w); anything
         # short of the full alphabet contains no length-k pattern, and a
-        # word over all of [k] has one k-subset of table columns.
+        # word over all of [k] has one k-subset of occurrence lists.
         found: set[tuple[int, ...]] = set()
         if w and max(w) == k:
-            _patterns_of_relabeled(_next_occurrences(w), columns, found)
+            _patterns_of_relabeled(_occurrence_lists(w), found)
         if len(found) > best:
             best = len(found)
             witness = w
@@ -431,7 +427,7 @@ def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
     True
     """
     orbit = _dihedral_orbit(as_permutation(tau).images, bidirectional)
-    return _contains_any(_next_occurrences(as_word(sigma).letters), orbit)
+    return _contains_any(_occurrence_lists(as_word(sigma).letters), orbit)
 
 
 def circular_pattern_set(

@@ -4,7 +4,7 @@ The pattern oracles go through index subsets and literal order-isomorphism,
 deliberately avoiding the value-subset/greedy reduction and the automaton
 machinery used by the library itself; subset_greedy_embeddings is that
 reduction as the library first wrote it, the reference definition of the
-next-occurrence-table scans that replaced it. The stream oracles re-derive the
+occurrence-list loops that replaced it. The stream oracles re-derive the
 Monte-Carlo words from the stream's definition, without CounterRng. The
 walk oracle enumerates every injective word and walks it letter by letter,
 without the subset DP; the Mahonian oracle convolves the subset

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -13,7 +14,6 @@ from superpatterns.patterns import (
     Permutation,
     _canonical_word_count,
     _canonical_words,
-    _next_occurrences,
     Word,
     as_permutation,
     as_word,
@@ -505,37 +505,31 @@ class TestOccurrenceKernel:
         assert pattern_set(word, 3) == set()
         assert greedy_embed(Word((1, 1, 3), 3), (1, 2, 3)) is None
 
+    def test_a_long_word_over_many_values_costs_linear_memory(self):
+        # n letters over about n values: a per-value index of every position
+        # (one slot per letter and value) would need tens of megabytes here
+        up = tuple(range(1, 5001))
+        up_down = tuple(range(1, 2501)) + tuple(range(2500, 0, -1))
+        tracemalloc.start()
+        try:
+            assert is_pattern(up, (1, 2))
+            assert is_pattern(up_down, (2, 1))
+            assert circular_contains(up_down, (1, 3, 2), True)
+            assert {p.images for p in pattern_set(up_down, 1)} == {(1,)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_least_embedding_is_not_the_first_subsets(self):
         # values {1, 2} come first and embed 12 at (3, 4); values {2, 3} embed it at (1, 2)
         assert next(subset_greedy_embeddings((2, 3, 1, 2), [(1, 2)])) == (3, 4)
         assert find_embedding((2, 3, 1, 2), (1, 2)) == (1, 2)
 
 
-class TestNextOccurrenceTable:
-    """The one next-occurrence table every pattern kernel reads, and the
-    kernels pinned against faults that the random checks might miss."""
-
-    def test_rows_hold_the_least_later_position(self):
-        # repeated letters: row i must not return position i itself
-        assert _next_occurrences((2, 2, 1, 2)) == [
-            (3, 1), (3, 2), (3, 4), (0, 4), (0, 0),
-        ]
-        assert _next_occurrences(()) == [()]
-        rng = random.Random(27)
-        for _ in range(200):
-            letters = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 9)))
-            values = sorted(set(letters))
-            rows = _next_occurrences(letters)
-            assert len(rows) == len(letters) + 1
-            for i, row in enumerate(rows):
-                assert row == tuple(
-                    next((j for j in range(i + 1, len(letters) + 1) if letters[j - 1] == v), 0)
-                    for v in values
-                )
-
-    def test_columns_are_the_distinct_values(self):
-        # a declared alphabet of 10^6 letters gives two columns, not 10^6
-        assert _next_occurrences(Word((1, 10**6), 10**6).letters) == [(1, 2), (0, 2), (0, 0)]
+class TestPatternKernel:
+    """The pattern_set kernel and f_oracle's search, pinned against faults
+    that the random checks might miss, and the cost of a long word."""
 
     def test_reversed_last_pair(self):
         # both orders of the last two ranks are read at every leaf
@@ -543,6 +537,9 @@ class TestNextOccurrenceTable:
         assert {p.images for p in pattern_set((1, 3, 2), 3)} == {(1, 3, 2)}
         assert {p.images for p in pattern_set((2, 3, 1), 3)} == {(2, 3, 1)}
         assert {p.images for p in pattern_set((3, 1, 2, 1), 3)} == {(3, 1, 2), (3, 2, 1)}
+        # the last rank is read at its last occurrence, not its first
+        assert {p.images for p in pattern_set((2, 1, 2), 2)} == {(1, 2), (2, 1)}
+        assert {p.images for p in pattern_set((3, 2, 1, 3), 3)} == {(3, 2, 1), (2, 1, 3)}
         assert f_oracle(2, 2) == (1, Word((1, 2), 2))
 
     @pytest.mark.parametrize("k", [5, 6, 7])
@@ -762,7 +759,7 @@ class TestOneCap:
             raise _Admitted
 
         for module, name in (
-            (P, "_next_occurrences"), (P, "_canonical_words"),
+            (P, "_occurrence_lists"), (P, "_canonical_words"),
             (P, "_shortest_superpattern"), (D, "_last_cost_layer"),
         ):
             monkeypatch.setattr(module, name, admitted)
