@@ -507,7 +507,7 @@ class TestOccurrenceKernel:
 
     def test_a_long_word_over_many_values_costs_linear_memory(self):
         # n letters over about n values: a per-value index of every position
-        # (one slot per letter and value) would need tens of megabytes here
+        # (one slot per letter and value) would need over 100 MB here
         up = tuple(range(1, 5001))
         up_down = tuple(range(1, 2501)) + tuple(range(2500, 0, -1))
         tracemalloc.start()
@@ -529,7 +529,7 @@ class TestOccurrenceKernel:
 
 class TestPatternKernel:
     """The pattern_set kernel and f_oracle's search, pinned against faults
-    that the random checks might miss, and the cost of a long word."""
+    that the random checks might miss."""
 
     def test_reversed_last_pair(self):
         # both orders of the last two ranks are read at every leaf
