@@ -174,13 +174,41 @@ def _integral_letters(xs, what: str = "letter") -> tuple[int, ...]:
     return out
 
 
+def _letters(sigma) -> tuple[int, ...]:
+    """as_word(sigma).letters, without building a Word for a plain sequence.
+
+    A sequence of ints, each at least 1, is a word over [its maximum] with
+    exactly those letters, so one type() and one min() pass accept it.
+    Anything else goes to as_word, which accepts or refuses it with its
+    own exception and message.
+    """
+    if isinstance(sigma, Word):
+        return sigma.letters
+    xs = tuple(sigma)
+    if {*map(type, xs)} <= {int} and (not xs or min(xs) >= 1):
+        return xs
+    return as_word(xs).letters
+
+
+def _images(tau) -> tuple[int, ...]:
+    """as_permutation(tau).images, without building a Permutation for a
+    plain sequence of ints that is a permutation; as in _letters, anything
+    else goes to as_permutation."""
+    if isinstance(tau, Permutation):
+        return tau.images
+    ts = tuple(tau)
+    if {*map(type, ts)} <= {int} and sorted(ts) == list(range(1, len(ts) + 1)):
+        return ts
+    return as_permutation(ts).images
+
+
 def _occurrence_lists(letters: Sequence[int]) -> list:
     """The 1-based occurrence lists of the word's distinct values, by
     ascending value: list j holds the positions of the (j+1)-th smallest."""
-    occ: dict[int, list[int]] = {}
+    occ: dict[int, list[int]] = {x: [] for x in sorted(set(letters))}
     for i, x in enumerate(letters, start=1):
-        occ.setdefault(x, []).append(i)
-    return [occ[v] for v in sorted(occ)]
+        occ[x].append(i)
+    return list(occ.values())
 
 
 def _contains_any(lists: list, taus) -> bool:
@@ -232,13 +260,18 @@ def _least_embedding(lists: list, images: Sequence[int]) -> Optional[tuple[int, 
 def is_pattern(sigma, tau) -> bool:
     """Whether tau occurs in sigma as a (classical, order-isomorphic) pattern.
 
+    sigma and tau may be a Word and a Permutation or plain sequences; a
+    plain sequence of ints is checked without building either, and any
+    other is accepted or refused exactly as as_word or as_permutation
+    would, tau first.
+
     >>> is_pattern((2, 5, 1, 4, 3), (3, 1, 2))
     True
     >>> is_pattern((1, 2, 3, 2), (2, 1, 3))
     False
     """
-    images = as_permutation(tau).images
-    return _contains_any(_occurrence_lists(as_word(sigma).letters), [images])
+    images = _images(tau)
+    return _contains_any(_occurrence_lists(_letters(sigma)), [images])
 
 
 def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -246,12 +279,13 @@ def find_embedding(sigma, tau) -> Optional[tuple[int, ...]]:
 
     An embedding is a strictly increasing tuple of 1-based positions
     i_1 < ... < i_k with sigma restricted to them order-isomorphic to tau.
+    sigma and tau are read as in is_pattern.
 
     >>> find_embedding((2, 5, 1, 4, 3), (3, 1, 2))
     (2, 3, 4)
     """
-    images = as_permutation(tau).images
-    return _least_embedding(_occurrence_lists(as_word(sigma).letters), images)
+    images = _images(tau)
+    return _least_embedding(_occurrence_lists(_letters(sigma)), images)
 
 
 def greedy_embed(sigma, tau) -> Optional[tuple[int, ...]]:
@@ -313,15 +347,16 @@ def _patterns_of_relabeled(lists: Sequence[list], found: set) -> None:
 def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
     """Exactly the permutations of [k] contained in sigma, as Permutations.
 
+    sigma is read as in is_pattern, after k and its cap are checked.
+
     >>> sorted(p.images for p in pattern_set((1, 2, 3, 2), 3))
     [(1, 2, 3), (1, 3, 2)]
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     _check_count(f"pattern_set: {k}!", max_words, 1, k, 1)
-    sigma = as_word(sigma)
     out: set[tuple[int, ...]] = set()
-    for Y in combinations(_occurrence_lists(sigma.letters), k):
+    for Y in combinations(_occurrence_lists(_letters(sigma)), k):
         _patterns_of_relabeled(Y, out)
     return {Permutation(t) for t in out}
 
@@ -419,15 +454,16 @@ def circular_contains(sigma, tau, bidirectional: bool = False) -> bool:
     """Whether tau is a pattern of some rotation of sigma (or, with
     bidirectional=True, of its reversal): whether a member of tau's
     _dihedral_orbit is a pattern of sigma. Stops at the first hit;
-    circular_pattern_set answers every tau of one length.
+    circular_pattern_set answers every tau of one length. sigma and tau
+    are read as in is_pattern.
 
     >>> circular_contains((1, 2, 3), (3, 2, 1), False)
     False
     >>> circular_contains((1, 2, 3), (3, 2, 1), True)
     True
     """
-    orbit = _dihedral_orbit(as_permutation(tau).images, bidirectional)
-    return _contains_any(_occurrence_lists(as_word(sigma).letters), orbit)
+    orbit = _dihedral_orbit(_images(tau), bidirectional)
+    return _contains_any(_occurrence_lists(_letters(sigma)), orbit)
 
 
 def circular_pattern_set(

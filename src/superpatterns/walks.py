@@ -76,17 +76,31 @@ def _stream_blocks(seed: int, streams, counters):
     The seed's state is keyed once; each stream copies it and absorbs its
     16 bytes, and each block copies that and absorbs its counter, so the
     argument parsing of a blake2b() call is paid once, not per block.
+    A range of counters is encoded once, not once per stream, and a
+    one-counter range absorbs stream || counter in one update of a copy
+    of the keyed state. Any other iterable is encoded as it is read:
+    CounterRng passes itertools.count(), which has no end.
     A seed outside [-2**127, 2**127) is refused before any digest.
     """
     if not -(1 << 127) <= seed < 1 << 127:
         raise ValueError(f"seed must lie in [-2**127, 2**127), got {seed}")
     keyed = blake2b(seed.to_bytes(16, "little", signed=True), digest_size=64)
+    ranged = isinstance(counters, range)
+    if ranged:
+        tails = [c.to_bytes(8, "little") for c in counters]
+        if len(tails) == 1:
+            (tail,) = tails
+            for stream in streams:
+                block = keyed.copy()
+                block.update(stream.to_bytes(16, "little") + tail)
+                yield block.digest()
+            return
     for stream in streams:
         state = keyed.copy()
         state.update(stream.to_bytes(16, "little"))
-        for counter in counters:
+        for tail in tails if ranged else (c.to_bytes(8, "little") for c in counters):
             block = state.copy()
-            block.update(counter.to_bytes(8, "little"))
+            block.update(tail)
             yield block.digest()
 
 

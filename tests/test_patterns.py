@@ -1,8 +1,10 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,105 @@ class TestTypes:
         word = Word((1, 2), 3.0)
         assert (word.alphabet_size, type(word.alphabet_size)) == (3, int)
         assert word == Word((1, 2), 3)
+
+
+class _NoInt:
+    """A value whose int() raises and that does not compare with ints."""
+
+    def __int__(self):
+        raise RuntimeError("no int for this value")
+
+    def __repr__(self):
+        return "_NoInt()"
+
+
+# int-valued stand-ins (1.0, True, numpy ints, Fractions) and values the
+# validators refuse, each in its own way
+_odd_values = st.sampled_from(
+    [0, -1, 1.0, 2.0, 1.5, True, False, np.int64(2), np.int8(0), Fraction(3), Fraction(3, 2),
+     "2", "x", None, _NoInt()]
+)
+_words = st.one_of(
+    st.lists(st.integers(1, 6), max_size=8).map(tuple),
+    st.lists(st.one_of(st.integers(-1, 6), _odd_values), max_size=6).map(tuple),
+    st.lists(st.integers(1, 6), max_size=6),
+    st.sampled_from([None, 5, "3121", "", ()]),
+)
+_taus = st.one_of(
+    st.integers(0, 4).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple),
+    st.lists(st.one_of(st.integers(-1, 4), _odd_values), max_size=4).map(tuple),
+    st.sampled_from([None, 3, "21", "", (2, 2), (1, 3)]),
+)
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the type and message of what it raises."""
+    try:
+        return "returns", call(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _typed_outcome(call, sigma, tau, *rest):
+    """_outcome of call on as_word(sigma) and as_permutation(tau), tau
+    validated first."""
+    try:
+        tau = as_permutation(tau)
+        sigma = as_word(sigma)
+    except Exception as e:
+        return type(e), str(e)
+    return _outcome(call, sigma, tau, *rest)
+
+
+class TestFrontDoor:
+    """A plain sequence is validated without building a Word or
+    Permutation, yet every routed function answers and refuses exactly as
+    on as_word(sigma) and as_permutation(tau)."""
+
+    @given(_words, _taus, st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_containment_queries(self, sigma, tau, bidirectional):
+        for call, *rest in ((is_pattern,), (find_embedding,), (circular_contains, bidirectional)):
+            assert _outcome(call, sigma, tau, *rest) == _typed_outcome(call, sigma, tau, *rest)
+
+    @given(_words, st.integers(0, 3), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_pattern_sets(self, sigma, k, bidirectional):
+        typed = _outcome(as_word, sigma)
+        for call, *rest in (
+            (pattern_set, k), (circular_pattern_set, k, bidirectional), (is_superpattern, k + 1),
+        ):
+            want = _outcome(call, typed[1], *rest) if typed[0] == "returns" else typed
+            assert _outcome(call, sigma, *rest) == want
+
+    def test_plain_ints_build_no_word_or_permutation(self, monkeypatch):
+        # every letter 1 and every tau, () and (1,) too, takes the fast path
+        def refused(*args):
+            raise AssertionError("validator called")
+
+        monkeypatch.setattr(P, "as_word", refused)
+        monkeypatch.setattr(P, "as_permutation", refused)
+        for tau in [(), (1,), (2, 1), (1, 3, 2), (2, 4, 1, 3), (3, 1, 5, 2, 4)]:
+            for sigma in [(), (1,), (1, 1), (2, 5, 1, 4, 3), [3, 1, 2, 1]]:
+                assert is_pattern(sigma, tau) == is_pattern(Word(tuple(sigma), 5), Permutation(tau))
+                assert find_embedding(sigma, tau) == find_embedding(Word(tuple(sigma), 5), tau)
+                assert circular_contains(sigma, tau, True) == circular_contains(Word(tuple(sigma), 5), tau, True)
+        assert {p.images for p in pattern_set((1, 3, 2, 1), 2)} == {(1, 2), (2, 1)}
+        assert is_superpattern((1, 2, 1), 2) and circular_pattern_set((1, 1), 1)
+
+    def test_generators_and_int_likes(self):
+        assert is_pattern((x for x in (2, 5, 1, 4, 3)), iter((3, 1, 2)))
+        # the validator reads the sequence the probe already consumed
+        assert is_pattern((x for x in (2.0, 1)), iter((2.0, 1))) and is_pattern(iter([2, 1]), [2, 1])
+        assert find_embedding(iter([3.0, 1, 2]), (x for x in [2, 1.0])) == (1, 2)
+        assert find_embedding([np.int64(3), 1, True, 2.0], (Fraction(2), 1)) == (1, 2)
+        assert P._letters((True, 2.0, np.int64(3))) == (1, 2, 3)
+        assert all(type(x) is int for x in P._letters((True, 2.0, np.int64(3))))
+        assert P._images((2.0, np.int8(1))) == (2, 1)
+        with pytest.raises(ValueError, match=r"^letter 0 outside alphabet \[2\]$"):
+            is_pattern((0, 2), (1,))
+        with pytest.raises(ValueError, match=r"^\(2, 2\) is not a permutation of \[2\]$"):
+            is_pattern((0, 2), (2, 2))
 
 
 class TestIsPattern:

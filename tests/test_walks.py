@@ -5,7 +5,8 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from hashlib import blake2b
+from itertools import combinations, count, permutations, product
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ class TestCounterRng:
             words = stream_words(seed, stream)
             for n in (1, 7, 60, 2**63 + 1) * 6:
                 assert rng.randrange(n) == stream_below(words, n)
+
+    def test_stream_blocks_follow_the_definition(self):
+        # a range of counters is encoded once and reread per stream, one
+        # counter takes the single-update path, any other iterable is read
+        # as it comes: every form gives the defined digests
+        def defined(seed, streams, counters):
+            return [
+                blake2b(
+                    seed.to_bytes(16, "little", signed=True) + s.to_bytes(16, "little")
+                    + c.to_bytes(8, "little"),
+                    digest_size=64,
+                ).digest()
+                for s in streams
+                for c in counters
+            ]
+
+        for counters in (range(1), range(7, 8), range(3), range(2, 5), range(0), [4, 0, 4], (1,)):
+            for seed, streams in ((0, range(3)), (-(2**127), [2**128 - 1, 0, 5])):
+                got = list(W._stream_blocks(seed, streams, counters))
+                assert got == defined(seed, streams, counters), (counters, seed)
+        blocks = W._stream_blocks(9, (4,), count())
+        assert [next(blocks) for _ in range(20)] == defined(9, (4,), range(20))
 
 
 class TestSamplePermWord:
