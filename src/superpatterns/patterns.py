@@ -352,20 +352,33 @@ def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
     >>> sorted(p.images for p in pattern_set((1, 2, 3, 2), 3))
     [(1, 2, 3), (1, 3, 2)]
     """
+    return {_trusted_permutation(t) for t in _pattern_tuples(sigma, k, max_words)}
+
+
+def _pattern_tuples(sigma, k: int, max_words: int) -> set:
+    """pattern_set's answer as one-line tuples, with its domain and cap."""
     if k < 0:
         raise ValueError("k must be non-negative")
     _check_count(f"pattern_set: {k}!", max_words, 1, k, 1)
     out: set[tuple[int, ...]] = set()
     for Y in combinations(_occurrence_lists(_letters(sigma)), k):
         _patterns_of_relabeled(Y, out)
-    return {Permutation(t) for t in out}
+    return out
+
+
+def _trusted_permutation(images: tuple) -> Permutation:
+    """Permutation(images) without __post_init__'s checks, for a tuple of
+    ints the search itself built as a permutation of [k]."""
+    tau = object.__new__(Permutation)
+    object.__setattr__(tau, "images", images)
+    return tau
 
 
 def is_superpattern(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> bool:
     """Whether sigma contains every permutation of [k] as a pattern."""
     if k == 0:
         return True
-    return len(pattern_set(sigma, k, max_words=max_words)) == math.factorial(k)
+    return len(_pattern_tuples(sigma, k, max_words)) == math.factorial(k)
 
 
 def _canonical_words(n: int, max_letters: int):
@@ -477,8 +490,9 @@ def circular_pattern_set(
     >>> len(circular_pattern_set((1, 2, 3), 3, True))
     6
     """
-    found = pattern_set(sigma, k, max_words=max_words)
-    return {Permutation(t) for p in found for t in _dihedral_orbit(p.images, bidirectional)}
+    found = _pattern_tuples(sigma, k, max_words)
+    closed = {t for images in found for t in _dihedral_orbit(images, bidirectional)}
+    return {_trusted_permutation(t) for t in closed}
 
 
 def ascent_count(tau) -> int:

@@ -40,6 +40,7 @@ uint64 bit masks, so a step costs O(1) per row at any k.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -49,7 +50,8 @@ import numpy as np
 
 from . import _WALKS_EXPORTS
 from .dfa import (
-    SubsetDfa, _injective_cost_layers, _last_cost_layer, _letters_of, is_k_dfa, walk_cost,
+    SubsetDfa, _injective_cost_layers, _last_cost_layer, _letters_of, _suffix_sums, _unpack,
+    is_k_dfa, walk_cost,
 )
 from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters
 
@@ -299,11 +301,22 @@ def exact_P_max(
     strict: bool = True,
     max_words: int = MAX_ENUM_WORDS,
 ) -> Fraction:
-    """max over states of exact_P (the form the walk bounds are stated for)."""
+    """max over states of exact_P (the form the walk bounds are stated for).
+
+    On a table automaton one suffix DP (dfa._suffix_sums) counts the words
+    within the bound from every start at once, at most |V| * C(k, s)
+    entries in layer s. A SubsetDfa runs exact_P's DP per start instead:
+    its 2^k states would make each suffix layer 2^k * C(k, s) entries.
+    """
     if not is_k_dfa(dfa):
         raise ValueError("exact_P_max needs a k-DFA (every cost row a permutation)")
-    bound = _cost_bound(dfa.alphabet_size, L, epsilon, strict)
-    return max(_share_within(dfa, v, L, bound, max_words) for v in dfa.states)
+    k = dfa.alphabet_size
+    bound = _cost_bound(k, L, epsilon, strict)
+    if isinstance(dfa, SubsetDfa):
+        return max(_share_within(dfa, v, L, bound, max_words) for v in dfa.states)
+    _check_enumeration(dfa, dfa.root, L, max_words)
+    sums, width = _suffix_sums(dfa, L, bound)
+    return Fraction(max(sum(_unpack(p, width).values()) for p in sums), math.perm(k, L))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -368,6 +369,29 @@ class TestPatternSet:
             assert got == len(brute_pattern_set(mapped, 3))
             counts.add(got)
         assert counts == {3, 4, 5, 6}
+
+    @given(st.lists(st.integers(1, 6), max_size=10), st.integers(0, 5), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_found_tuples_are_not_validated_again(self, letters, k, bidirectional):
+        # the censuses wrap the search's own tuples unchecked: equal and
+        # hash-equal to validated Permutations, ints throughout
+        want = {Permutation(t) for t in brute_pattern_set(letters, k)}
+        want_circular = {
+            Permutation(t) for p in want for t in P._dihedral_orbit(p.images, bidirectional)
+        }
+        everything = len(want) == math.factorial(k)
+
+        def refused(self):
+            raise AssertionError("Permutation validated")
+
+        with patch.object(Permutation, "__post_init__", refused):
+            got = pattern_set(letters, k)
+            got_circular = circular_pattern_set(letters, k, bidirectional)
+            assert is_superpattern(letters, k) == everything
+        for found, expected in ((got, want), (got_circular, want_circular)):
+            assert found == expected
+            assert {hash(p) for p in found} == {hash(p) for p in expected}
+            assert all(type(x) is int for p in found for x in p.images)
 
 
 class TestSuperpattern:

@@ -10,6 +10,8 @@ from itertools import combinations, count, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from superpatterns.bounds import forL_bound
@@ -533,6 +535,96 @@ class TestExactP:
             for L in range(k + 1):
                 pre = walk_cost(dfa, 0, w.letters[:L]).total_cost
                 assert pre <= full
+
+
+# every epsilon on a 0.05 grid: kL(1/2 - eps) hits integer ties at many L
+_EPSILONS = [i / 20 for i in range(11)]
+
+
+@st.composite
+def _k_dfas(draw):
+    """A random, two-track, cheapened greedy or subset k-DFA."""
+    kind = draw(st.sampled_from(["random", "two-track", "greedy", "subset"]))
+    if kind == "random":
+        k = draw(st.integers(1, 7))
+        return random_k_dfa(k, draw(st.integers(1, 12)), draw(st.integers(0, 10**6)))
+    if kind == "two-track":
+        return build_two_track_dfa(draw(st.sampled_from([2, 4, 6, 8])))
+    if kind == "subset":
+        return build_subset_dfa(draw(st.integers(1, 4)))
+    k = draw(st.integers(1, 6))
+    letters = draw(st.lists(st.integers(1, k), min_size=1, max_size=3 * k))
+    return cheapen(build_greedy_dfa(as_word(letters, k)))
+
+
+def _packed_within(dfa, start, words, width, budget):
+    """The packed histogram (digits width bits wide) of the words' walk
+    costs from start, every cost over the budget dropped."""
+    costs = (walk_cost(dfa, start, w).total_cost for w in words)
+    return sum(1 << width * c for c in costs if c <= budget)
+
+
+class TestSuffixDp:
+    """exact_P_max's one suffix DP for every start (dfa._suffix_sums)."""
+
+    @given(_k_dfas(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_max_of_exact_P_over_the_starts(self, dfa, data):
+        L = data.draw(st.integers(0, dfa.alphabet_size))
+        eps = data.draw(st.sampled_from(_EPSILONS))
+        strict = data.draw(st.booleans())
+        want = max(exact_P(dfa, v, L, eps, strict=strict) for v in dfa.states)
+        assert exact_P_max(dfa, L, eps, strict=strict) == want
+
+    @pytest.mark.parametrize("complement", [True, False])
+    def test_layer_entries(self, monkeypatch, complement):
+        # every entry of every stored layer, and each start's sum, against
+        # reading the set's letters from the state in every order; the
+        # budget drops entries from layer 2 on and digits from the sums
+        dfa, L, budget = random_k_dfa(4, 3, 7), 3, 5
+        layers = []
+        step = D._suffix_layer
+        monkeypatch.setattr(D, "_suffix_layer", lambda *args: layers.append(step(*args)) or layers[-1])
+        monkeypatch.setattr(D, "_complement_pays", lambda k, L: complement)
+        sums, width = D._suffix_sums(dfa, L, budget)
+        want = [
+            [
+                [_packed_within(dfa, v, permutations(c), width, budget) for c in combinations(range(1, 5), s)]
+                for v in dfa.states
+            ]
+            for s in range(1, L)
+        ]
+        assert layers == want
+        assert [sum(map(bool, sum(layer, []))) for layer in layers] == [12, 14]
+        assert sums == [_packed_within(dfa, v, permutations(range(1, 5), L), width, budget) for v in dfa.states]
+        assert [sum(D._unpack(p, width).values()) for p in sums] == [2, 4, 3]
+
+    def test_sums_at_every_length(self):
+        # L = 0 included: the empty word costs 0, not 1
+        dfa = random_k_dfa(4, 3, 7)
+        for L in range(5):
+            for budget, within in ((None, math.inf), (5, 5), (-1, -1)):
+                sums, width = D._suffix_sums(dfa, L, budget)
+                words = list(permutations(range(1, 5), L))
+                assert sums == [_packed_within(dfa, v, words, width, within) for v in dfa.states]
+
+    def test_subset_automaton_runs_per_start(self, monkeypatch):
+        # 2^k states would make each suffix layer 2^k * C(k, s) entries
+        def refused(*args):
+            raise AssertionError("suffix DP on a SubsetDfa")
+
+        monkeypatch.setattr(W, "_suffix_sums", refused)
+        s = build_subset_dfa(4)
+        assert exact_P_max(s, 3, 0.1) == max(exact_P(s, v, 3, 0.1) for v in s.states)
+
+    def test_refusals_match_exact_P(self):
+        # the length domain and the cap, checked once, as exact_P words them
+        dfa = random_k_dfa(8, 5, 3)
+        for L, max_words in ((9, 10**7), (-1, 10**7), (5, 100), (8, 10**4)):
+            with pytest.raises(Exception) as want:
+                exact_P(dfa, 0, L, 0.1, max_words=max_words)
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                exact_P_max(dfa, L, 0.1, max_words=max_words)
 
 
 class TestEpsilonDomain:
