@@ -765,14 +765,14 @@ def _suffix_sums(dfa: WeightedDfa, length: int, budget=None) -> tuple:
     set S of s letters still to read) to the histogram of reading S's
     letters from v in every order, with q = 2^width:
         G_s[v][S] = sum over t in S of q^c(v, t) * G_{s-1}[delta(v, t)][S - t],
-    G_0[v][{}] = 1. A layer holds |V| * C(k, s) entries. Run from each of
-    the |V| starts, the forward DP of _cost_layers keeps at least as many,
-    since from every start every set of s letters is read. A state's layer
-    is a list over the sets in combinations order (_suffix_layer).
+    G_0[v][{}] = 1, and start v's sum is the sum of its layer-`length`
+    entries. A layer holds |V| * C(k, s) entries, as many as the |V|
+    forward DPs of _cost_layers visit between them at length s, but all
+    held at once. A state's layer is a list over the sets in combinations
+    order (_suffix_layer).
 
-    The last layer is never stored (_suffix_fold). The budget masks every
-    layer and the sums (_budget_mask), which drops the same digits as one
-    mask at the end, since no step lowers a total.
+    The budget masks every layer and the sums (_budget_mask), which drops
+    the same digits as one mask at the end, since no step lowers a total.
     """
     k = dfa.alphabet_size
     width = math.perm(k, length).bit_length()
@@ -781,19 +781,15 @@ def _suffix_sums(dfa: WeightedDfa, length: int, budget=None) -> tuple:
     finite = _dp_rows(dfa, width).finite
     # per state, per letter t - 1: (successor's index, width * cost)
     succ = [[(i + (step >> k), shift) for _, step, shift in row] for i, row in enumerate(finite)]
-    if length == 0:
-        sums = [1] * len(succ)
-    else:
-        layer, sets, combos = [[1]] * len(succ), [0], [()]
-        for s in range(1, length):
-            at = {S: j for j, S in enumerate(sets)}
-            combos = list(combinations(range(k), s))
-            sets = [sum(1 << t for t in c) for c in combos]
-            # per set: (t - 1, position of the set without t one layer down)
-            parts = [[(t, at[S ^ 1 << t]) for t in c] for S, c in zip(sets, combos)]
-            layer = _suffix_layer(succ, layer, parts, keep)
-        sums = _suffix_fold(k, succ, layer, sets, combos, _complement_pays(k, length))
-    return [p & keep for p in sums], width
+    layer, sets = [[1]] * len(succ), [0]
+    for s in range(1, length + 1):
+        at = {S: j for j, S in enumerate(sets)}
+        combos = list(combinations(range(k), s))
+        sets = [sum(1 << t for t in c) for c in combos]
+        # per set: (t - 1, position of the set without t one layer down)
+        parts = [[(t, at[S ^ 1 << t]) for t in c] for S, c in zip(sets, combos)]
+        layer = _suffix_layer(succ, layer, parts, keep)
+    return [sum(entries) & keep for entries in layer], width
 
 
 def _suffix_layer(succ: list, layer: list, parts: list, keep: int) -> list:
@@ -812,34 +808,6 @@ def _suffix_layer(succ: list, layer: list, parts: list, keep: int) -> list:
             entries.append(acc & keep)
         out.append(entries)
     return out
-
-
-def _suffix_fold(k: int, succ: list, layer: list, sets: list, combos: list, complement: bool) -> list:
-    """The per-start sums of _suffix_sums from its layer one letter short,
-    layer, over the sets `sets` holding the letters (t - 1) of `combos`.
-
-    Start v adds q^c(v, t) * B[u][t] per edge v -t-> u, where B[u][t] is
-    the sum of u's entries whose sets lack t. By complement (as in
-    _last_two_by_complement) B[u][t] = H[u] - A[u][t], with H[u] the sum
-    of all of u's entries and A[u][t] of those whose sets hold t, so each
-    entry is charged for its length - 1 letters; otherwise each entry is
-    added to its k - length + 1 unread letters directly.
-    """
-    if complement:
-        letters = combos
-    else:
-        letters = [[t for t in range(k) if not S >> t & 1] for S in sets]
-    folds = []
-    for entries in layer:
-        acc = [0] * k
-        for x, ts in zip(entries, letters):
-            for t in ts:
-                acc[t] += x
-        if complement:
-            whole = sum(entries)
-            acc = [whole - a for a in acc]
-        folds.append(acc)
-    return [sum(folds[u][t] << shift for t, (u, shift) in enumerate(row)) for row in succ]
 
 
 def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:

@@ -352,7 +352,7 @@ def pattern_set(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> set:
     >>> sorted(p.images for p in pattern_set((1, 2, 3, 2), 3))
     [(1, 2, 3), (1, 3, 2)]
     """
-    return {_trusted_permutation(t) for t in _pattern_tuples(sigma, k, max_words)}
+    return {Permutation(t) for t in _pattern_tuples(sigma, k, max_words)}
 
 
 def _pattern_tuples(sigma, k: int, max_words: int) -> set:
@@ -364,14 +364,6 @@ def _pattern_tuples(sigma, k: int, max_words: int) -> set:
     for Y in combinations(_occurrence_lists(_letters(sigma)), k):
         _patterns_of_relabeled(Y, out)
     return out
-
-
-def _trusted_permutation(images: tuple) -> Permutation:
-    """Permutation(images) without __post_init__'s checks, for a tuple of
-    ints the search itself built as a permutation of [k]."""
-    tau = object.__new__(Permutation)
-    object.__setattr__(tau, "images", images)
-    return tau
 
 
 def is_superpattern(sigma, k: int, *, max_words: int = MAX_ENUM_WORDS) -> bool:
@@ -491,8 +483,7 @@ def circular_pattern_set(
     6
     """
     found = _pattern_tuples(sigma, k, max_words)
-    closed = {t for images in found for t in _dihedral_orbit(images, bidirectional)}
-    return {_trusted_permutation(t) for t in closed}
+    return {Permutation(t) for images in found for t in _dihedral_orbit(images, bidirectional)}
 
 
 def ascent_count(tau) -> int:

@@ -303,18 +303,23 @@ def exact_P_max(
 ) -> Fraction:
     """max over states of exact_P (the form the walk bounds are stated for).
 
-    On a table automaton one suffix DP (dfa._suffix_sums) counts the words
-    within the bound from every start at once, at most |V| * C(k, s)
-    entries in layer s. A SubsetDfa runs exact_P's DP per start instead:
-    its 2^k states would make each suffix layer 2^k * C(k, s) entries.
+    On a table automaton with |V| <= s! states, where s = min(L, k // 2),
+    one suffix DP (dfa._suffix_sums) counts the words within the bound
+    from every start at once. Its widest layer, s, holds |V| * C(k, s)
+    entries, no more than the perm(k, s) that one DP per start may hold
+    there, so the cap on the words bounds both. With more states, and on
+    a SubsetDfa (2^k states), exact_P's DP runs per start instead.
     """
     if not is_k_dfa(dfa):
         raise ValueError("exact_P_max needs a k-DFA (every cost row a permutation)")
     k = dfa.alphabet_size
     bound = _cost_bound(k, L, epsilon, strict)
-    if isinstance(dfa, SubsetDfa):
+    per_start = isinstance(dfa, SubsetDfa)
+    if not per_start:
+        _check_enumeration(dfa, dfa.root, L, max_words)
+        per_start = len(dfa.states) > math.factorial(min(L, k // 2))
+    if per_start:
         return max(_share_within(dfa, v, L, bound, max_words) for v in dfa.states)
-    _check_enumeration(dfa, dfa.root, L, max_words)
     sums, width = _suffix_sums(dfa, L, bound)
     return Fraction(max(sum(_unpack(p, width).values()) for p in sums), math.perm(k, L))
 

@@ -573,30 +573,35 @@ class TestSuffixDp:
         L = data.draw(st.integers(0, dfa.alphabet_size))
         eps = data.draw(st.sampled_from(_EPSILONS))
         strict = data.draw(st.booleans())
-        want = max(exact_P(dfa, v, L, eps, strict=strict) for v in dfa.states)
-        assert exact_P_max(dfa, L, eps, strict=strict) == want
+        each = [exact_P(dfa, v, L, eps, strict=strict) for v in dfa.states]
+        assert exact_P_max(dfa, L, eps, strict=strict) == max(each)
+        if not isinstance(dfa, D.SubsetDfa):
+            # the kernel itself, from every start, whichever path
+            # exact_P_max takes for this many states
+            k = dfa.alphabet_size
+            sums, width = D._suffix_sums(dfa, L, W._cost_bound(k, L, eps, strict))
+            hits = [Fraction(sum(D._unpack(p, width).values()), math.perm(k, L)) for p in sums]
+            assert hits == each
 
-    @pytest.mark.parametrize("complement", [True, False])
-    def test_layer_entries(self, monkeypatch, complement):
-        # every entry of every stored layer, and each start's sum, against
-        # reading the set's letters from the state in every order; the
-        # budget drops entries from layer 2 on and digits from the sums
+    def test_layer_entries(self, monkeypatch):
+        # every entry of every layer, and each start's sum, against reading
+        # the set's letters from the state in every order; the budget
+        # drops entries from layer 2 on and digits from the sums
         dfa, L, budget = random_k_dfa(4, 3, 7), 3, 5
         layers = []
         step = D._suffix_layer
         monkeypatch.setattr(D, "_suffix_layer", lambda *args: layers.append(step(*args)) or layers[-1])
-        monkeypatch.setattr(D, "_complement_pays", lambda k, L: complement)
         sums, width = D._suffix_sums(dfa, L, budget)
         want = [
             [
                 [_packed_within(dfa, v, permutations(c), width, budget) for c in combinations(range(1, 5), s)]
                 for v in dfa.states
             ]
-            for s in range(1, L)
+            for s in range(1, L + 1)
         ]
         assert layers == want
-        assert [sum(map(bool, sum(layer, []))) for layer in layers] == [12, 14]
-        assert sums == [_packed_within(dfa, v, permutations(range(1, 5), L), width, budget) for v in dfa.states]
+        assert [sum(map(bool, sum(layer, []))) for layer in layers] == [12, 14, 7]
+        assert sums == [sum(entries) for entries in layers[-1]]
         assert [sum(D._unpack(p, width).values()) for p in sums] == [2, 4, 3]
 
     def test_sums_at_every_length(self):
@@ -616,6 +621,17 @@ class TestSuffixDp:
         monkeypatch.setattr(W, "_suffix_sums", refused)
         s = build_subset_dfa(4)
         assert exact_P_max(s, 3, 0.1) == max(exact_P(s, v, 3, 0.1) for v in s.states)
+
+    @pytest.mark.parametrize("states, L, suffix", [(24, 6, True), (25, 6, False), (6, 3, True), (7, 3, False)])
+    def test_path_follows_the_widest_layer(self, monkeypatch, states, L, suffix):
+        # the suffix DP runs only while its widest layer, s = min(L, k // 2),
+        # holds no more entries than one DP per start may: |V| <= s!
+        calls = []
+        kernel = W._suffix_sums
+        monkeypatch.setattr(W, "_suffix_sums", lambda *args: calls.append(args) or kernel(*args))
+        dfa = random_k_dfa(8, states, 1)
+        assert exact_P_max(dfa, L, 0.1) == max(exact_P(dfa, v, L, 0.1) for v in dfa.states)
+        assert len(calls) == suffix
 
     def test_refusals_match_exact_P(self):
         # the length domain and the cap, checked once, as exact_P words them
