@@ -60,15 +60,6 @@ ExtCost = Union[int, float]
 MAX_SUBSET_ENUM_K = 20
 
 
-def _letters_of(w) -> tuple[int, ...]:
-    """Letter sequence of a Word, Permutation, or plain iterable."""
-    if hasattr(w, "letters"):
-        return tuple(w.letters)
-    if hasattr(w, "images"):
-        return tuple(w.images)
-    return _integral_letters(w)
-
-
 @dataclass(frozen=True)
 class WalkTrace:
     """States visited and costs paid along one walk.
@@ -317,7 +308,7 @@ def walk_cost(dfa: Dfa, start, w) -> WalkTrace:
     if not dfa.has_state(start):
         raise ValueError(f"unknown state {start!r}")
     k = dfa.alphabet_size
-    word = _letters_of(w)
+    word = _integral_letters(w)
     states = [start]
     costs = []
     total: ExtCost = 0
@@ -464,17 +455,17 @@ class _Rows:
     """Edge rows at one digit width, as the subset DP reads them.
 
     finite[i] lists the finite edges of state i in letter order as (bit,
-    key step, width * cost), and infinite[i] its INFINITY edges as (bit,
-    key step, INFINITY); infinite is None when the automaton has none. On
-    a table automaton, folds and weights hold _last_two_by_complement's
-    constants per state, filled as frontiers reach the states.
+    key step, width * cost). INFINITY edges are not listed: the DP drops a
+    prefix that pays INFINITY, and the decoder counts those words by
+    subtraction (_with_infinity). On a table automaton, folds and weights
+    hold _last_two_by_complement's constants per state, filled as
+    frontiers reach the states.
     """
 
-    __slots__ = ("finite", "infinite", "folds", "weights")
+    __slots__ = ("finite", "folds", "weights")
 
-    def __init__(self, finite, infinite):
+    def __init__(self, finite):
         self.finite = finite
-        self.infinite = infinite
         self.folds: dict = {}
         self.weights: dict = {}
 
@@ -485,21 +476,19 @@ def _edge_rows(dfa: WeightedDfa, width: int) -> _Rows:
     A (state, letters read) pair is the integer key index << k | used, with
     index the state's row number (WeightedDfa._index). Reading an unread
     letter t, bit = 1 << t-1, from index i to successor index j moves the
-    key by ((j - i) << k) + bit, a negative step when j < i. INFINITY stays
-    INFINITY.
+    key by ((j - i) << k) + bit, a negative step when j < i. INFINITY edges
+    are left out.
     """
     k = dfa.alphabet_size
     index = dfa._index
-    finite = []
-    infinite = []
-    for i, v in enumerate(index):
-        edges = [
+    return _Rows([
+        tuple(
             (1 << t, ((index[u] - i) << k) + (1 << t), width * c)
             for t, (u, c) in enumerate(zip(dfa.delta_row(v), dfa.cost_row(v)))
-        ]
-        finite.append(tuple(e for e in edges if e[2] != INFINITY))
-        infinite.append(tuple(e for e in edges if e[2] == INFINITY))
-    return _Rows(finite, infinite if any(infinite) else None)
+            if c != INFINITY
+        )
+        for i, v in enumerate(index)
+    ])
 
 
 def _dp_rows(dfa: Dfa, width: int) -> _Rows:
@@ -507,7 +496,7 @@ def _dp_rows(dfa: Dfa, width: int) -> _Rows:
     _rows, built there by _edge_rows once per width; a SubsetDfa's from
     its cost rows (_SubsetRows), where a subset state is its own index."""
     if isinstance(dfa, SubsetDfa):
-        return _Rows(_SubsetRows(dfa, width), None)
+        return _Rows(_SubsetRows(dfa, width))
     if width not in dfa._rows:
         dfa._rows[width] = _edge_rows(dfa, width)
     return dfa._rows[width]
@@ -542,18 +531,26 @@ def _unpack(packed: int, width: int, out=None, cost: int = 0) -> Counter:
     return out
 
 
-def _packed_decoder(width: int):
-    """decode((finite, infinite)) -> the Counter of a packed layer: the
-    histogram of finite totals in ascending order, then INFINITY with the
-    count of words that paid it (the digit sum of infinite)."""
-
-    def decode(layer) -> Counter:
-        finite, infinite = layer
-        out = _unpack(finite, width)
-        lost = sum(_unpack(infinite, width).values())
+def _with_infinity(out: Counter, k: int, length: int, budget) -> Counter:
+    """out, the histogram of finite totals of the injective length-`length`
+    words, with INFINITY added last for the words it misses when no budget
+    applies (a whole budget drops every INFINITY word). Each of the
+    perm(k, length) injective words walks exactly once, so the count is
+    their number minus the finite count."""
+    if budget is None:
+        lost = math.perm(k, length) - sum(out.values())
         if lost:
             out[INFINITY] = lost
-        return out
+    return out
+
+
+def _packed_decoder(k: int, width: int, budget):
+    """decode(length, packed) -> the Counter of a packed layer: the
+    histogram of finite totals in ascending order, then INFINITY
+    (_with_infinity), for a whole budget (_whole_budget)."""
+
+    def decode(length: int, packed: int) -> Counter:
+        return _with_infinity(_unpack(packed, width), k, length, budget)
 
     return decode
 
@@ -580,18 +577,18 @@ def _subset_root_layers(k: int, max_len: int, budget=None) -> tuple:
     width = math.perm(k, max_len).bit_length()
     ceiling = max_len * k
     mask = _budget_mask(budget, ceiling, width)
-    layers = [(1, 0)]
+    layers = [1]
     packed = 1
     for m in range(k, k - max_len, -1):
         packed *= ((1 << width * m) - 1) // ((1 << width) - 1) << width
         if mask is not None:
             packed &= mask
-        layers.append((packed, 0))
-    return layers, _packed_decoder(width)
+        layers.append(packed)
+    return layers, _packed_decoder(k, width, budget)
 
 
 def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
-    """(layers, decode): decode(layers[l]) is the Counter {total cost:
+    """(layers, decode): decode(l, layers[l]) is the Counter {total cost:
     number of injective length-l words paying it from start}, l =
     0..max_len, finite totals ascending and INFINITY last. A budget admits
     the totals up to its floor (_whole_budget); a prefix costing more is
@@ -614,22 +611,21 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     of prefixes with total c is digit c, width bits wide. No count exceeds
     perm(k, max_len) < 2^width, so digits never carry; paying c is a shift
     by width * c, merging two pairs is an add, and a budget is a mask.
-    A prefix that pays INFINITY leaves the frontier: with no budget, its
-    unshifted histogram joins the layer's infinite integer, and each later
-    layer multiplies that integer by the number of unread letters, since
-    every injective extension of such a prefix is infinite too. When
-    max_len times the largest finite step cost passes _PACKED_MAX_TOTAL,
-    the integers would be mostly empty digits and
+    The rows list finite edges only, so a prefix that pays INFINITY
+    leaves the DP, and every layer is the histogram of finite totals; the
+    decoder counts the INFINITY words by subtraction (_with_infinity).
+    When max_len times the largest finite step cost passes
+    _PACKED_MAX_TOTAL, the integers would be mostly empty digits and
     _injective_cost_layers_sparse runs instead.
 
     The last layer is a fold: with no merging left to do, each pair one
     letter short adds its histogram shifted by each unread edge. On a
     table automaton, for short words (_complement_pays: 2(max_len - 1) <
-    k) and no INFINITY edge left, _last_two_by_complement takes the last
-    two layers at once and charges each pair for its max_len - 1 letters
-    read instead of its k - max_len + 1 unread edges. Otherwise the fold
-    runs edge by edge. Either way a budget masks the last layer once,
-    which drops the same digits as one mask per edge.
+    k), _last_two_by_complement takes the last two layers at once and
+    charges each pair for its max_len - 1 letters read instead of its
+    k - max_len + 1 unread edges. Otherwise the fold runs edge by edge.
+    Either way a budget masks the last layer once, which drops the same
+    digits as one mask per edge.
     """
     k = dfa.alphabet_size
     budget = _whole_budget(budget)
@@ -638,28 +634,23 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     ceiling = max_len * _largest_finite_cost(dfa)
     if ceiling > _PACKED_MAX_TOTAL:
         # the dict path's layers are Counters already
-        return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda layer: layer
+        return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda length, layer: layer
     width = math.perm(k, max_len).bit_length()
     mask = _budget_mask(budget, ceiling, width)
     rows = _dp_rows(dfa, width)
     finite = rows.finite
-    # a budget drops every INFINITY edge
-    infinite = rows.infinite if budget is None else None
     # the complement keeps weights per successor state: off the root of a
     # SubsetDfa that is up to C(k, l) states, so it keeps the per-edge fold
-    complement = (
-        not isinstance(dfa, SubsetDfa) and infinite is None and _complement_pays(k, max_len)
-    )
-    layers = [(1, 0)]
+    complement = not isinstance(dfa, SubsetDfa) and _complement_pays(k, max_len)
+    layers = [1]
     frontier = {_start_key(dfa, start): 1}
-    lost = 0
     for length in range(1, max_len + 1):
         if complement and length == max_len - 1:
             shorter, last = _last_two_by_complement(k, rows, frontier)
             if mask is not None:
                 shorter &= mask
                 last &= mask
-            layers += [(shorter, 0), (last, 0)]
+            layers += [shorter, last]
             break
         nxt: dict = {}
         get = nxt.get
@@ -687,15 +678,9 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
                             nxt[key2] = get(key2, 0) + out
         if mask is not None:
             layer &= mask
-        if infinite is not None:
-            lost *= k - length + 1
-            for key, packed in frontier.items():
-                for bit, _, _ in infinite[key >> k]:
-                    if not key & bit:
-                        lost += packed
-        layers.append((layer + sum(nxt.values()), lost))
+        layers.append(layer + sum(nxt.values()))
         frontier = nxt
-    return layers, _packed_decoder(width)
+    return layers, _packed_decoder(k, width, budget)
 
 
 def _complement_pays(k: int, max_len: int) -> bool:
@@ -706,10 +691,11 @@ def _complement_pays(k: int, max_len: int) -> bool:
 
 
 def _last_two_by_complement(k: int, rows: _Rows, frontier: dict) -> tuple:
-    """(shorter, last): the packed histograms of the DP's last two layers,
-    grown from frontier, the layer before them, on a table automaton with
-    no INFINITY edge taken (none left, or a budget drops them); rows are
-    the automaton's _Rows at the digit width of frontier's histograms.
+    """(shorter, last): the packed histograms of finite totals of the DP's
+    last two layers, grown from frontier, the layer before them, on a
+    table automaton; rows are the automaton's _Rows at the digit width of
+    frontier's histograms. An INFINITY edge weighs 0 here, as it is
+    missing from rows, and the decoder counts its words (_with_infinity).
 
     With q = 2^width, a pair (v, U) one letter short adds packed * sum over
     unread t of q^c(v, t) to the last layer. That is packed * (R_v - S),
@@ -815,25 +801,25 @@ def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
     paying it from start}, l = 0..max_len: every layer of _cost_layers,
     decoded."""
     layers, decode = _cost_layers(dfa, start, max_len, budget)
-    return [decode(layer) for layer in layers]
+    return [decode(length, layer) for length, layer in enumerate(layers)]
 
 
 def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
     """_injective_cost_layers(dfa, start, length, budget)[length], with no
     shorter layer decoded."""
     layers, decode = _cost_layers(dfa, start, length, budget)
-    return decode(layers[-1])
+    return decode(length, layers[-1])
 
 
 def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
     of letters read), for automata whose finite costs are too wide to pack.
-    Keys and edge rows are the packed DP's at width 1 (_dp_rows);
-    INFINITY is a total like any other. Each Counter is sorted at the end,
-    so its keys run as on the packed paths."""
+    Keys and finite edge rows are the packed DP's at width 1 (_dp_rows),
+    and the INFINITY words are counted as there (_with_infinity). Each
+    Counter is sorted at the end, so its keys run as on the packed paths."""
     k = dfa.alphabet_size
-    rows = _dp_rows(dfa, 1)
-    finite, infinite = rows.finite, rows.infinite
+    budget = _whole_budget(budget)
+    finite = _dp_rows(dfa, 1).finite
     dists = [Counter() for _ in range(max_len + 1)]
     dists[0][0] = 1
     frontier = {_start_key(dfa, start): {0: 1}}
@@ -842,10 +828,7 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
         last = length == max_len
         nxt: dict = {}
         for key, hist in frontier.items():
-            edges = finite[key >> k]
-            if infinite is not None:
-                edges = edges + infinite[key >> k]
-            for bit, step, c in edges:
+            for bit, step, c in finite[key >> k]:
                 if key & bit:
                     continue
                 if last:
@@ -869,7 +852,10 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
         for hist in nxt.values():
             bucket.update(hist)
         frontier = nxt
-    return [Counter(dict(sorted(dist.items()))) for dist in dists]
+    return [
+        _with_infinity(Counter(dict(sorted(dist.items()))), k, length, budget)
+        for length, dist in enumerate(dists)
+    ]
 
 
 def cheap_perm_count(dfa: Dfa, budget: int, *, max_words: int = MAX_ENUM_WORDS) -> int:

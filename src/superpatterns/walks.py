@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _WALKS_EXPORTS
 from .dfa import (
-    SubsetDfa, _injective_cost_layers, _last_cost_layer, _letters_of, _suffix_sums, _unpack,
+    SubsetDfa, _injective_cost_layers, _last_cost_layer, _suffix_sums, _unpack,
     is_k_dfa, walk_cost,
 )
 from .patterns import MAX_ENUM_WORDS, _check_count, _integral_letters
@@ -200,7 +200,7 @@ def restriction(w, E) -> PermutationalWord:
     if isinstance(w, PermutationalWord):
         letters, k = w.letters, w.alphabet_size
     else:
-        letters = _letters_of(w)
+        letters = _integral_letters(w)
         k = max(letters, default=0)
     idx = sorted(set(_integral_letters(E, "index")))
     for e in idx:
@@ -574,7 +574,7 @@ def xy_decompose(dfa, tau) -> Decomposition:
     if not is_k_dfa(dfa):
         raise ValueError("xy_decompose needs a k-DFA")
     k = dfa.alphabet_size
-    word = _letters_of(tau)
+    word = _integral_letters(tau)
     if sorted(word) != list(range(1, k + 1)):
         raise ValueError(f"{word!r} is not a permutation of [{k}]")
     trace = walk_cost(dfa, dfa.root, word)
@@ -601,7 +601,7 @@ def t_statistic(dfa, prefix, x) -> tuple[dict, int]:
     if not is_k_dfa(dfa):
         raise ValueError("t_statistic needs a k-DFA")
     k = dfa.alphabet_size
-    letters = _letters_of(prefix)
+    letters = _integral_letters(prefix)
     if len(set(letters)) != len(letters):
         raise ValueError("prefix must be injective")
     for t in letters:

@@ -705,8 +705,12 @@ class TestIntegerKeyedKernel:
             dfa = renamed(base, rename)
             k = dfa.alphabet_size
             rows = dfa_module._edge_rows(dfa, 1)
-            edges = [e for part in (rows.finite, rows.infinite or ()) for row in part for e in row]
-            assert len(edges) == k * len(dfa.states)
+            # per state, its finite edges in letter order, and no others
+            assert [[(bit.bit_length(), c) for bit, _, c in row] for row in rows.finite] == [
+                [(t, c) for t, c in enumerate(dfa.cost_row(v), start=1) if c != INFINITY]
+                for v in dfa.states
+            ]
+            edges = [e for row in rows.finite for e in row]
             # a successor with a lower index than its state steps the key down
             assert any(step < 0 for _, step, _ in edges) == goes_back
             for start in dfa.states[:3]:
@@ -793,12 +797,17 @@ class TestIntegerKeyedKernel:
 def both_folds(monkeypatch, dfa, start, max_len, budget=None):
     """_injective_cost_layers with the last layer taken by complement
     wherever the DP can (dfa._last_two_by_complement), then by the per-edge
-    fold everywhere."""
+    fold everywhere, and whether the first run took the complement."""
+    calls = []
+    fold = dfa_module._last_two_by_complement
+    monkeypatch.setattr(
+        dfa_module, "_last_two_by_complement", lambda *args: calls.append(args) or fold(*args)
+    )
     out = []
     for complement in (True, False):
         monkeypatch.setattr(dfa_module, "_complement_pays", lambda k, L, c=complement: c)
         out.append(_injective_cost_layers(dfa, start, max_len, budget))
-    return out
+    return out + [bool(calls)]
 
 
 def weighted_zero_and_infinity():
@@ -841,9 +850,9 @@ class TestComplementFold:
             (build_subset_dfa(12), 0b101, 3, 20, False),
             (random_k_dfa(8, 10, 2), 0, 5, None, False),  # 2 * 4 >= 8
             (random_k_dfa(12, 20, 5), 3, 1, None, False),  # no layer before the last two
-            # INFINITY edges with no budget keep the per-edge fold; a budget
-            # drops those edges, so the complement serves again
-            (greedy_with_infinity(), 0, 2, None, False),
+            # INFINITY edges weigh 0 in the complement, with or without a
+            # budget: the decoder counts their words
+            (greedy_with_infinity(), 0, 2, None, True),
             (greedy_with_infinity(), 0, 2, 9, True),
         ):
             calls.clear()
@@ -858,7 +867,10 @@ class TestComplementFold:
             ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
             for max_len in range(k + 1):
                 for budget in self.BUDGETS:
-                    complement, per_edge = both_folds(monkeypatch, dfa, start, max_len, budget)
+                    complement, per_edge, ran = both_folds(monkeypatch, dfa, start, max_len, budget)
+                    # every table automaton, INFINITY edges and all, takes the
+                    # complement once a layer precedes the last two
+                    assert ran == (name != "subset" and max_len >= 2), (name, start, max_len, budget)
                     assert [list(c.items()) for c in complement] == [
                         list(c.items()) for c in per_edge
                     ], (name, start, max_len, budget)
