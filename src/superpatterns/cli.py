@@ -332,7 +332,9 @@ def _cmd_concentration(args, cap):
     if args.threads < 1:
         raise ValueError(f"need threads >= 1, got {args.threads}")
     dfa = _build_dfa(args)
-    rep = S.concentration_experiment(dfa, args.M, args.epsilon_star, args.samples, args.seed)
+    rep = S.concentration_experiment(
+        dfa, args.M, args.epsilon_star, args.samples, args.seed, max_words=cap
+    )
     return {**rep.to_json_dict(), **_con(args)}
 
 
@@ -511,8 +513,8 @@ _COMMANDS = {
     ),
     "decompose": ((), _AUTOMATON + _PERM, _cmd_decompose, "rank/slack split of a walk", ()),
     "concentration": (
-        ("M", "epsilon_star", "samples", "seed"), _AUTOMATON + ("threads",), _cmd_concentration,
-        "window event frequencies", (),
+        ("M", "epsilon_star", "samples", "seed"), _AUTOMATON + ("threads", "max_enum"),
+        _cmd_concentration, "window event frequencies", (),
     ),
     "bcp": (
         (), _WORD + _reads(_MODES["bcp"]) + ("bidirectional",), _run_mode,

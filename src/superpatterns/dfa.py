@@ -457,16 +457,16 @@ class _Rows:
     finite[i] lists the finite edges of state i in letter order as (bit,
     key step, width * cost). INFINITY edges are not listed: the DP drops a
     prefix that pays INFINITY, and the decoder counts those words by
-    subtraction (_with_infinity). On a table automaton, folds and weights
-    hold _last_two_by_complement's constants per state, filled as
+    subtraction (_with_infinity). On a table automaton, tails and weights
+    hold _last_two_by_complement's constants per state (_tail), filled as
     frontiers reach the states.
     """
 
-    __slots__ = ("finite", "folds", "weights")
+    __slots__ = ("finite", "tails", "weights")
 
     def __init__(self, finite):
         self.finite = finite
-        self.folds: dict = {}
+        self.tails: dict = {}
         self.weights: dict = {}
 
 
@@ -622,8 +622,9 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     letter short adds its histogram shifted by each unread edge. On a
     table automaton, for short words (_complement_pays: 2(max_len - 1) <
     k), _last_two_by_complement takes the last two layers at once and
-    charges each pair for its max_len - 1 letters read instead of its
-    k - max_len + 1 unread edges. Otherwise the fold runs edge by edge.
+    charges each pair two letters short for its max_len - 2 letters read,
+    by inclusion and exclusion, instead of for the letters left. Otherwise
+    the fold runs edge by edge.
     Either way a budget masks the last layer once, which drops the same
     digits as one mask per edge.
     """
@@ -697,48 +698,87 @@ def _last_two_by_complement(k: int, rows: _Rows, frontier: dict) -> tuple:
     frontier's histograms. An INFINITY edge weighs 0 here, as it is
     missing from rows, and the decoder counts its words (_with_infinity).
 
-    With q = 2^width, a pair (v, U) one letter short adds packed * sum over
-    unread t of q^c(v, t) to the last layer. That is packed * (R_v - S),
-    with R_v the sum over v's finite edges and S the same sum over the
-    letters in U only, so it costs the letters read, not the letters left.
-    The pairs are never stored: each edge (u, T) -t-> (v, T + t) out of the
-    frontier adds q^c(u, t) * (R_v - S) to its source's sum, which is
-    multiplied by the source's packed once. R_v - S is the exact sum of
-    q^c over v's unread finite edges, so every product is a true histogram
-    whose digits count words and stay below 2^width: no digit carries.
-    Budgets are left to the caller's mask. The per-state constants depend
-    only on the state and the width, so they are kept in rows and a state
-    met again, in this call or a later one, reuses them.
+    With q = 2^width, x_t = q^c(u, t), v_t = delta(u, t) and w_v[b] =
+    q^c(v, b) (0 for INFINITY), a frontier pair (u, U) with histogram
+    packed adds packed * sum over unread t of x_t to the shorter layer, and
+    packed * sum over unread t of x_t * (R_{v_t} - w_{v_t}[t] - sum over b
+    in U of w_{v_t}[b]) to the last one, R_v being the sum of w_v. By
+    inclusion and exclusion over the letters read, both sums cost the
+    letters in U, not the letters left:
+        shorter: R_u - sum over a in U of x_a,
+        last: A_u - sum over a in U of K_u[a]
+              + sum over a in U of x_a * sum over b in U of w_{v_a}[b],
+    with A_u = sum over t of x_t * (R_{v_t} - w_{v_t}[t]) and the column
+    K_u[a] = x_a * R_{v_a} + sum over t != a of x_t * w_{v_t}[a]. Each
+    result is a true histogram of words, so its digits stay below 2^width
+    and no digit carries, whatever the partial sums went through. Budgets
+    are left to the caller's mask.
+
+    The constants depend only on the state and the width, so they are kept
+    in rows (_tail): |V| * k of them per width at most. A state met again,
+    in this call or a later one, reuses them. A column is built the first
+    time a pair that has read its letter meets the state, so a query that
+    reads few letters before the last two builds few columns.
     """
-    letters = [1 << t for t in range(k)]
-    finite, weights, folds = rows.finite, rows.weights, rows.folds
-    # for the frontier's states u, per edge u -t-> v: (bit, q^c(u, t), v's
-    # weights {bit: q^c(v, bit)} with 0 for INFINITY, R_v - q^c(v, t))
-    for u in {key >> k for key in frontier} - folds.keys():
-        fold = []
-        for bit, step, shift in finite[u]:
-            v = ((u << k) + step) >> k
-            if v not in weights:
-                w = dict.fromkeys(letters, 0)
-                for b, _, c in finite[v]:
-                    w[b] = 1 << c
-                weights[v] = w, sum(w.values())
-            w, total = weights[v]
-            fold.append((bit, 1 << shift, w, total - w[bit]))
-        folds[u] = fold
+    tails, full = rows.tails, (1 << k) - 1
+    reads: dict = {}
     shorter = last = 0
     for key, packed in frontier.items():
-        read = [b for b in letters if key & b]
-        sums = rest = 0
-        for bit, x, w, unread in folds[key >> k]:
-            if not key & bit:
-                for b in read:
-                    unread -= w[b]
-                sums += x
-                rest += x * unread
+        tail = tails.get(key >> k) or _tail(k, rows, key >> k)
+        read = reads.get(key & full)
+        if read is None:
+            read = reads[key & full] = [t for t in range(k) if key >> t & 1]
+        sums, rest, edges, columns, finite = tail
+        for a in read:
+            column = columns[a]
+            if column is None:
+                column = columns[a] = _column(edges[a], finite, a)
+            rest -= column
+            x, shift, w, _ = edges[a]
+            if x:
+                sums -= x
+                rest += sum(map(w.__getitem__, read)) << shift
         shorter += packed * sums
         last += packed * rest
     return shorter, last
+
+
+def _tail(k: int, rows: _Rows, u: int) -> tuple:
+    """Keep and return _last_two_by_complement's constants for state u:
+    (R_u, A_u, edges, columns, finite), with edges[t] = (x_t, width *
+    c(u, t), w_{v_t}, R_{v_t}), all 0 for an INFINITY edge, columns[a] =
+    K_u[a] or None until built, and finite the (width * c(u, t), w_{v_t})
+    of u's finite edges. Each part is stored whole (the columns one at a
+    time), so threads that share the automaton never read a part."""
+    weights = rows.weights
+    edges = [(0, 0, [0] * k, 0)] * k
+    finite = []
+    R = A = 0
+    for bit, step, shift in rows.finite[u]:
+        v = ((u << k) + step) >> k
+        if v not in weights:
+            w = [0] * k
+            for b, _, c in rows.finite[v]:
+                w[b.bit_length() - 1] = 1 << c
+            weights[v] = w, sum(w)
+        w, total = weights[v]
+        t = bit.bit_length() - 1
+        edges[t] = (1 << shift, shift, w, total)
+        finite.append((shift, w))
+        R += 1 << shift
+        A += total - w[t] << shift
+    tail = rows.tails[u] = (R, A, edges, [None] * k, finite)
+    return tail
+
+
+def _column(edge: tuple, finite: list, a: int) -> int:
+    # K_u[a], from edges[a] and finite of u's _tail: the sum runs over
+    # every finite edge, so x_a * w_{v_a}[a] is taken back first
+    _, shift, w, total = edge
+    column = total - w[a] << shift
+    for s, w_t in finite:
+        column += w_t[a] << s
+    return column
 
 
 def _suffix_sums(dfa: WeightedDfa, length: int, budget=None) -> tuple:

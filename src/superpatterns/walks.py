@@ -303,22 +303,32 @@ def exact_P_max(
 ) -> Fraction:
     """max over states of exact_P (the form the walk bounds are stated for).
 
+    On a SubsetDfa it is exact_P at the root, which bounds every k-DFA. In
+    a k-DFA each cost row is a permutation of [k], so reading letter t at
+    step j pays c(v, t) >= X_j, the rank of c(v, t) among the costs of the
+    k - j + 1 letters not yet read. From any start the rank vectors (X_1,
+    ..., X_L) of the injective length-L words run once through [k] x [k-1]
+    x ... x [k-L+1] (each step picks the unread letter of rank X_j), so at
+    most as many words cost within the bound as there are rank vectors
+    whose sum is within it. From its root the subset automaton pays
+    exactly the sum of the X_j and reaches that count, so no start of any
+    k-DFA, its own included, beats the root.
+
     On a table automaton with |V| <= s! states, where s = min(L, k // 2),
     one suffix DP (dfa._suffix_sums) counts the words within the bound
     from every start at once. Its widest layer, s, holds |V| * C(k, s)
     entries, no more than the perm(k, s) that one DP per start may hold
-    there, so the cap on the words bounds both. With more states, and on
-    a SubsetDfa (2^k states), exact_P's DP runs per start instead.
+    there, so the cap on the words bounds both. With more states exact_P's
+    DP runs per start instead.
     """
     if not is_k_dfa(dfa):
         raise ValueError("exact_P_max needs a k-DFA (every cost row a permutation)")
     k = dfa.alphabet_size
     bound = _cost_bound(k, L, epsilon, strict)
-    per_start = isinstance(dfa, SubsetDfa)
-    if not per_start:
-        _check_enumeration(dfa, dfa.root, L, max_words)
-        per_start = len(dfa.states) > math.factorial(min(L, k // 2))
-    if per_start:
+    if isinstance(dfa, SubsetDfa):
+        return _share_within(dfa, dfa.root, L, bound, max_words)
+    _check_enumeration(dfa, dfa.root, L, max_words)
+    if len(dfa.states) > math.factorial(min(L, k // 2)):
         return max(_share_within(dfa, v, L, bound, max_words) for v in dfa.states)
     sums, width = _suffix_sums(dfa, L, bound)
     return Fraction(max(sum(_unpack(p, width).values()) for p in sums), math.perm(k, L))
@@ -721,7 +731,7 @@ def _window(k: int, M: int, m1: int) -> list[int]:
 
 
 def concentration_experiment(
-    dfa, M: int, epsilon_star: float, samples: int, seed: int
+    dfa, M: int, epsilon_star: float, samples: int, seed: int, *, max_words: int = MAX_ENUM_WORDS
 ) -> ConcentrationReport:
     """Estimate the frequencies of the con1/con2 window events.
 
@@ -729,6 +739,10 @@ def concentration_experiment(
     and the T matrices of _min_t_counts feed one loop over window pairs
     that scores a block of _BLOCK_ROWS samples at once, for every kind of
     k-DFA; the event counts are summed over the blocks as integers.
+
+    M is at most k, so every window holds a step (M > k would leave most
+    of them empty), and the (M - 1)^2 window pairs, each one event loop
+    and two output entries, are counted against the enumeration cap.
     """
     if M < 2:
         raise ValueError("need M >= 2")
@@ -739,6 +753,9 @@ def concentration_experiment(
     if not is_k_dfa(dfa):
         raise ValueError("concentration_experiment needs a k-DFA")
     k = dfa.alphabet_size
+    if M > k:
+        raise ValueError(f"need M <= k = {k}, got M = {M}")
+    _check_count(f"concentration: {M - 1}^2 window pairs", max_words, M - 1, 2)
     events = []  # ((m1, m2), window columns, con1 threshold, con2 thresholds)
     for m1 in range(1, M):
         js = _window(k, M, m1)

@@ -202,6 +202,52 @@ def test_criterion_06_subset_dfa_properties(capsys):
         _report(6, "zero slack k<=7; subset census dominates 400 random k-DFAs", t0, 120)
 
 
+def _share_within(dist, k, L, eps, strict):
+    # P(L, eps) from one start's length-L cost distribution, in Fractions,
+    # a float epsilon read as its shortest decimal
+    threshold = (Fraction(1, 2) - Fraction(str(eps))) * k * L
+    hits = sum(n for c, n in dist.items() if (c < threshold if strict else c <= threshold))
+    return Fraction(hits, math.perm(k, L))
+
+
+def test_criterion_06b_subset_root_is_the_supremum(capsys):
+    # criterion 06 as exact probabilities: the subset root's P(L, eps) is
+    # the largest over every start of every k-DFA, so exact_P_max on the
+    # subset automaton is its root's, and no other automaton passes it
+    t0 = time.perf_counter()
+    grid = [(i / 20, strict) for i in range(11) for strict in (True, False)]
+    for k in range(1, 7):
+        s = build_subset_dfa(k)
+        dists = [cost_distributions_by_length(s, v, k) for v in s.states]
+        for L in range(k + 1):
+            for eps, strict in grid:
+                each = max(_share_within(d[L], k, L, eps, strict) for d in dists)
+                assert exact_P_max(s, L, eps, strict=strict) == each, (k, L, eps, strict)
+    rng = random.Random(6)
+    automata = [random_k_dfa(k, states, seed) for k in range(2, 8) for states, seed in ((3, k), (9, 10 + k))]
+    automata += [build_two_track_dfa(k) for k in (2, 4, 6, 8)]
+    while len(automata) < 22:
+        k = rng.randint(2, 6)
+        word = as_word([rng.randint(1, k) for _ in range(rng.randint(k, 3 * k))], k)
+        automata.append(cheapen(build_greedy_dfa(word)))
+    equal = cases = 0
+    for dfa in automata:
+        k = dfa.alphabet_size
+        for L in range(k + 1):
+            for eps, strict in grid:
+                p = exact_P_max(dfa, L, eps, strict=strict)
+                root = exact_P(build_subset_dfa(k), 0, L, eps, strict=strict)
+                assert p <= root, (dfa, L, eps, strict)
+                equal += p == root
+                cases += 1
+    # L <= 1 always ties (every row is a permutation); longer words need not
+    assert 0 < equal < cases
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60
+    with capsys.disabled():
+        _report(6, "exact_P_max: subset root attains the sup over k-DFAs", t0, 60)
+
+
 def test_criterion_07_two_track_decomposition(capsys):
     t0 = time.perf_counter()
     for k in (2, 4, 6, 8, 10):

@@ -783,7 +783,7 @@ _READ_BY = {
     "decompose": {"the builders": _AUTOMATON_FLAGS, "xy_decompose": "--perm --perm-file"},
     "concentration": {
         "the builders": _AUTOMATON_FLAGS,
-        "concentration_experiment": "--M --epsilon-star --samples --seed --threads",
+        "concentration_experiment": "--M --epsilon-star --samples --seed --threads --max-enum",
     },
     "bcp": {
         "both modes": f"{_WORD_FLAGS} --bidirectional", "check": "--perm --perm-file",
@@ -962,6 +962,31 @@ class TestHugeCounts:
         assert (doc["n_max"], doc["minimal_length"]) == (10**6, None)
         assert "rows" not in doc
         assert peak < 10**6
+
+
+class TestConcentrationIsBounded:
+    # the window pairs grow as M^2: M > k is refused (exit 1), and the
+    # (M - 1)^2 pairs count against the one cap (exit 2)
+    ARGV = "concentration --dfa subset --k 4 --epsilon-star 0.3 --samples 5 --seed 1".split()
+
+    def test_more_windows_than_letters_is_exit_1(self, capsys):
+        # M = 300 used to print 4.4 MB of JSON after about 3 s
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *self.ARGV, "--M", "300")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, err) == (1, "", "error: need M <= k = 4, got M = 300\n")
+        assert run_cli(capsys, *self.ARGV, "--M", "5")[0] == 1
+        assert run_cli(capsys, *self.ARGV, "--M", "4")[0] == 0
+
+    def test_window_pairs_over_the_cap_is_exit_2(self, capsys, monkeypatch):
+        rc, out, err = run_cli(capsys, *self.ARGV, "--M", "4", "--max-enum", "8")
+        assert (rc, out) == (2, "")
+        assert err == "resource limit: concentration: 3^2 window pairs exceeds the enumeration cap 8\n"
+        rc, out, _ = run_cli(capsys, *self.ARGV, "--M", "4", "--max-enum", "9")
+        assert rc == 0 and len(json.loads(out)["entries"]) == 9
+        monkeypatch.setenv("SUPERPATTERNS_MAX_ENUM", "3")
+        assert run_cli(capsys, *self.ARGV, "--M", "3")[0] == 2
+        assert run_cli(capsys, *self.ARGV, "--M", "2")[0] == 0
 
 
 class TestEnvCaps:

@@ -613,14 +613,24 @@ class TestSuffixDp:
                 words = list(permutations(range(1, 5), L))
                 assert sums == [_packed_within(dfa, v, words, width, within) for v in dfa.states]
 
-    def test_subset_automaton_runs_per_start(self, monkeypatch):
-        # 2^k states would make each suffix layer 2^k * C(k, s) entries
+    def test_subset_automaton_reads_its_root(self, monkeypatch):
+        # the root bounds every start, so one exact_P at the root answers:
+        # no suffix DP (2^k * C(k, s) entries a layer), no DP per start
         def refused(*args):
             raise AssertionError("suffix DP on a SubsetDfa")
 
         monkeypatch.setattr(W, "_suffix_sums", refused)
         s = build_subset_dfa(4)
-        assert exact_P_max(s, 3, 0.1) == max(exact_P(s, v, 3, 0.1) for v in s.states)
+        want = max(exact_P(s, v, 3, 0.1) for v in s.states)
+        starts = []
+        share = W._share_within
+        monkeypatch.setattr(W, "_share_within", lambda dfa, v, *args: starts.append(v) or share(dfa, v, *args))
+        assert exact_P_max(s, 3, 0.1) == want
+        assert starts == [0]
+        # past k = 20 the 2^k states are never listed; the word cap holds
+        assert exact_P_max(build_subset_dfa(64), 3, 0.1) == exact_P(build_subset_dfa(64), 0, 3, 0.1)
+        with pytest.raises(ResourceLimitError, match="injective words of lengths 1..5 over \\[64\\]"):
+            exact_P_max(build_subset_dfa(64), 5, 0.1)
 
     @pytest.mark.parametrize("states, L, suffix", [(24, 6, True), (25, 6, False), (6, 3, True), (7, 3, False)])
     def test_path_follows_the_widest_layer(self, monkeypatch, states, L, suffix):
@@ -1240,10 +1250,10 @@ class TestConcentration:
         assert fast.con1 == slow.con1
         assert fast.con2 == slow.con2
 
-    def test_paths_agree_with_empty_window(self):
-        # k = 3, M = 5 leaves the m1 = 2 window empty; both code paths
-        # must score the degenerate events identically
-        k, M, eps, n, seed = 3, 5, 0.3, 60, 4
+    def test_paths_agree_with_one_step_windows(self):
+        # M = k puts one step in every window, the narrowest that is
+        # admitted; both code paths must score those events identically
+        k, M, eps, n, seed = 3, 3, 0.3, 60, 4
         import superpatterns.dfa as D
 
         s = build_subset_dfa(k)
@@ -1261,17 +1271,16 @@ class TestConcentration:
         # con1/con2 re-derived sample by sample from the stream words, the
         # literal X ranks and the minimum of the literal T counts; on
         # random automata that minimum depends on the sample, unlike on
-        # subset-derived tables. k = 2, M = 4 leaves the m1 = 2 window empty.
+        # subset-derived tables. M <= k, so no window is empty.
         eps, n, seed = 0.3, 40, 12
-        empty_windows = 0
         t_values = {}
-        for k, M, states in ((6, 3, 5), (5, 4, 4), (2, 4, 3)):
+        for k, M, states in ((6, 3, 5), (5, 4, 4), (3, 3, 3)):
             dfa = random_k_dfa(k, states, 100 + k)
             windows = {
                 m1: [j for j in range(1, k + 1) if m1 * k < j * M <= (m1 + 1) * k]
                 for m1 in range(1, M)
             }
-            empty_windows += sum(not window for window in windows.values())
+            assert all(windows.values())
             con1 = Counter()
             con2 = Counter()
             for i in range(n):
@@ -1297,7 +1306,6 @@ class TestConcentration:
             for key in keys:
                 assert rep.con1[key] == con1[key] / n, (k, M, key)
                 assert rep.con2[key] == con2[key] / n, (k, M, key)
-        assert empty_windows == 1
         assert any(len(values) > 1 for values in t_values.values())
 
     def test_con2_trivial_on_subset_when_threshold_zero(self):
@@ -1322,6 +1330,34 @@ class TestConcentration:
             concentration_experiment(build_subset_dfa(4), 1, 0.3, 10, seed=0)
         with pytest.raises(ValueError):
             concentration_experiment(build_subset_dfa(4), 2, 0.3, 0, seed=0)
+
+    def test_more_windows_than_letters_refused_before_sampling(self, monkeypatch):
+        # M > k would leave most windows empty, with (M - 1)^2 events
+        import superpatterns.walks as W
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking M")
+
+        monkeypatch.setattr(W, "_perm_blocks", no_sampling)
+        for dfa in (build_subset_dfa(4), random_k_dfa(4, 3, 1)):
+            for M in (5, 300):
+                with pytest.raises(ValueError, match=f"^need M <= k = 4, got M = {M}$"):
+                    concentration_experiment(dfa, M, 0.3, 10, seed=0)
+
+    def test_window_pairs_count_against_the_cap(self, monkeypatch):
+        import superpatterns.walks as W
+
+        s = build_subset_dfa(4)
+        blocks = W._perm_blocks
+        sampled = []
+        monkeypatch.setattr(W, "_perm_blocks", lambda *args: sampled.append(args) or blocks(*args))
+        message = r"^concentration: 3\^2 window pairs exceeds the enumeration cap 8$"
+        with pytest.raises(ResourceLimitError, match=message):
+            concentration_experiment(s, 4, 0.3, 10, seed=0, max_words=8)
+        assert sampled == []
+        rep = concentration_experiment(s, 4, 0.3, 10, seed=0, max_words=9)
+        assert len(rep.con1) == len(rep.con2) == 9
+        assert rep == concentration_experiment(s, 4, 0.3, 10, seed=0)
 
     @pytest.mark.parametrize("eps_star", [0, 0.5, -0.3, 0.7, math.nan])
     def test_epsilon_star_outside_open_half_rejected_before_sampling(
