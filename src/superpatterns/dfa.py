@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -274,28 +273,17 @@ def build_greedy_dfa(sigma) -> WeightedDfa:
     """
     sigma = as_word(sigma)
     k = sigma.alphabet_size
-    n = len(sigma)
-    occ: dict[int, list[int]] = {}
-    for i, x in enumerate(sigma.letters, start=1):
-        occ.setdefault(x, []).append(i)
-    delta = {}
-    cost = {}
-    for v in range(n + 1):
-        drow = []
-        crow = []
-        for t in range(1, k + 1):
-            ps = occ.get(t, ())
-            at = bisect_right(ps, v)
-            if at < len(ps):
-                u = ps[at]
-                drow.append(u)
-                crow.append(u - v)
-            else:
-                drow.append(v)
-                crow.append(INFINITY)
-        delta[v] = tuple(drow)
-        cost[v] = tuple(crow)
-    return WeightedDfa(k, 0, delta, cost)
+    letters = sigma.letters
+    # one backward scan: nxt[t - 1] is the next occurrence of t after v
+    nxt = [None] * k
+    drows = []
+    crows = []
+    for v in range(len(letters), -1, -1):
+        drows.append(tuple(v if u is None else u for u in nxt))
+        crows.append(tuple(INFINITY if u is None else u - v for u in nxt))
+        if v:
+            nxt[letters[v - 1] - 1] = v
+    return WeightedDfa(k, 0, dict(enumerate(drows[::-1])), dict(enumerate(crows[::-1])))
 
 
 def walk_cost(dfa: Dfa, start, w) -> WalkTrace:
@@ -341,28 +329,24 @@ def cheapen(dfa: Dfa) -> WeightedDfa:
     distinct for greedy automata, since the cost names a position of the
     word); the remaining letters receive the remaining values of [k] in
     ascending letter order. Every entry can only shrink, so no walk gets
-    more expensive, and the result is a k-DFA.
+    more expensive, and the result is a k-DFA. A row with a repeated cost
+    <= k, or a cost of 0, has no dominating permutation and is refused.
     """
     k = dfa.alphabet_size
     new_cost = {}
     for v in dfa.states:
         row = dfa.cost_row(v)
-        pinned: dict[int, int] = {}
-        taken: set[int] = set()
-        for t, c in enumerate(row, start=1):
-            if c != INFINITY and c <= k:
-                if c in taken:
+        taken = [True] + [False] * k  # taken[c]: c is 0 or already kept
+        for c in row:
+            if c <= k:
+                if taken[c]:
                     raise CheapeningError(
-                        f"state {v!r}: duplicate low cost {c} admits no "
-                        f"dominating permutation row"
+                        f"state {v!r}: {'duplicate low' if c else 'zero'} cost {c} "
+                        f"admits no dominating permutation row"
                     )
-                pinned[t] = c
-                taken.add(c)
-        free_values = iter(sorted(set(range(1, k + 1)) - taken))
-        new_cost[v] = tuple(
-            pinned[t] if t in pinned else next(free_values)
-            for t in range(1, k + 1)
-        )
+                taken[c] = True
+        free = (c for c in range(1, k + 1) if not taken[c])
+        new_cost[v] = tuple(c if c <= k else next(free) for c in row)
     delta = {v: dfa.delta_row(v) for v in dfa.states}
     return WeightedDfa(k, dfa.root, delta, new_cost)
 

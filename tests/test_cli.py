@@ -15,9 +15,11 @@ from superpatterns import cli
 from superpatterns.cli import main
 from superpatterns.dfa import (
     INFINITY,
+    WeightedDfa,
     build_greedy_dfa,
     build_subset_dfa,
     build_two_track_dfa,
+    dfa_to_json,
     random_k_dfa,
 )
 from superpatterns.patterns import as_word
@@ -190,6 +192,13 @@ class TestCheapenWalk:
         rows = {row["state"]: row for row in doc["rows"]}
         costs_at_3 = sorted(e["cost"] for e in rows[3]["edges"])
         assert costs_at_3 == [1, 2, 3]
+
+    def test_cheapen_refuses_a_zero_cost(self, capsys, tmp_path):
+        path = tmp_path / "dfa.json"
+        path.write_text(dfa_to_json(WeightedDfa(2, 0, {0: (0, 0)}, {0: (0, 5)})))
+        rc, out, err = run_cli(capsys, "cheapen", "--dfa", "file", "--in", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: state 0: zero cost 0 admits no dominating permutation row\n"
 
     def test_walk_trace(self, capsys):
         rc, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -8,6 +9,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpatterns.dfa import (
     INFINITY,
@@ -69,6 +72,30 @@ def within(hist, budget):
     return {c: n for c, n in hist.items() if budget is None or c <= budget}
 
 
+def greedy_grid():
+    """300 seeded words: k = 1..9, lengths 0..25, each drawn from a random
+    nonempty subset of [k] (so letters go missing), 14 of them empty."""
+    rng = random.Random(3)
+    words = []
+    for i in range(300):
+        k = 1 + i % 9
+        n = 0 if i == 0 else rng.randint(0, 25)
+        used = rng.sample(range(1, k + 1), rng.randint(1, k))
+        words.append(as_word(tuple(rng.choice(used) for _ in range(n)), k))
+    return words
+
+
+# SHA-256 of the greedy_grid automata's JSON and DOT (infinite edges
+# included), each text followed by a NUL byte, as the occurrence-list
+# builder and the two-set cheapen wrote them
+GRID_DIGESTS = {
+    "greedy json": "02658ff4c8004675a93a76ea79160c3baba1651560ab948fb8d00a662c4920ad",
+    "greedy dot": "fc040405799f21120e4840c7cc8bd49551102d90043463f936b8ca328e5e6ca9",
+    "cheap json": "dbb0bfb5c46c4241bf90c73183881a978522d60c469b21bfbd9a20b16e69f8be",
+    "cheap dot": "c2ea563a6ebe9acbc160476fb14187f26696483ae53cd8914f2da8a8ee37b650",
+}
+
+
 class TestGreedyDfa:
     def test_worked_edge_list(self):
         a = build_greedy_dfa(as_word((1, 2, 3, 2), 3))
@@ -92,16 +119,43 @@ class TestGreedyDfa:
         # letters the word lacks, 2 and 4 here, self-loop at infinite cost
         a = build_greedy_dfa(as_word((3, 3, 1, 3), 4))
         assert [(a.step(1, 3), a.step_cost(1, 3)), (a.step(2, 3), a.step_cost(2, 3))] == [(2, 1), (4, 2)]
+        # every row against a scan for the next occurrence: the empty
+        # word, one-letter words, absent letters and declared alphabets
+        # wider than the letters used, then random words
+        cases = [((), 1), ((), 4), ((1,), 1), ((3,), 5), ((4, 4, 1, 4), 7)]
         rng = random.Random(31)
         for _ in range(100):
             k = rng.randint(1, 5)
-            sigma = tuple(rng.randint(1, k) for _ in range(rng.randint(0, 8)))
+            cases.append((tuple(rng.randint(1, k) for _ in range(rng.randint(0, 8))), k))
+        for sigma, k in cases:
             a = build_greedy_dfa(as_word(sigma, k))
-            for v in range(len(sigma) + 1):
-                for t in range(1, k + 1):
-                    u = next((j for j in range(v + 1, len(sigma) + 1) if sigma[j - 1] == t), None)
-                    edge = (v, INFINITY) if u is None else (u, u - v)
-                    assert (a.step(v, t), a.step_cost(v, t)) == edge
+            assert (a.root, a.states) == (0, tuple(range(len(sigma) + 1)))
+            for v in a.states:
+                nexts = [
+                    next((j for j in range(v + 1, len(sigma) + 1) if sigma[j - 1] == t), None)
+                    for t in range(1, k + 1)
+                ]
+                assert a.delta_row(v) == tuple(v if u is None else u for u in nexts)
+                assert a.cost_row(v) == tuple(INFINITY if u is None else u - v for u in nexts)
+
+    def test_plain_sequences_are_words(self):
+        # a plain sequence declares its largest letter as the alphabet
+        assert build_greedy_dfa([1, 2, 3, 2]) == build_greedy_dfa(as_word((1, 2, 3, 2), 3))
+        assert build_greedy_dfa(()) == build_greedy_dfa(as_word((), 1))
+
+    def test_grid_output_is_pinned(self):
+        digests = {name: hashlib.sha256() for name in GRID_DIGESTS}
+        for sigma in greedy_grid():
+            a = build_greedy_dfa(sigma)
+            b = cheapen(a)
+            for name, text in [
+                ("greedy json", dfa_to_json(a)),
+                ("greedy dot", dfa_to_dot(a, include_infinite=True)),
+                ("cheap json", dfa_to_json(b)),
+                ("cheap dot", dfa_to_dot(b, include_infinite=True)),
+            ]:
+                digests[name].update(text.encode() + b"\0")
+        assert {name: h.hexdigest() for name, h in digests.items()} == GRID_DIGESTS
 
     def test_walk_123(self):
         a = build_greedy_dfa(as_word((1, 2, 3, 2), 3))
@@ -256,10 +310,44 @@ class TestCheapen:
                     <= walk_cost(a, v, w).total_cost
                 )
 
-    def test_infeasible_row_rejected(self):
-        d = WeightedDfa(2, 0, {0: (0, 0)}, {0: (1, 1)})
-        with pytest.raises(CheapeningError):
+    # a repeated cost <= k, or a zero, which no entry of [k] is below
+    @pytest.mark.parametrize("row, what", [((1, 1), "duplicate low cost 1"), ((0, 5), "zero cost 0")])
+    def test_infeasible_row_rejected(self, row, what):
+        d = WeightedDfa(2, 0, {0: (0, 0)}, {0: row})
+        with pytest.raises(CheapeningError, match=f"state 0: {what} admits no dominating"):
             cheapen(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_rows(self, data):
+        # costs >= 1 or infinite: a row is refused exactly when two of its
+        # costs <= k coincide; otherwise those costs stay in place and the
+        # free values of [k] fill the other letters in letter order
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 4))
+        cost_value = st.one_of(st.integers(1, 2 * k + 1), st.just(INFINITY))
+        rows = data.draw(st.lists(st.tuples(*[cost_value] * k), min_size=n, max_size=n))
+        succ = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * k), min_size=n, max_size=n))
+        d = WeightedDfa(k, 0, dict(enumerate(succ)), dict(enumerate(rows)))
+        lows = [[c for c in row if c <= k] for row in rows]
+        if any(len(set(low)) < len(low) for low in lows):
+            with pytest.raises(CheapeningError, match="duplicate low cost"):
+                cheapen(d)
+            return
+        b = cheapen(d)
+        assert is_k_dfa(b) and (b.root, b.states) == (d.root, d.states)
+        for v, row in enumerate(rows):
+            new = b.cost_row(v)
+            assert b.delta_row(v) == d.delta_row(v)
+            assert all(x <= y for x, y in zip(new, row))
+            assert [x for x, c in zip(new, row) if c <= k] == lows[v]
+            free = [x for x, c in zip(new, row) if c > k]
+            assert free == sorted(set(range(1, k + 1)) - set(lows[v]))
+        # a zero anywhere is refused too
+        v, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+        rows[v] = rows[v][:t] + (0,) + rows[v][t + 1:]
+        with pytest.raises(CheapeningError, match="admits no dominating"):
+            cheapen(WeightedDfa(k, 0, dict(enumerate(succ)), dict(enumerate(rows))))
 
 
 class TestSubsetDfa:
