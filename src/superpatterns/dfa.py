@@ -80,8 +80,8 @@ class WeightedDfa:
     tables is built on first use and kept, since the automaton never
     changes, so repeated queries on one automaton build each part once:
     the state index (_index), the k-DFA verdict (_k_dfa), the largest
-    finite cost (_largest), the DP's edge rows per digit width (_rows) and
-    the numpy tables (_tables). A part is stored only once it is whole, so
+    and smallest finite costs (_largest, _smallest), the DP's edge rows
+    per digit width (_rows) and the numpy tables (_tables). A part is stored only once it is whole, so
     a reader in another thread sees it missing (and builds an equal one)
     or complete.
     """
@@ -123,6 +123,10 @@ class WeightedDfa:
     @cached_property
     def _largest(self) -> int:
         return max((c for row in self._cost.values() for c in row if c != INFINITY), default=0)
+
+    @cached_property
+    def _smallest(self) -> int:
+        return min((c for row in self._cost.values() for c in row if c != INFINITY), default=0)
 
     @cached_property
     def _tables(self) -> tuple:
@@ -396,6 +400,11 @@ def _largest_finite_cost(dfa: Dfa) -> int:
     return dfa.alphabet_size if isinstance(dfa, SubsetDfa) else dfa._largest
 
 
+def _smallest_finite_cost(dfa: Dfa) -> int:
+    # c_min: a SubsetDfa's costs are ranks, so 1; a weighted automaton's may be 0
+    return 1 if isinstance(dfa, SubsetDfa) else dfa._smallest
+
+
 def _whole_budget(budget):
     """A budget as the largest total it admits, or None for every total.
     Totals are whole numbers or INFINITY, so a real budget admits those up
@@ -539,6 +548,18 @@ def _packed_decoder(k: int, width: int, budget):
     return decode
 
 
+def _layer_budgets(dfa: Dfa, budget, max_len: int, lookahead: bool) -> list:
+    """The largest total a prefix of l letters may keep, l = 0..max_len,
+    under a whole budget (_whole_budget): the budget itself, or with
+    lookahead the budget less c_min (_smallest_finite_cost) for each of
+    the max_len - l letters still to read; None (every total) with no
+    budget."""
+    if budget is None:
+        return [None] * (max_len + 1)
+    reserve = _smallest_finite_cost(dfa) if lookahead else 0
+    return [budget - (max_len - length) * reserve for length in range(max_len + 1)]
+
+
 def _budget_mask(budget, ceiling: int, width: int):
     """The mask keeping digits 0..budget of a packed histogram, or None
     when no total can pass the budget (a whole number or None)."""
@@ -571,12 +592,22 @@ def _subset_root_layers(k: int, max_len: int, budget=None) -> tuple:
     return layers, _packed_decoder(k, width, budget)
 
 
-def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
+def _cost_layers(dfa: Dfa, start, max_len: int, budget=None, lookahead: bool = False) -> tuple:
     """(layers, decode): decode(l, layers[l]) is the Counter {total cost:
     number of injective length-l words paying it from start}, l =
     0..max_len, finite totals ascending and INFINITY last. A budget admits
     the totals up to its floor (_whole_budget); a prefix costing more is
     dropped with its extensions (costs are non-negative).
+
+    With lookahead, for callers that read only layers[max_len]
+    (_last_cost_layer), a prefix of l letters is dropped as soon as its
+    total passes budget - (max_len - l) * c_min, c_min being the smallest
+    finite step cost (_smallest_finite_cost: 1 on a k-DFA and a SubsetDfa,
+    perhaps 0 on a weighted automaton, where nothing is dropped early).
+    Every letter still to read costs at least c_min, so such a prefix
+    ends over the budget: the last layer is unchanged, and layer l < max_len
+    holds only the totals up to that bound. The closed form at the
+    SubsetDfa root keeps its one mask.
 
     From the root of a SubsetDfa the layers are the closed-form Mahonian
     products of _subset_root_layers; every other start and automaton runs
@@ -610,18 +641,25 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     by inclusion and exclusion, instead of for the letters left. Otherwise
     the fold runs edge by edge.
     Either way a budget masks the last layer once, which drops the same
-    digits as one mask per edge.
+    digits as one mask per edge. Each layer before it has its own mask
+    (_layer_budgets), set before its edges are read.
     """
     k = dfa.alphabet_size
     budget = _whole_budget(budget)
     if isinstance(dfa, SubsetDfa) and start == 0:
         return _subset_root_layers(k, max_len, budget)
-    ceiling = max_len * _largest_finite_cost(dfa)
-    if ceiling > _PACKED_MAX_TOTAL:
+    largest = _largest_finite_cost(dfa)
+    if max_len * largest > _PACKED_MAX_TOTAL:
         # the dict path's layers are Counters already
-        return _injective_cost_layers_sparse(dfa, start, max_len, budget), lambda length, layer: layer
+        layers = _injective_cost_layers_sparse(dfa, start, max_len, budget, lookahead)
+        return layers, lambda length, layer: layer
     width = math.perm(k, max_len).bit_length()
-    mask = _budget_mask(budget, ceiling, width)
+    masks = [None] * (max_len + 1)
+    if budget is not None:  # no call per layer when nothing is masked
+        masks = [
+            _budget_mask(b, length * largest, width)
+            for length, b in enumerate(_layer_budgets(dfa, budget, max_len, lookahead))
+        ]
     rows = _dp_rows(dfa, width)
     finite = rows.finite
     # the complement keeps weights per successor state: off the root of a
@@ -630,11 +668,13 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> tuple:
     layers = [1]
     frontier = {_start_key(dfa, start): 1}
     for length in range(1, max_len + 1):
+        mask = masks[length]
         if complement and length == max_len - 1:
             shorter, last = _last_two_by_complement(k, rows, frontier)
             if mask is not None:
                 shorter &= mask
-                last &= mask
+            if masks[max_len] is not None:
+                last &= masks[max_len]
             layers += [shorter, last]
             break
         nxt: dict = {}
@@ -830,25 +870,30 @@ def _injective_cost_layers(dfa: Dfa, start, max_len: int, budget=None) -> list:
 
 def _last_cost_layer(dfa: Dfa, start, length: int, budget=None) -> Counter:
     """_injective_cost_layers(dfa, start, length, budget)[length], with no
-    shorter layer decoded."""
-    layers, decode = _cost_layers(dfa, start, length, budget)
+    shorter layer decoded. Since only the last layer is read, _cost_layers
+    runs with its lookahead: under a budget, a prefix that cannot finish
+    within it is dropped at once."""
+    layers, decode = _cost_layers(dfa, start, length, budget, lookahead=True)
     return decode(length, layers[-1])
 
 
-def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) -> list:
+def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None, lookahead: bool = False) -> list:
     """_injective_cost_layers with one {cost: count} dict per (state, set
     of letters read), for automata whose finite costs are too wide to pack.
     Keys and finite edge rows are the packed DP's at width 1 (_dp_rows),
     and the INFINITY words are counted as there (_with_infinity). Each
-    Counter is sorted at the end, so its keys run as on the packed paths."""
+    Counter is sorted at the end, so its keys run as on the packed paths.
+    A budget and lookahead bound each layer as in _cost_layers."""
     k = dfa.alphabet_size
     budget = _whole_budget(budget)
+    caps = _layer_budgets(dfa, budget, max_len, lookahead)
     finite = _dp_rows(dfa, 1).finite
     dists = [Counter() for _ in range(max_len + 1)]
     dists[0][0] = 1
     frontier = {_start_key(dfa, start): {0: 1}}
     for length in range(1, max_len + 1):
         bucket = dists[length]
+        cap = caps[length]
         last = length == max_len
         nxt: dict = {}
         for key, hist in frontier.items():
@@ -860,7 +905,7 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
                     # set) pairs would hardly ever merge
                     for total, n in hist.items():
                         nt = total + c
-                        if budget is None or nt <= budget:
+                        if cap is None or nt <= cap:
                             bucket[nt] += n
                     continue
                 key2 = key + step
@@ -869,7 +914,7 @@ def _injective_cost_layers_sparse(dfa: Dfa, start, max_len: int, budget=None) ->
                     out = nxt[key2] = {}
                 for total, n in hist.items():
                     nt = total + c
-                    if budget is None or nt <= budget:
+                    if cap is None or nt <= cap:
                         out[nt] = out.get(nt, 0) + n
                 if not out:
                     del nxt[key2]
@@ -888,9 +933,12 @@ def cheap_perm_count(dfa: Dfa, budget: int, *, max_words: int = MAX_ENUM_WORDS) 
     budget counts as its floor).
 
     _cost_layers (the Mahonian product on SubsetDfa, otherwise the (state,
-    letters read) DP, at most |V| * 2^k entries per layer) drops prefixes
-    over the budget, so tight budgets stay cheap. max_words still caps
-    k!.
+    letters read) DP, at most |V| * 2^k entries per layer) drops a prefix
+    of l letters once its total passes budget - (k - l) * c_min, c_min
+    being the smallest finite step cost: 1 on a k-DFA, so a prefix is
+    dropped as soon as it cannot finish within the budget, and tight
+    budgets stay cheap. (An automaton with a 0 cost drops only the
+    prefixes over the budget itself.) max_words still caps k!.
     """
     k = dfa.alphabet_size
     _check_count(f"cheap_perm_count: {k}!", max_words, 1, k, 1)

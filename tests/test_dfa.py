@@ -1144,6 +1144,130 @@ class TestKernelPlan:
         assert vars(s) == {"alphabet_size": 6, "root": 0}
 
 
+def weighted_costs(k, n, seed, costs):
+    """A seeded n-state weighted automaton over [k] whose costs are drawn
+    from costs (INFINITY allowed)."""
+    rng = random.Random(seed)
+    delta = {v: tuple(rng.randrange(n) for _ in range(k)) for v in range(n)}
+    cost = {v: tuple(rng.choice(costs) for _ in range(k)) for v in range(n)}
+    return WeightedDfa(k, 0, delta, cost)
+
+
+def random_greedy(k, seed):
+    # a greedy automaton of a random word over [k] that misses some
+    # permutation: INFINITY edges on the root's walks
+    rng = random.Random(seed)
+    while True:
+        a = build_greedy_dfa(as_word([rng.randint(1, k) for _ in range(2 * k)], k))
+        if INFINITY in brute_injective_costs(a, a.root, k):
+            return a
+
+
+def finite_costs(dfa):
+    return [c for v in dfa.states for c in dfa.cost_row(v) if c != INFINITY]
+
+
+class TestBudgetLookahead:
+    """cheap_perm_count's DP drops a prefix of l letters once its total
+    passes budget - (L - l) * c_min, c_min the smallest finite step cost:
+    the answers against the unbudgeted census and the every-layer kernel,
+    and the layers it keeps against plain enumeration (tests/oracles.py)."""
+
+    AUTOMATA = [
+        *[(f"random{k}", lambda k=k: random_k_dfa(k, 6, 100 + k)) for k in range(1, 10)],
+        *[(f"two-track{k}", lambda k=k: build_two_track_dfa(k)) for k in (2, 4, 6, 8)],
+        *[(f"subset{k}", lambda k=k: build_subset_dfa(k)) for k in (1, 3, 6, 9)],
+        ("greedy", greedy_with_infinity),
+        *[(f"greedy{k}", lambda k=k: random_greedy(k, k)) for k in (3, 5, 7)],
+        ("cheapened", lambda: cheapen(greedy_with_infinity())),
+        *[(f"cheapened{k}", lambda k=k: cheapen(random_greedy(k, k))) for k in (5, 7)],
+        # c_min = 0: nothing is dropped early
+        ("zero", weighted_zero_and_infinity),
+        ("min-2", lambda: weighted_costs(6, 4, 7, (2, 3, 5, INFINITY))),
+        # finite costs too wide to pack: the dict path
+        ("wide", wide_with_infinity),
+        ("wide-min-3", lambda: weighted_costs(5, 3, 8, (3, 4, 250, 700, INFINITY))),
+    ]
+    IDS = [a[0] for a in AUTOMATA]
+
+    @pytest.mark.parametrize("name,make", AUTOMATA, ids=IDS)
+    def test_count_is_the_census_prefix_sum(self, name, make):
+        dfa = make()
+        k = dfa.alphabet_size
+        census = perm_cost_census(dfa)
+        top = k * max(finite_costs(dfa))
+        running = 0
+        for budget in range(-1, top + 2):
+            running += census.get(budget, 0)
+            assert cheap_perm_count(dfa, budget) == running, (name, budget)
+
+    @pytest.mark.parametrize("name,make", AUTOMATA, ids=IDS)
+    def test_last_layer_matches_the_every_layer_kernel(self, name, make):
+        dfa = make()
+        k = dfa.alphabet_size
+        starts = list(dfa.states)[:64]
+        for start in starts:
+            for L in range(k + 1) if k <= 7 else (2, 3, k - 1, k):
+                for budget in (-1, 0, 3, 2 * L, k * L // 2, None):
+                    got = dfa_module._last_cost_layer(dfa, start, L, budget)
+                    want = _injective_cost_layers(dfa, start, L, budget)[L]
+                    assert list(got.items()) == list(want.items()), (name, start, L, budget)
+
+    PRUNED = [
+        ("random", lambda: random_k_dfa(7, 5, 3), (0, 2, 4)),
+        ("two-track", lambda: build_two_track_dfa(6), (0, -3, 2)),
+        ("greedy", greedy_with_infinity, (0, 2, 6)),
+        ("cheapened", lambda: cheapen(greedy_with_infinity()), (0, 3)),
+        ("zero", weighted_zero_and_infinity, (0, 1)),
+        ("min-2", lambda: weighted_costs(6, 4, 7, (2, 3, 5, INFINITY)), (0, 1, 3)),
+        ("wide", wide_with_infinity, (0, 1)),
+        ("wide-min-3", lambda: weighted_costs(5, 3, 8, (3, 4, 250, 700, INFINITY)), (0, 2)),
+        # off the root a SubsetDfa runs the DP, not the closed form
+        ("subset-off-root", lambda: build_subset_dfa(6), (0b1, 0b100110)),
+    ]
+
+    @pytest.mark.parametrize("name,make,starts", PRUNED, ids=[a[0] for a in PRUNED])
+    def test_kept_layers_stop_at_the_lookahead(self, name, make, starts):
+        dfa = make()
+        k = dfa.alphabet_size
+        c_min = min(finite_costs(dfa))
+        assert (name == "zero") == (c_min == 0)
+        for start in starts:
+            ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)]
+            for max_len in range(k + 1):
+                # every budget at which some layer's kept totals change
+                budgets = {-1} | {
+                    c + (max_len - l) * c_min + d
+                    for l in range(max_len + 1)
+                    for c in ref[l]
+                    if c != INFINITY
+                    for d in (-1, 0)
+                }
+                for budget in sorted(budgets):
+                    layers, decode = dfa_module._cost_layers(dfa, start, max_len, budget, lookahead=True)
+                    # layer 0, the empty word, is {0: 1} under every budget
+                    for l, layer in enumerate(layers[1:], 1):
+                        cap = budget - (max_len - l) * c_min
+                        assert decode(l, layer) == within(ref[l], cap), (name, start, max_len, l, budget)
+
+    def test_only_a_budgeted_count_looks_ahead(self, monkeypatch):
+        # the answers cannot show a missing lookahead, only the DP's calls
+        calls = []
+        kernel = dfa_module._cost_layers
+        monkeypatch.setattr(
+            dfa_module, "_cost_layers", lambda *args, **kw: calls.append((args[3:], kw)) or kernel(*args, **kw)
+        )
+        dfa = random_k_dfa(6, 4, 1)
+        cheap_perm_count(dfa, 9)
+        assert calls == [((9,), {"lookahead": True})]
+        calls.clear()
+        # exact_P and the censuses run unbudgeted
+        exact_P(dfa, 0, 4, 0.1)
+        perm_cost_census(dfa)
+        cost_distributions_by_length(dfa, 0, 3)
+        assert calls == [((None,), {"lookahead": True})] * 2 + [((None,), {})]
+
+
 class TestDictPathKeyOrder:
     def test_census_ascending_then_infinity(self):
         # finite costs too wide to pack: the dict path
