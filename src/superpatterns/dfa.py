@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import Union
 
 from .errors import CheapeningError, ResourceLimitError
@@ -452,15 +452,18 @@ class _Rows:
     prefix that pays INFINITY, and the decoder counts those words by
     subtraction (_with_infinity). On a table automaton, tails and weights
     hold _last_two_by_complement's constants per state (_tail), filled as
-    frontiers reach the states.
+    frontiers reach the states. moves holds _dense_layers' set ranks and
+    move lists per number of letters read (_set_moves), built as queries
+    reach them.
     """
 
-    __slots__ = ("finite", "tails", "weights")
+    __slots__ = ("finite", "tails", "weights", "moves")
 
     def __init__(self, finite):
         self.finite = finite
         self.tails: dict = {}
         self.weights: dict = {}
+        self.moves: dict = {}
 
 
 def _edge_rows(dfa: WeightedDfa, width: int) -> _Rows:
@@ -633,6 +636,16 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None, lookahead: bool = F
     _PACKED_MAX_TOTAL, the integers would be mostly empty digits and
     _injective_cost_layers_sparse runs instead.
 
+    Dense layers: with no budget, on a table automaton outside the
+    complement's range, the DP switches once from the dict to
+    _dense_layers as soon as a frontier fills (_fills: at least 8k pairs,
+    and at least half of (states reached) * C(k, l)). There each state
+    reached keeps a list over the letter sets in combinations order, and
+    an edge costs a list read and store instead of a dict get, store, key
+    add and bit test. Sparse frontiers keep the dict: the two-track
+    automaton's, and a cheapened greedy automaton's until its last two or
+    three layers. Budgeted calls always keep it.
+
     The last layer is a fold: with no merging left to do, each pair one
     letter short adds its histogram shifted by each unread edge. On a
     table automaton, for short words (_complement_pays: 2(max_len - 1) <
@@ -665,9 +678,15 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None, lookahead: bool = F
     # the complement keeps weights per successor state: off the root of a
     # SubsetDfa that is up to C(k, l) states, so it keeps the per-edge fold
     complement = not isinstance(dfa, SubsetDfa) and _complement_pays(k, max_len)
+    # an unbudgeted DP on a table automaton past the complement's range
+    # goes dense once its frontier fills (_fills)
+    dense = budget is None and not complement and not isinstance(dfa, SubsetDfa)
     layers = [1]
     frontier = {_start_key(dfa, start): 1}
     for length in range(1, max_len + 1):
+        if dense and _fills(k, length - 1, frontier):
+            layers += _dense_layers(k, rows, frontier, length - 1, max_len)
+            break
         mask = masks[length]
         if complement and length == max_len - 1:
             shorter, last = _last_two_by_complement(k, rows, frontier)
@@ -706,6 +725,87 @@ def _cost_layers(dfa: Dfa, start, max_len: int, budget=None, lookahead: bool = F
         layers.append(layer + sum(nxt.values()))
         frontier = nxt
     return layers, _packed_decoder(k, width, budget)
+
+
+def _fills(k: int, size: int, frontier: dict) -> bool:
+    """Whether _cost_layers turns dense at a frontier of pairs with size
+    letters read: it holds at least 8k pairs and at least half of (states
+    reached) * C(k, size)."""
+    n = len(frontier)
+    return n >= 8 * k and 2 * n >= len({key >> k for key in frontier}) * math.comb(k, size)
+
+
+def _dense_layers(k: int, rows: _Rows, frontier: dict, size: int, max_len: int) -> list:
+    """Layers size + 1..max_len of _cost_layers from frontier, its layer
+    of pairs with size letters read, on a table automaton with no budget;
+    rows are the automaton's _Rows at the digit width of the histograms.
+
+    Each state reached keeps a list over the letter sets in combinations
+    order (_set_layout), 0 where no prefix reaches the pair, and a layer is
+    pushed through the move lists of _set_moves: reading letter t from
+    state i adds entry j shifted by i's cost for t to entry up of the
+    successor, for each (j, up) of t. The last layer folds as on the dict
+    path, the entries lacking t summed before the shift. Each layer is the
+    same sum of the same shifted histograms as the dict path's."""
+    rank, _ = _set_moves(k, rows, size)
+    full = (1 << k) - 1
+    layer: dict = {}
+    for key, packed in frontier.items():
+        entries = layer.get(key >> k)
+        if entries is None:
+            entries = layer[key >> k] = [0] * len(rank)
+        entries[rank[key & full]] = packed
+    finite = rows.finite
+    out = []
+    for s in range(size, max_len - 1):
+        _, moves = _set_moves(k, rows, s)
+        sets = math.comb(k, s + 1)
+        nxt: dict = {}
+        for i, entries in layer.items():
+            for bit, step, shift in finite[i]:
+                u = i + (step >> k)
+                target = nxt.get(u)
+                if target is None:
+                    target = nxt[u] = [0] * sets
+                for j, up in moves[bit.bit_length() - 1]:
+                    g = entries[j]
+                    if g:
+                        target[up] += g << shift
+        out.append(sum(map(sum, nxt.values())))
+        layer = nxt
+    _, moves = _set_moves(k, rows, max_len - 1)
+    last = 0
+    for i, entries in layer.items():
+        for bit, _, shift in finite[i]:
+            last += sum([entries[j] for j, _ in moves[bit.bit_length() - 1]]) << shift
+    out.append(last)
+    return out
+
+
+def _set_moves(k: int, rows: _Rows, size: int) -> tuple:
+    """(rank, moves) at size letters read, kept in rows.moves and stored
+    whole: rank maps each size-letter set to its position (_set_layout),
+    and moves[t - 1] lists, for each set one size up that holds letter t,
+    (the position of the set without t, its own position)."""
+    got = rows.moves.get(size)
+    if got is None:
+        _, rank = _set_layout(k, size)
+        letters, up = _set_layout(k, size + 1)
+        moves = [[] for _ in range(k)]
+        for position, (S, c) in enumerate(zip(up, letters)):
+            for t in c:
+                moves[t].append((rank[S ^ 1 << t], position))
+        got = rows.moves[size] = rank, moves
+    return got
+
+
+def _set_layout(k: int, size: int) -> tuple:
+    """(letters, rank) of the size-letter sets of [k] in combinations
+    order: letters[j] lists the letters t - 1 of set j and rank maps the
+    set's bitmask (letter t as bit t - 1) to j, keys in that order. The
+    dense layers of _cost_layers and _suffix_sums lay their entries out so."""
+    bits = [1 << t for t in range(k)]
+    return list(combinations(range(k), size)), dict(zip(map(sum, combinations(bits, size)), count()))
 
 
 def _complement_pays(k: int, max_len: int) -> bool:
@@ -831,14 +931,12 @@ def _suffix_sums(dfa: WeightedDfa, length: int, budget=None) -> tuple:
     finite = _dp_rows(dfa, width).finite
     # per state, per letter t - 1: (successor's index, width * cost)
     succ = [[(i + (step >> k), shift) for _, step, shift in row] for i, row in enumerate(finite)]
-    layer, sets = [[1]] * len(succ), [0]
+    layer, at = [[1]] * len(succ), {0: 0}
     for s in range(1, length + 1):
-        at = {S: j for j, S in enumerate(sets)}
-        combos = list(combinations(range(k), s))
-        sets = [sum(1 << t for t in c) for c in combos]
+        combos, rank = _set_layout(k, s)
         # per set: (t - 1, position of the set without t one layer down)
-        parts = [[(t, at[S ^ 1 << t]) for t in c] for S, c in zip(sets, combos)]
-        layer = _suffix_layer(succ, layer, parts, keep)
+        parts = [[(t, at[S ^ 1 << t]) for t in c] for S, c in zip(rank, combos)]
+        layer, at = _suffix_layer(succ, layer, parts, keep), rank
     return [sum(entries) & keep for entries in layer], width
 
 

@@ -1268,6 +1268,133 @@ class TestBudgetLookahead:
         assert calls == [((None,), {"lookahead": True})] * 2 + [((None,), {})]
 
 
+def dense_calls(monkeypatch):
+    """The (letters read at the switch, max_len) of each _dense_layers
+    call from here on."""
+    calls = []
+    dense = dfa_module._dense_layers
+    monkeypatch.setattr(dfa_module, "_dense_layers", lambda *args: calls.append(args[3:]) or dense(*args))
+    return calls
+
+
+class TestDenseLayers:
+    """_cost_layers' dense layers (_dense_layers) against its dict layers
+    on the same inputs, with the switch forced on at layer 0 and forced
+    off, key order included, and which path each caller takes under the
+    rule (_fills)."""
+
+    AUTOMATA = [
+        *[
+            (f"random{k}-{n}", lambda k=k, n=n: random_k_dfa(k, n, 10 * k + n))
+            for k, n in ((1, 1), (2, 30), (3, 2), (4, 5), (5, 30), (6, 3), (7, 10), (8, 1), (8, 10), (9, 2))
+        ],
+        *[(f"two-track{k}", lambda k=k: build_two_track_dfa(k)) for k in (2, 6, 8)],
+        ("greedy", greedy_with_infinity),
+        ("greedy7", lambda: random_greedy(7, 7)),
+        ("cheapened", lambda: cheapen(random_greedy(8, 8))),
+        ("zero", weighted_zero_and_infinity),
+    ]
+
+    @pytest.mark.parametrize("name,make", AUTOMATA, ids=[a[0] for a in AUTOMATA])
+    def test_dense_and_dict_layers_agree(self, monkeypatch, name, make):
+        dfa = make()
+        k = dfa.alphabet_size
+        calls = dense_calls(monkeypatch)
+        for start in dfa.states:
+            ref = [brute_injective_costs(dfa, start, L) for L in range(k + 1)] if k <= 5 else None
+            for max_len in range(k + 1):
+                runs = []
+                for on in (True, False):
+                    calls.clear()
+                    monkeypatch.setattr(dfa_module, "_fills", lambda k, size, frontier, on=on: on)
+                    layers, decode = dfa_module._cost_layers(dfa, start, max_len)
+                    dists = [decode(length, layer) for length, layer in enumerate(layers)]
+                    runs.append((layers, [list(d.items()) for d in dists]))
+                    # forced on, every DP outside the complement's range goes
+                    # dense before its first letter
+                    dense = on and max_len > 0 and not dfa_module._complement_pays(k, max_len)
+                    assert calls == ([(0, max_len)] if dense else []), (name, start, max_len, on)
+                    if ref:
+                        assert dists == ref[: max_len + 1], (name, start, max_len, on)
+                assert runs[0] == runs[1], (name, start, max_len)
+
+    def test_which_path_runs(self, monkeypatch):
+        calls = dense_calls(monkeypatch)
+        dfa = random_k_dfa(8, 10, 3)
+        # full-length words on a random automaton fill from 4 letters on
+        perm_cost_census(dfa)
+        exact_P(dfa, 5, 8, 0.1)
+        cost_distributions_by_length(dfa, 2, 8)
+        _injective_cost_layers(dfa, 0, 8, math.inf)  # an INFINITY budget is no budget
+        cheap_perm_count(dfa, math.inf)
+        assert calls == [(4, 8)] * 5
+        calls.clear()
+        # the move lists of the layers reached, kept with the rows at their
+        # width and reused by later queries
+        rows = dfa._rows[math.perm(8, 8).bit_length()]
+        kept = dict(rows.moves)
+        assert sorted(kept) == [4, 5, 6, 7]
+        perm_cost_census(dfa)
+        assert all(rows.moves[size] is kept[size] for size in kept)
+        calls.clear()
+        # exact_P_max per start: 30 states > 4!
+        exact_P_max(random_k_dfa(8, 30, 1), 7, 0.1)
+        assert calls == [(4, 7)] * 30
+        calls.clear()
+        # sparse frontiers keep the dict
+        perm_cost_census(build_two_track_dfa(8))
+        exact_P(build_two_track_dfa(8), -2, 8, 0.2)
+        perm_cost_census(cheapen(random_greedy(8, 8)))
+        # budgeted calls
+        cheap_perm_count(dfa, 36)
+        _injective_cost_layers(dfa, 0, 8, 40)
+        # the complement's range: 2 * (5 - 1) < 10
+        exact_P(random_k_dfa(10, 10, 1), 0, 5, 0.1)
+        # a SubsetDfa, at the root and off it
+        perm_cost_census(build_subset_dfa(8))
+        _injective_cost_layers(build_subset_dfa(8), 0b1, 7)
+        assert calls == []
+
+    def test_the_rule_at_its_edges(self):
+        # one-letter pairs at k = 8: a state holds up to C(8, 1) = 8 of them
+        def frontier(*per_state):
+            return {i << 8 | 1 << t: 1 for i, sets in enumerate(per_state) for t in range(sets)}
+
+        fills = dfa_module._fills
+        assert fills(8, 1, frontier(*[8] * 8))  # 8k pairs, every one present
+        assert not fills(8, 1, frontier(*[8] * 7, 7))  # 8k - 1 pairs
+        assert fills(8, 1, frontier(*[4] * 16))  # 8k pairs, exactly half present
+        assert not fills(8, 1, frontier(*[4] * 15, 3, 1))  # 8k pairs, 17 states
+
+    def test_threads_share_one_automaton(self):
+        # each round on an automaton that has kept nothing, so the threads
+        # race to build its set ranks and move lists (_set_moves)
+        base = random_k_dfa(8, 10, 4)
+        queries = [(start, L) for start in (0, 3, 7) for L in (8, 7, 6)]
+        want = {q: _injective_cost_layers(fresh(base), *q) for q in queries}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                shared = fresh(base)
+                wrong = []
+
+                def work():
+                    for q in queries:
+                        if _injective_cost_layers(shared, *q) != want[q]:
+                            wrong.append(q)
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestDictPathKeyOrder:
     def test_census_ascending_then_infinity(self):
         # finite costs too wide to pack: the dict path
